@@ -46,7 +46,6 @@ from .sibling import (
     SglmResult,
     estimate_noise,
     half_sibling,
-    residual_form_equivalence,
     sglm_denoise,
     three_quarter_sibling,
 )
@@ -60,6 +59,7 @@ from .simulate import (
     replicate_seed,
     to_panel,
 )
+from .benchmark import Estimate, run_estimator
 
 __version__ = "0.1.0"
 
@@ -72,10 +72,11 @@ __all__ = [
     "ResidualVector", "RESIDUAL_KINDS", "raw", "fisher_scaled", "studentized",
     "deviance_residual", "LeverageError",
     "Panel", "SglmResult", "NOISE_STRATEGIES", "half_sibling",
-    "three_quarter_sibling", "residual_form_equivalence", "estimate_noise",
+    "three_quarter_sibling", "estimate_noise",
     "sglm_denoise",
     "SandwichCovariance", "sandwich", "relative_efficiency",
     "SimConfig", "SimTruth", "MetricsRecord", "GenerationError", "generate",
     "metrics", "replicate_seed", "to_panel",
+    "Estimate", "run_estimator",
     "__version__",
 ]

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,15 +25,9 @@ from . import benchmark as bench
 from . import residuals as res
 from . import sibling
 from .families import DomainError, Family, family_from_name
-from .glm import (
-    ConvergenceError,
-    Design,
-    SingularDesignError,
-    design_with_intercept,
-    fit_glm,
-)
+from .glm import ConvergenceError, Design, SingularDesignError, design_with_intercept, fit_glm
 from .inference import sandwich
-from .simulate import GenerationError, SimConfig, generate
+from .simulate import GenerationError, MetricsRecord, SimConfig, generate
 
 
 class PanelFormatError(ValueError):
@@ -184,16 +180,12 @@ def _target_index(panel: PanelData, target: str | None) -> int:
     return panel.y_names.index(target)
 
 
-def _panel_from_file(panel: PanelData, family: Family, target: str | None) -> tuple[sibling.Panel, int]:
-    target_index = _target_index(panel, target)
-    return (
-        sibling.Panel(
-            design=_design_from_file(panel),
-            responses=panel.y,
-            family=family,
-            target_index=target_index,
-        ),
-        target_index,
+def _panel_from_file(panel: PanelData, family: Family, target: str | None) -> sibling.Panel:
+    return sibling.Panel(
+        design=_design_from_file(panel),
+        responses=panel.y,
+        family=family,
+        target_index=_target_index(panel, target),
     )
 
 
@@ -292,24 +284,6 @@ DENOISE_DEFAULTS = {
 }
 
 
-def _truth_metrics(
-    panel: PanelData, target_index: int, signal_hat, noise_hat, w_hat
-) -> dict[str, str]:
-    out: dict[str, str] = {}
-    zkey = f"truth_z_{panel.y_names[target_index]}"
-    if zkey in panel.truth:
-        out["metric_mse"] = _fmt(float(np.mean((signal_hat - panel.truth[zkey]) ** 2)))
-    if "truth_noise" in panel.truth and noise_hat is not None:
-        n = panel.truth["truth_noise"]
-        if np.std(noise_hat) > 0 and np.std(n) > 0:
-            out["metric_noise_corr"] = _fmt(float(np.corrcoef(noise_hat, n)[0, 1]))
-    wkey = f"truth_w_x_{panel.y_names[target_index]}"
-    if w_hat is not None and wkey in panel.meta:
-        w_true = float(panel.meta[wkey])
-        out["metric_bias"] = _fmt((w_hat - w_true) / w_true)
-    return out
-
-
 def cmd_denoise(args: argparse.Namespace) -> int:
     cfg = _resolve(args, DENOISE_DEFAULTS)
     if not cfg["input"] or not cfg["output"]:
@@ -318,60 +292,39 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown estimator {cfg['estimator']!r}")
     family = _family(cfg)
     panel = read_panel(cfg["input"])
-    p, target_index = _panel_from_file(panel, family, cfg["target"])
-    y1 = panel.y[:, target_index]
+    p = _panel_from_file(panel, family, cfg["target"])
+    target = panel.y_names[p.target_index]
+    est = bench.run_estimator(
+        p, cfg["estimator"], cfg["residual"], cfg["step3_with_x"], cfg["noise_strategy"]
+    )
 
     meta = _meta_from_config("denoise", cfg)
-    meta["target"] = panel.y_names[target_index]
-    w_hat = None
-
-    if cfg["estimator"] == bench.SGLM:
-        out = sibling.sglm_denoise(
-            p,
-            residual_kind=cfg["residual"],
-            include_x=cfg["step3_with_x"],
-            strategy=cfg["noise_strategy"],
-        )
-        noise_hat, signal_hat, mu_hat = out.noise_hat, out.signal_hat, out.refit.mu
-        refit_design = Design(
-            np.column_stack([p.design.x, out.noise_hat]),
-            (*p.design.column_names, "noise_hat"),
-        )
-        sw = sandwich(out.refit, refit_design, y1)
-        for name, est, se in zip(refit_design.column_names, out.refit.beta, sw.standard_errors):
-            meta[f"coef_{name}"] = _fmt(est)
+    meta["target"] = target
+    if est.fit is not None:
+        sw = sandwich(est.fit, est.design, p.responses[:, p.target_index])
+        for name, value, se in zip(est.design.column_names, est.fit.beta, sw.standard_errors):
+            meta[f"coef_{name}"] = _fmt(value)
             meta[f"stderr_{name}"] = _fmt(se)
-        meta["converged"] = str(out.refit.converged).lower()
-        meta["iterations"] = str(out.refit.iterations)
-        if len(panel.x_names) == 1:
-            w_hat = float(out.refit.beta[1])
-    elif cfg["estimator"] == bench.GLM_ESTIMATOR:
-        fit = fit_glm(p.design, y1, family)
-        sw = sandwich(fit, p.design, y1)
-        noise_hat = np.zeros(panel.m)
-        signal_hat, mu_hat = fit.eta, fit.mu
-        for name, est, se in zip(p.design.column_names, fit.beta, sw.standard_errors):
-            meta[f"coef_{name}"] = _fmt(est)
-            meta[f"stderr_{name}"] = _fmt(se)
-        meta["converged"] = str(fit.converged).lower()
-        meta["iterations"] = str(fit.iterations)
-        if len(panel.x_names) == 1:
-            w_hat = float(fit.beta[1])
-    else:
-        ty = bench.working_scale(family, panel.y)
-        aux = np.delete(ty, target_index, axis=1)
-        if cfg["estimator"] == bench.HALF_SIBLING:
-            signal_hat = sibling.half_sibling(ty[:, target_index], aux)
-        else:
-            signal_hat = sibling.three_quarter_sibling(panel.x, ty[:, target_index], aux)
-        noise_hat = ty[:, target_index] - signal_hat
-        mu_hat = np.expm1(signal_hat) if family.kind in ("poisson", "gamma") else signal_hat
-
-    meta.update(_truth_metrics(panel, target_index, signal_hat, noise_hat, w_hat))
+        meta["converged"] = str(est.fit.converged).lower()
+        meta["iterations"] = str(est.fit.iterations)
+    # the coefficient is the bias target only on the one-covariate design
+    # the simulator writes, whose truth_w_x_ lines name it
+    w_key = f"truth_w_x_{target}"
+    scores = MetricsRecord.score(
+        est.signal_hat,
+        est.noise_hat,
+        float(est.fit.beta[1]) if est.fit is not None and len(panel.x_names) == 1 else None,
+        panel.truth.get(f"truth_z_{target}"),
+        panel.truth.get("truth_noise"),
+        float(panel.meta[w_key]) if w_key in panel.meta else None,
+    )
+    for name, value in asdict(scores).items():
+        if not math.isnan(value):
+            meta[f"metric_{name}"] = _fmt(value)
     _write_table(
         cfg["output"],
         meta,
-        {"noise_hat": noise_hat, "signal_hat": signal_hat, "mu_hat": mu_hat},
+        {"noise_hat": est.noise_hat, "signal_hat": est.signal_hat, "mu_hat": est.mu_hat},
     )
     return 0
 
@@ -490,22 +443,20 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         raise ValueError("replicates must be >= 1")
     cells = build_cells(cfg)
 
-    results: list[bench.CellResult] = [None] * len(cells)
     started = time.perf_counter()
-    if cfg["jobs"] > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            futures = {pool.submit(bench.run_cell, c): i for i, c in enumerate(cells)}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for i, cell in enumerate(cells):
-            t0 = time.perf_counter()
-            results[i] = bench.run_cell(cell)
+    results = []
+    with contextlib.ExitStack() as stack:
+        run_all = map
+        if cfg["jobs"] > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"])
+            run_all = stack.enter_context(pool).map
+        for cell, result in zip(cells, run_all(bench.run_cell, cells)):
             print(
                 f"cell q={cell.q} estimator={cell.estimator} residual={cell.residual_kind}: "
-                f"{time.perf_counter() - t0:.2f}s",
+                f"{result.seconds:.2f}s",
                 file=sys.stderr,
             )
+            results.append(result)
     print(f"benchmark wall clock: {time.perf_counter() - started:.2f}s", file=sys.stderr)
 
     header = [
@@ -537,12 +488,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
     meta = _meta_from_config("benchmark", cfg)
     del meta["jobs"]  # execution detail; bytes must not depend on it
-    with open(cfg["output"], "w", encoding="utf-8") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key} = {meta[key]}\n")
-        fh.write(",".join(header) + "\n")
-        for row in lines:
-            fh.write(",".join(row) + "\n")
+    _write_table(cfg["output"], meta, {n: [row[k] for row in lines] for k, n in enumerate(header)})
     return 0
 
 

@@ -242,6 +242,15 @@ def fit_glm(design: Design, y, family: Family, options: FitOptions | None = None
             f"(score inf-norm {np.max(np.abs(x.T @ (y - mu))):.3e})",
             last_fit=fit,
         )
+    edge = int(np.sum(fit.fisher_diag == 0.0))
+    if edge:
+        # e.g. a separated Bernoulli series: the likelihood keeps rising
+        # along a direction, so no maximum-likelihood estimate exists
+        raise ConvergenceError(
+            f"fitted means reach the edge of the {family.kind} support at {edge} rows "
+            "(zero information); the maximum-likelihood estimate does not exist",
+            last_fit=fit,
+        )
     return fit
 
 

@@ -87,7 +87,8 @@ class SglmResult:
     """Output of the staged denoising pipeline.
 
     ``noise_hat`` is the mean-zero noise proxy, ``refit`` the target GLM
-    refit on the original design plus the proxy, and ``signal_hat`` the
+    refit on ``refit_design`` (the original design plus the proxy as a
+    last column named ``noise_hat``), and ``signal_hat`` the
     covariate-only part of the refit linear predictor (the denoised
     natural-parameter estimate).
     """
@@ -95,6 +96,7 @@ class SglmResult:
     noise_hat: np.ndarray
     base_fit: GlmFit
     refit: GlmFit
+    refit_design: Design
     signal_hat: np.ndarray
     diagnostics: SglmDiagnostics
 
@@ -161,38 +163,6 @@ def three_quarter_sibling(x, y1, y2) -> np.ndarray:
     base = np.column_stack([ones, x]) if x.shape[1] else ones
     full = np.column_stack([base, _informative_columns(y2, base)])
     return y1 - _fitted(full, y1) + _fitted(base, y1)
-
-
-def residual_form_equivalence(y1, y2, x=None) -> tuple[np.ndarray, np.ndarray]:
-    """Both algebraic forms of the sibling estimator, for self-testing.
-
-    Returns the direct form (difference of conditional-expectation fits)
-    and the residual form (target minus the regression of its centered
-    residuals on the auxiliaries' centered residuals). With matched
-    intercept-augmented least squares the two agree to rounding error.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = _as_columns(y2)
-    ones = np.ones(len(y1))[:, None]
-    if x is None:
-        lhs = half_sibling(y1, y2)
-        base = ones
-    else:
-        lhs = three_quarter_sibling(x, y1, y2)
-        xc = _nonconstant_columns(_as_columns(x))
-        base = np.column_stack([ones, xc]) if xc.shape[1] else ones
-
-    y2 = _informative_columns(y2, base)
-    r1 = y1 - _fitted(base, y1)
-    if y2.shape[1]:
-        r2 = np.column_stack(
-            [y2[:, j] - _fitted(base, y2[:, j]) for j in range(y2.shape[1])]
-        )
-        mat = np.column_stack([ones, r2])
-    else:
-        mat = ones
-    rhs = y1 - _fitted(mat, r1)
-    return lhs, rhs
 
 
 def _residual_matrix(panel: Panel, fits: list[GlmFit], kind: str) -> np.ndarray:
@@ -301,7 +271,10 @@ def _fit_all_series(panel: Panel, options: FitOptions | None) -> list[GlmFit]:
         try:
             fits.append(fit_glm(panel.design, panel.responses[:, j], panel.family, options))
         except Exception as exc:
-            raise type(exc)(f"series {j}: {exc}") from exc
+            # name the series in place, so the type and attributes (such as
+            # ConvergenceError.last_fit) reach the caller unchanged
+            exc.args = (f"series {j}: {exc}", *exc.args[1:])
+            raise
     return fits
 
 
@@ -346,6 +319,7 @@ def sglm_denoise(
         noise_hat=nhat,
         base_fit=base_fit,
         refit=refit,
+        refit_design=refit_design,
         signal_hat=signal_hat,
         diagnostics=SglmDiagnostics(
             residual_kind=residual_kind,

@@ -25,7 +25,6 @@ from .sibling import Panel, SglmResult
 W_X_LOW, W_X_HIGH = 0.5, 1.5
 GAMMA_THETA_SHIFT = -3.5
 
-X_COEF_SCHEMES = ("uniform",)
 NOISE_COEF_SCHEMES = ("uniform", "zero", "one")
 
 
@@ -40,7 +39,6 @@ class SimConfig:
     q: int
     sigma_eps: float = 0.1
     seed: int = 0
-    coefficient_scheme: str = "uniform"
     noise_coefficient_scheme: str = "uniform"
 
     def __post_init__(self):
@@ -50,8 +48,6 @@ class SimConfig:
             raise ValueError("need q >= 2 series")
         if self.sigma_eps < 0:
             raise ValueError("sigma_eps must be nonnegative")
-        if self.coefficient_scheme not in X_COEF_SCHEMES:
-            raise ValueError(f"unknown coefficient scheme {self.coefficient_scheme!r}")
         if self.noise_coefficient_scheme not in NOISE_COEF_SCHEMES:
             raise ValueError(
                 f"unknown noise coefficient scheme {self.noise_coefficient_scheme!r}"
@@ -84,6 +80,35 @@ class MetricsRecord:
     mse: float
     bias: float
     noise_corr: float
+
+    @classmethod
+    def score(
+        cls, signal_hat, noise_hat, w_hat, true_signal, true_noise, w_true
+    ) -> "MetricsRecord":
+        """Score one estimate; the one formula behind every reported metric.
+
+        ``mse`` is the mean squared gap between the estimated and the true
+        covariate-driven natural parameter; ``bias`` the relative error
+        (w_hat - w_true) / w_true of the covariate coefficient; and
+        ``noise_corr`` the Pearson correlation of the noise proxy with the
+        true noise. Each is NaN where it is undefined: a missing (None)
+        input, a zero true coefficient, or a constant proxy or noise.
+        """
+        mse = bias = noise_corr = float("nan")
+        if true_signal is not None:
+            if signal_hat.shape != true_signal.shape:
+                raise ValueError("estimate length does not match the truth")
+            mse = float(np.mean((signal_hat - true_signal) ** 2))
+        if w_hat is not None and w_true is not None and w_true != 0.0:
+            bias = (w_hat - w_true) / w_true
+        if (
+            noise_hat is not None
+            and true_noise is not None
+            and np.std(noise_hat) > 0.0
+            and np.std(true_noise) > 0.0
+        ):
+            noise_corr = float(np.corrcoef(noise_hat, true_noise)[0, 1])
+        return cls(mse=mse, bias=bias, noise_corr=noise_corr)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -151,42 +176,31 @@ def to_panel(truth: SimTruth, family: Family, target_index: int = 0) -> Panel:
     )
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = np.std(a), np.std(b)
-    if sa == 0.0 or sb == 0.0:
-        return float("nan")
-    return float(np.corrcoef(a, b)[0, 1])
-
-
 def metrics(
     truth: SimTruth,
-    estimate: SglmResult | GlmFit,
+    estimate,
     target_index: int = 0,
     coef_index: int = 1,
 ) -> MetricsRecord:
-    """Score an estimate against the generating truth.
+    """Score an estimate against the generating truth with ``MetricsRecord.score``.
 
-    ``mse`` compares the estimated covariate-driven natural parameter
-    with the true one (domain shift included); ``bias`` is the relative
-    error of the covariate coefficient at ``coef_index`` (1 for the
-    standard [intercept, x] design); ``noise_corr`` is the Pearson
-    correlation of the noise proxy with the true noise, NaN for
-    estimates that carry no proxy.
+    ``estimate`` is a ``GlmFit`` (no proxy, so ``noise_corr`` is NaN), an
+    ``SglmResult``, or an estimate record of ``benchmark.run_estimator``
+    (no fit, so no ``bias``, for the linear estimators). The true signal
+    includes the domain shift; the coefficient is read at ``coef_index``,
+    which is 1 for the standard [intercept, x] design.
     """
-    true_signal = truth.signal[:, target_index] + truth.theta_shift
-    if isinstance(estimate, SglmResult):
-        signal_hat = estimate.signal_hat
-        w_hat = float(estimate.refit.beta[coef_index])
-        noise_corr = _pearson(estimate.noise_hat, truth.noise)
+    if isinstance(estimate, GlmFit):
+        signal_hat, noise_hat, fit = estimate.eta, None, estimate
+    elif isinstance(estimate, SglmResult):
+        signal_hat, noise_hat, fit = estimate.signal_hat, estimate.noise_hat, estimate.refit
     else:
-        signal_hat = estimate.eta
-        w_hat = float(estimate.beta[coef_index])
-        noise_corr = float("nan")
-    if signal_hat.shape != true_signal.shape:
-        raise ValueError("estimate length does not match the truth")
-    w_true = float(truth.x_coefs[target_index])
-    return MetricsRecord(
-        mse=float(np.mean((signal_hat - true_signal) ** 2)),
-        bias=(w_hat - w_true) / w_true,
-        noise_corr=noise_corr,
+        signal_hat, noise_hat, fit = estimate.signal_hat, estimate.noise_hat, estimate.fit
+    return MetricsRecord.score(
+        signal_hat,
+        noise_hat,
+        None if fit is None else float(fit.beta[coef_index]),
+        truth.signal[:, target_index] + truth.theta_shift,
+        truth.noise,
+        float(truth.x_coefs[target_index]),
     )

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from sibglm.benchmark import ESTIMATORS, CellSpec, evaluate_estimator
 from sibglm.cli import main, read_panel
-from sibglm.families import gaussian, poisson
+from sibglm.families import family_from_name, gaussian, poisson
 from sibglm.glm import design_with_intercept, fit_glm
 from sibglm.residuals import fisher_scaled, raw
 from sibglm.simulate import SimConfig, generate, replicate_seed
@@ -177,6 +178,30 @@ class TestDenoiseCommand:
             assert rc == 0
             assert "# coef_noise_hat = " in out.read_text()
 
+    @pytest.mark.parametrize("family", ["gaussian", "poisson", "bernoulli", "gamma"])
+    def test_metrics_match_the_study(self, tmp_path, family):
+        panel = _simulate(tmp_path, family=family, m=200, q=5, seed=4)
+        truth = generate(SimConfig(family_from_name(family), m=200, q=5, seed=4))
+        for estimator in ESTIMATORS:
+            out = tmp_path / f"den_{estimator}.csv"
+            assert _run(
+                "denoise", "--family", family, "--estimator", estimator,
+                "--input", panel, "--output", out,
+            ) == 0
+            meta = dict(
+                line[2:].split(" = ", 1)
+                for line in out.read_text().splitlines()
+                if line.startswith("# ")
+            )
+            spec = CellSpec(family=family_from_name(family), m=200, q=5, estimator=estimator)
+            rec = evaluate_estimator(truth, spec.family, spec)
+            for name in ("mse", "bias", "noise_corr"):
+                value = getattr(rec, name)
+                if np.isnan(value):
+                    assert f"metric_{name}" not in meta, (estimator, name)
+                else:
+                    assert float(meta[f"metric_{name}"]) == value, (estimator, name)
+
     def test_target_selection(self, tmp_path):
         panel = _simulate(tmp_path, seed=4)
         out = tmp_path / "den.csv"
@@ -313,6 +338,17 @@ class TestBenchmarkCommand:
         assert len(rows) == 1
         assert rows[0][10] == "failed"
         assert "GenerationError" in rows[0][11]
+
+    def test_every_job_count_reports_each_cell(self, tmp_path, capsys):
+        assert _run(
+            "benchmark", "--family", "poisson", "--m", "60", "--q-grid", "2,3",
+            "--estimator", "glm,sglm", "--residual", "fisher,raw", "--replicates", "2",
+            "--seed", "1", "--jobs", "2", "--output", tmp_path / "bm.csv",
+        ) == 0
+        lines = capsys.readouterr().err.splitlines()
+        cells = [l for l in lines if l.startswith("cell q=")]
+        assert len(cells) == 2 * (1 + 2)
+        assert cells[0].startswith("cell q=2 estimator=glm residual=fisher: ")
 
     def test_bad_grid_errors(self, tmp_path):
         rc = _run(

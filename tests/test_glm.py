@@ -133,6 +133,13 @@ class TestFitGlm:
         assert last is not None and not last.converged
         assert last.iterations == 1
 
+    def test_bernoulli_separation_raises(self):
+        x = np.linspace(-1, 1, 40)
+        with pytest.raises(ConvergenceError, match="edge of the bernoulli support") as excinfo:
+            fit_glm(design_with_intercept(x), (x > 0).astype(float), bernoulli())
+        last = excinfo.value.last_fit
+        assert last is not None and np.min(last.fisher_diag) == 0.0
+
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         m = 80

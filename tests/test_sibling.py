@@ -3,19 +3,20 @@
 import numpy as np
 import pytest
 
-from sibglm.families import gaussian, poisson
-from sibglm.glm import design_with_intercept
+from sibglm.families import bernoulli, gaussian, poisson
+from sibglm.glm import ConvergenceError, FitOptions, design_with_intercept
 from sibglm.sibling import (
     MEAN_OF_RESIDUALS,
     Panel,
     _noise_from_residuals,
     estimate_noise,
     half_sibling,
-    residual_form_equivalence,
     sglm_denoise,
     three_quarter_sibling,
 )
 from sibglm.simulate import SimConfig, generate, replicate_seed, to_panel
+
+from oracles import residual_form_equivalence
 
 
 def _normal_equation_fitted(mat, y):
@@ -179,7 +180,6 @@ class TestSglmDenoise:
         cfg = SimConfig(fam, m=2000, q=6, seed=31, noise_coefficient_scheme="zero")
         truth = generate(cfg)
         out = sglm_denoise(to_panel(truth, fam))
-        from sibglm.glm import Design
         from sibglm.inference import sandwich
 
         panel = to_panel(truth, fam)
@@ -187,11 +187,7 @@ class TestSglmDenoise:
         gap = np.abs(out.refit.beta[:2] - out.base_fit.beta)
         assert np.all(gap <= 2 * sw.standard_errors)
         # the proxy coefficient carries no real signal
-        refit_design = Design(
-            np.column_stack([panel.design.x, out.noise_hat]),
-            ("intercept", "x", "noise_hat"),
-        )
-        sw_refit = sandwich(out.refit, refit_design, truth.y[:, 0])
+        sw_refit = sandwich(out.refit, out.refit_design, truth.y[:, 0])
         assert abs(out.refit.beta[2]) <= 4 * sw_refit.standard_errors[2]
 
     def test_true_noise_hook_is_nearly_unbiased(self):
@@ -233,6 +229,26 @@ class TestSglmDenoise:
         truth = generate(SimConfig(fam, m=100, q=3, seed=5))
         with pytest.raises(ValueError):
             sglm_denoise(to_panel(truth, fam), noise_override=np.zeros(99))
+
+    def test_series_errors_keep_type_and_last_fit(self):
+        fam = poisson()
+        panel = to_panel(generate(SimConfig(fam, m=120, q=5, seed=1)), fam)
+        with pytest.raises(ConvergenceError) as excinfo:
+            sglm_denoise(panel, options=FitOptions(max_iter=1))
+        assert str(excinfo.value).startswith("series 0:")
+        assert excinfo.value.last_fit is not None
+
+    def test_separated_target_raises_a_typed_error(self):
+        x = np.linspace(-1, 1, 40)
+        aux = (np.random.default_rng(0).random(40) < 0.5).astype(float)
+        panel = Panel(
+            design=design_with_intercept(x, names=("x",)),
+            responses=np.column_stack([(x > 0).astype(float), aux]),
+            family=bernoulli(),
+        )
+        with pytest.raises(ConvergenceError, match="^series 0: ") as excinfo:
+            sglm_denoise(panel)
+        assert excinfo.value.last_fit is not None
 
     def test_non_default_target(self):
         fam = poisson()

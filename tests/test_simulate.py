@@ -133,6 +133,7 @@ class TestMetrics:
             noise_hat=noise_hat,
             base_fit=base,
             refit=refit,
+            refit_design=refit_design,
             signal_hat=truth.signal[:, 0],
             diagnostics=SglmDiagnostics("fisher", False, "override", 1.0, 0.0),
         )
@@ -155,6 +156,13 @@ class TestMetrics:
         fit = evaluate_at(design, gaussian(1.0), [0.0, 1.0])
         with pytest.raises(ValueError):
             metrics(truth, fit)
+
+    def test_score_is_nan_where_undefined(self):
+        signal = np.linspace(0.0, 1.0, 5)
+        rec = MetricsRecord.score(signal, np.zeros(5), 1.0, None, signal, 0.0)
+        assert np.isnan(rec.mse) and np.isnan(rec.bias) and np.isnan(rec.noise_corr)
+        rec = MetricsRecord.score(signal + 0.5, -signal, 1.5, signal, signal, 1.0)
+        assert (rec.mse, rec.bias, rec.noise_corr) == pytest.approx((0.25, 0.5, -1.0))
 
     def test_record_fields(self):
         rec = MetricsRecord(mse=1.0, bias=0.5, noise_corr=float("nan"))
