@@ -19,7 +19,6 @@ from .families import (
 from .glm import (
     ConvergenceError,
     Design,
-    FitOptions,
     GlmFit,
     SingularDesignError,
     design_with_intercept,
@@ -34,7 +33,6 @@ from .inference import SandwichCovariance, relative_efficiency, sandwich
 from .residuals import (
     RESIDUAL_KINDS,
     LeverageError,
-    ResidualVector,
     deviance_residual,
     fisher_scaled,
     raw,
@@ -44,7 +42,6 @@ from .sibling import (
     NOISE_STRATEGIES,
     Panel,
     SglmResult,
-    estimate_noise,
     half_sibling,
     sglm_denoise,
     three_quarter_sibling,
@@ -66,13 +63,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Family", "gaussian", "poisson", "bernoulli", "gamma", "family_from_name",
     "DomainError",
-    "Design", "GlmFit", "FitOptions", "design_with_intercept", "fit_glm",
+    "Design", "GlmFit", "design_with_intercept", "fit_glm",
     "evaluate_at", "predict", "hat_diagonal", "log_likelihood", "ols",
     "SingularDesignError", "ConvergenceError",
-    "ResidualVector", "RESIDUAL_KINDS", "raw", "fisher_scaled", "studentized",
+    "RESIDUAL_KINDS", "raw", "fisher_scaled", "studentized",
     "deviance_residual", "LeverageError",
     "Panel", "SglmResult", "NOISE_STRATEGIES", "half_sibling",
-    "three_quarter_sibling", "estimate_noise",
+    "three_quarter_sibling",
     "sglm_denoise",
     "SandwichCovariance", "sandwich", "relative_efficiency",
     "SimConfig", "SimTruth", "MetricsRecord", "GenerationError", "generate",

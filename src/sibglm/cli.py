@@ -24,10 +24,10 @@ import numpy as np
 from . import benchmark as bench
 from . import residuals as res
 from . import sibling
-from .families import DomainError, Family, family_from_name
+from .families import FAMILY_KINDS, DomainError, Family, family_from_name
 from .glm import ConvergenceError, Design, SingularDesignError, design_with_intercept, fit_glm
 from .inference import sandwich
-from .simulate import GenerationError, MetricsRecord, SimConfig, generate
+from .simulate import NOISE_COEF_SCHEMES, GenerationError, MetricsRecord, SimConfig, generate
 
 
 class PanelFormatError(ValueError):
@@ -139,32 +139,20 @@ def _series_names(q: int) -> list[str]:
     return [f"s{j:0{width}d}" for j in range(q)]
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, optional JSON config file, and explicit flags."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        for key, value in loaded.items():
-            if key not in defaults:
-                raise ValueError(f"unknown config key {key!r}")
-            resolved[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+def _settings(args: argparse.Namespace) -> dict:
+    """A command's resolved settings: every option but the parser's own."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
 
 
-def _meta_from_config(command: str, cfg: dict) -> dict[str, str]:
-    meta = {"command": command}
-    for key, value in cfg.items():
+def _meta(args: argparse.Namespace) -> dict[str, str]:
+    meta = {"command": args.command}
+    for key, value in _settings(args).items():
         meta[key] = _fmt(value) if value is not None else ""
     return meta
 
 
-def _family(cfg: dict) -> Family:
-    return family_from_name(cfg["family"], cfg["dispersion"])
+def _family(args: argparse.Namespace) -> Family:
+    return family_from_name(args.family, args.dispersion)
 
 
 def _design_from_file(panel: PanelData) -> Design:
@@ -191,34 +179,21 @@ def _panel_from_file(panel: PanelData, family: Family, target: str | None) -> si
 
 # -- commands ----------------------------------------------------------
 
-SIMULATE_DEFAULTS = {
-    "family": "poisson",
-    "dispersion": 1.0,
-    "m": 120,
-    "q": 20,
-    "sigma_eps": 0.1,
-    "seed": 0,
-    "noise_scheme": "uniform",
-    "output": None,
-}
-
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, SIMULATE_DEFAULTS)
-    if not cfg["output"]:
+    if not args.output:
         raise ValueError("simulate requires --output")
-    family = _family(cfg)
     truth = generate(
         SimConfig(
-            family=family,
-            m=cfg["m"],
-            q=cfg["q"],
-            sigma_eps=cfg["sigma_eps"],
-            seed=cfg["seed"],
-            noise_coefficient_scheme=cfg["noise_scheme"],
+            family=_family(args),
+            m=args.m,
+            q=args.q,
+            sigma_eps=args.sigma_eps,
+            seed=args.seed,
+            noise_coefficient_scheme=args.noise_scheme,
         )
     )
-    names = _series_names(cfg["q"])
+    names = _series_names(args.q)
     columns: dict[str, np.ndarray] = {"x_x": truth.x}
     for j, name in enumerate(names):
         columns[f"y_{name}"] = truth.y[:, j]
@@ -226,38 +201,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for j, name in enumerate(names):
         columns[f"truth_z_{name}"] = truth.signal[:, j] + truth.theta_shift
 
-    meta = _meta_from_config("simulate", cfg)
+    meta = _meta(args)
     meta["truth_theta_shift"] = _fmt(truth.theta_shift)
     for j, name in enumerate(names):
         meta[f"truth_w_x_{name}"] = _fmt(truth.x_coefs[j])
         meta[f"truth_w_n_{name}"] = _fmt(truth.noise_coefs[j])
-    _write_table(cfg["output"], meta, columns)
-    print(f"seed = {cfg['seed']}")
+    _write_table(args.output, meta, columns)
+    print(f"seed = {args.seed}")
     return 0
 
 
-FIT_DEFAULTS = {
-    "family": "poisson",
-    "dispersion": 1.0,
-    "input": None,
-    "output": None,
-    "target": None,
-}
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, FIT_DEFAULTS)
-    if not cfg["input"] or not cfg["output"]:
+    if not args.input or not args.output:
         raise ValueError("fit requires --input and --output")
-    family = _family(cfg)
-    panel = read_panel(cfg["input"])
+    family = _family(args)
+    panel = read_panel(args.input)
     design = _design_from_file(panel)
-    target_index = _target_index(panel, cfg["target"])
+    target_index = _target_index(panel, args.target)
     y1 = panel.y[:, target_index]
     fit = fit_glm(design, y1, family)
     sw = sandwich(fit, design, y1)
 
-    meta = _meta_from_config("fit", cfg)
+    meta = _meta(args)
     meta["target"] = panel.y_names[target_index]
     meta["loglik"] = _fmt(fit.loglik)
     meta["converged"] = str(fit.converged).lower()
@@ -267,38 +232,24 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "estimate": fit.beta,
         "stderr": sw.standard_errors,
     }
-    _write_table(cfg["output"], meta, columns)
+    _write_table(args.output, meta, columns)
     return 0
 
 
-DENOISE_DEFAULTS = {
-    "family": "poisson",
-    "dispersion": 1.0,
-    "estimator": "sglm",
-    "residual": res.FISHER,
-    "noise_strategy": sibling.REGRESSION,
-    "step3_with_x": False,
-    "input": None,
-    "output": None,
-    "target": None,
-}
-
-
 def cmd_denoise(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, DENOISE_DEFAULTS)
-    if not cfg["input"] or not cfg["output"]:
+    if not args.input or not args.output:
         raise ValueError("denoise requires --input and --output")
-    if cfg["estimator"] not in bench.ESTIMATORS:
-        raise ValueError(f"unknown estimator {cfg['estimator']!r}")
-    family = _family(cfg)
-    panel = read_panel(cfg["input"])
-    p = _panel_from_file(panel, family, cfg["target"])
+    if args.estimator not in bench.ESTIMATORS:
+        raise ValueError(f"unknown estimator {args.estimator!r}")
+    family = _family(args)
+    panel = read_panel(args.input)
+    p = _panel_from_file(panel, family, args.target)
     target = panel.y_names[p.target_index]
     est = bench.run_estimator(
-        p, cfg["estimator"], cfg["residual"], cfg["step3_with_x"], cfg["noise_strategy"]
+        p, args.estimator, args.residual, args.step3_with_x, args.noise_strategy
     )
 
-    meta = _meta_from_config("denoise", cfg)
+    meta = _meta(args)
     meta["target"] = target
     if est.fit is not None:
         sw = sandwich(est.fit, est.design, p.responses[:, p.target_index])
@@ -322,33 +273,23 @@ def cmd_denoise(args: argparse.Namespace) -> int:
         if not math.isnan(value):
             meta[f"metric_{name}"] = _fmt(value)
     _write_table(
-        cfg["output"],
+        args.output,
         meta,
         {"noise_hat": est.noise_hat, "signal_hat": est.signal_hat, "mu_hat": est.mu_hat},
     )
     return 0
 
 
-RESIDUALS_DEFAULTS = {
-    "family": "poisson",
-    "dispersion": 1.0,
-    "input": None,
-    "output": None,
-    "proxy_column": None,
-}
-
-
 def cmd_residuals(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, RESIDUALS_DEFAULTS)
-    if not cfg["input"] or not cfg["output"]:
+    if not args.input or not args.output:
         raise ValueError("residuals requires --input and --output")
-    family = _family(cfg)
-    panel = read_panel(cfg["input"])
+    family = _family(args)
+    panel = read_panel(args.input)
     design = _design_from_file(panel)
 
     proxy = None
-    if cfg["proxy_column"]:
-        name = cfg["proxy_column"]
+    if args.proxy_column:
+        name = args.proxy_column
         if name in panel.truth:
             proxy = panel.truth[name]
         elif name.startswith("x_") and name[2:] in panel.x_names:
@@ -358,36 +299,18 @@ def cmd_residuals(args: argparse.Namespace) -> int:
         else:
             raise ValueError(f"unknown proxy column {name!r}")
 
-    meta = _meta_from_config("residuals", cfg)
+    meta = _meta(args)
     columns: dict[str, np.ndarray] = {}
+    fits = sibling._fit_all_series(design, panel.y, family)
     for j, sname in enumerate(panel.y_names):
-        fit = fit_glm(design, panel.y[:, j], family)
         for kind in res.RESIDUAL_KINDS:
-            values = res.compute(kind, fit, panel.y[:, j], design=design).values
+            values = res.compute(kind, fits[j], panel.y[:, j], design=design)
             columns[f"{kind}_{sname}"] = values
             if proxy is not None:
                 corr = float(np.corrcoef(values, proxy)[0, 1]) if np.std(values) > 0 else float("nan")
                 meta[f"corr_{kind}_{sname}"] = _fmt(corr)
-    _write_table(cfg["output"], meta, columns)
+    _write_table(args.output, meta, columns)
     return 0
-
-
-BENCHMARK_DEFAULTS = {
-    "family": "poisson",
-    "dispersion": 1.0,
-    "m": 120,
-    "sigma_eps": 0.1,
-    "seed": 0,
-    "q_grid": "2,6,11,21",
-    "estimator": "glm,sglm",
-    "residual": res.FISHER,
-    "noise_strategy": sibling.REGRESSION,
-    "step3_with_x": False,
-    "noise_scheme": "uniform",
-    "replicates": 100,
-    "jobs": 1,
-    "output": None,
-}
 
 
 def _parse_list(value, parse=str) -> list:
@@ -396,15 +319,16 @@ def _parse_list(value, parse=str) -> list:
     return [parse(v.strip()) for v in str(value).split(",") if v.strip()]
 
 
-def build_cells(cfg: dict) -> list[bench.CellSpec]:
-    family = _family(cfg)
-    q_grid = _parse_list(cfg["q_grid"], int)
-    if not q_grid:
-        raise ValueError("q_grid must be nonempty")
+def build_cells(args: argparse.Namespace) -> list[bench.CellSpec]:
+    family = _family(args)
+    q_grid = _parse_list(args.q_grid, int)
+    estimators = _parse_list(args.estimator)
+    kinds = _parse_list(args.residual)
+    for name, values in (("q_grid", q_grid), ("estimator", estimators), ("residual", kinds)):
+        if not values:
+            raise ValueError(f"{name} must be nonempty")
     if any(q < 2 for q in q_grid):
         raise ValueError("q_grid entries must be >= 2 (target plus auxiliaries)")
-    estimators = _parse_list(cfg["estimator"])
-    kinds = _parse_list(cfg["residual"])
     for e in estimators:
         if e not in bench.ESTIMATORS:
             raise ValueError(f"unknown estimator {e!r}")
@@ -420,35 +344,34 @@ def build_cells(cfg: dict) -> list[bench.CellSpec]:
                 cells.append(
                     bench.CellSpec(
                         family=family,
-                        m=cfg["m"],
+                        m=args.m,
                         q=q,
                         estimator=estimator,
                         residual_kind=kind,
-                        sigma_eps=cfg["sigma_eps"],
-                        include_x=cfg["step3_with_x"],
-                        strategy=cfg["noise_strategy"],
-                        noise_scheme=cfg["noise_scheme"],
-                        replicates=cfg["replicates"],
-                        master_seed=cfg["seed"],
+                        sigma_eps=args.sigma_eps,
+                        include_x=args.step3_with_x,
+                        strategy=args.noise_strategy,
+                        noise_scheme=args.noise_scheme,
+                        replicates=args.replicates,
+                        master_seed=args.seed,
                     )
                 )
     return cells
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, BENCHMARK_DEFAULTS)
-    if not cfg["output"]:
+    if not args.output:
         raise ValueError("benchmark requires --output")
-    if cfg["replicates"] < 1:
+    if args.replicates < 1:
         raise ValueError("replicates must be >= 1")
-    cells = build_cells(cfg)
+    cells = build_cells(args)
 
     started = time.perf_counter()
     results = []
     with contextlib.ExitStack() as stack:
         run_all = map
-        if cfg["jobs"] > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"])
+        if args.jobs > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
             run_all = stack.enter_context(pool).map
         for cell, result in zip(cells, run_all(bench.run_cell, cells)):
             print(
@@ -486,9 +409,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                 ]
             )
 
-    meta = _meta_from_config("benchmark", cfg)
+    meta = _meta(args)
     del meta["jobs"]  # execution detail; bytes must not depend on it
-    _write_table(cfg["output"], meta, {n: [row[k] for row in lines] for k, n in enumerate(header)})
+    _write_table(args.output, meta, {n: [row[k] for row in lines] for k, n in enumerate(header)})
     return 0
 
 
@@ -496,18 +419,20 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
-    if "family" in names:
-        sp.add_argument("--family", choices=("gaussian", "poisson", "bernoulli", "gamma"))
-        sp.add_argument("--dispersion", type=float, help="variance (gaussian) or shape (gamma)")
-    if "io" in names:
+    sp.add_argument("--family", choices=FAMILY_KINDS, default="poisson")
+    sp.add_argument(
+        "--dispersion", type=float, default=1.0, help="variance (gaussian) or shape (gamma)"
+    )
+    if "input" in names:
         sp.add_argument("--input", help="input panel CSV")
-        sp.add_argument("--output", help="output file path")
+    sp.add_argument("--output", help="output file path")
     if "seed" in names:
-        sp.add_argument("--seed", type=int)
+        sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--config", help="JSON config file; flags override it")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and, by command name, its subparsers."""
     parser = argparse.ArgumentParser(
         prog="sibglm",
         description="Sibling regression for generalized linear models",
@@ -515,32 +440,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="write a synthetic panel with ground truth")
-    _add_common(sp, "family", "io", "seed")
-    sp.add_argument("--m", type=int, help="observations per series")
-    sp.add_argument("--q", type=int, help="number of series (target + auxiliaries)")
-    sp.add_argument("--sigma-eps", dest="sigma_eps", type=float)
-    sp.add_argument("--noise-scheme", dest="noise_scheme", choices=("uniform", "zero", "one"))
+    _add_common(sp, "seed")
+    sp.add_argument("--m", type=int, default=120, help="observations per series")
+    sp.add_argument("--q", type=int, default=20, help="number of series (target + auxiliaries)")
+    sp.add_argument("--sigma-eps", dest="sigma_eps", type=float, default=0.1)
+    sp.add_argument(
+        "--noise-scheme", dest="noise_scheme", choices=NOISE_COEF_SCHEMES, default="uniform"
+    )
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fit", help="fit one GLM to a target series")
-    _add_common(sp, "family", "io")
+    _add_common(sp, "input")
     sp.add_argument("--target", help="y_ column to fit (default: first)")
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("denoise", help="estimate the denoised series for a target")
-    _add_common(sp, "family", "io")
+    _add_common(sp, "input")
     sp.add_argument("--target", help="y_ column to denoise (default: first)")
-    sp.add_argument("--estimator", choices=bench.ESTIMATORS)
-    sp.add_argument("--residual", choices=res.RESIDUAL_KINDS)
-    sp.add_argument("--noise-strategy", dest="noise_strategy", choices=sibling.NOISE_STRATEGIES)
+    sp.add_argument("--estimator", choices=bench.ESTIMATORS, default=bench.SGLM)
+    sp.add_argument("--residual", choices=res.RESIDUAL_KINDS, default=res.FISHER)
     sp.add_argument(
-        "--step3-with-x", dest="step3_with_x", action="store_const", const=True,
+        "--noise-strategy", dest="noise_strategy", choices=sibling.NOISE_STRATEGIES,
+        default=sibling.REGRESSION,
+    )
+    sp.add_argument(
+        "--step3-with-x", dest="step3_with_x", action="store_true",
         help="condition the residual regressions on the covariates as well",
     )
     sp.set_defaults(func=cmd_denoise)
 
     sp = sub.add_parser("residuals", help="write all residual kinds for every series")
-    _add_common(sp, "family", "io")
+    _add_common(sp, "input")
     sp.add_argument(
         "--proxy-column", dest="proxy_column",
         help="column to correlate each residual kind with (e.g. truth_noise)",
@@ -548,22 +478,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_residuals)
 
     sp = sub.add_parser("benchmark", help="replicated sweep over q, estimators, residuals")
-    _add_common(sp, "family", "io", "seed")
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--sigma-eps", dest="sigma_eps", type=float)
-    sp.add_argument("--q-grid", dest="q_grid", help="comma-separated q values")
-    sp.add_argument("--estimator", help="comma-separated estimators")
-    sp.add_argument("--residual", help="comma-separated residual kinds (sglm cells)")
-    sp.add_argument("--noise-strategy", dest="noise_strategy", choices=sibling.NOISE_STRATEGIES)
-    sp.add_argument("--noise-scheme", dest="noise_scheme", choices=("uniform", "zero", "one"))
+    _add_common(sp, "seed")
+    sp.add_argument("--m", type=int, default=120)
+    sp.add_argument("--sigma-eps", dest="sigma_eps", type=float, default=0.1)
+    sp.add_argument("--q-grid", dest="q_grid", default="2,6,11,21", help="comma-separated q values")
+    sp.add_argument("--estimator", default="glm,sglm", help="comma-separated estimators")
     sp.add_argument(
-        "--step3-with-x", dest="step3_with_x", action="store_const", const=True
+        "--residual", default=res.FISHER, help="comma-separated residual kinds (sglm cells)"
     )
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--jobs", type=int, help="concurrent benchmark cells")
+    sp.add_argument(
+        "--noise-strategy", dest="noise_strategy", choices=sibling.NOISE_STRATEGIES,
+        default=sibling.REGRESSION,
+    )
+    sp.add_argument(
+        "--noise-scheme", dest="noise_scheme", choices=NOISE_COEF_SCHEMES, default="uniform"
+    )
+    sp.add_argument("--step3-with-x", dest="step3_with_x", action="store_true")
+    sp.add_argument("--replicates", type=int, default=100)
+    sp.add_argument("--jobs", type=int, default=1, help="concurrent benchmark cells")
     sp.set_defaults(func=cmd_benchmark)
 
-    return parser
+    return parser, sub.choices
 
 
 KNOWN_ERRORS = (
@@ -579,9 +514,20 @@ KNOWN_ERRORS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # the config file replaces the defaults of the chosen command,
+            # so parsing again lets explicit flags override it
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+            settings = _settings(args)
+            for key in loaded:
+                if key not in settings:
+                    raise ValueError(f"unknown config key {key!r}")
+            commands[args.command].set_defaults(**loaded)
+            args = parser.parse_args(argv)
         return args.func(args)
     except KNOWN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

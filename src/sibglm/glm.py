@@ -20,6 +20,13 @@ from .families import GAMMA, Family
 
 RANK_RTOL = 1e-10
 
+# IRLS stopping rules: iteration budget, score tolerance per row,
+# relative log-likelihood change, and step halvings per iteration
+MAX_ITER = 100
+TOL_SCORE = 1e-8
+TOL_LOGLIK = 1e-10
+MAX_HALVINGS = 30
+
 
 class SingularDesignError(ValueError):
     """The design matrix is rank deficient at the working tolerance."""
@@ -108,17 +115,6 @@ class GlmFit:
     iterations: int
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    max_iter: int = 100
-    tol_score: float = 1e-8
-    tol_loglik: float = 1e-10
-    max_halvings: int = 30
-
-
-DEFAULT_OPTIONS = FitOptions()
-
-
 def _check_full_rank(x: np.ndarray) -> None:
     if x.shape[0] < x.shape[1]:
         raise SingularDesignError(
@@ -166,7 +162,7 @@ def _initial_beta(design: Design, y: np.ndarray, family: Family) -> np.ndarray:
     return beta
 
 
-def fit_glm(design: Design, y, family: Family, options: FitOptions | None = None) -> GlmFit:
+def fit_glm(design: Design, y, family: Family) -> GlmFit:
     """Maximum-likelihood fit of a canonical GLM.
 
     Raises ``SingularDesignError`` for rank-deficient designs,
@@ -174,7 +170,6 @@ def fit_glm(design: Design, y, family: Family, options: FitOptions | None = None
     ``ConvergenceError`` (carrying the last iterate) when the iteration
     budget or step-halving is exhausted before the score equation holds.
     """
-    opts = options or DEFAULT_OPTIONS
     x = design.x
     m = x.shape[0]
     y = family.check_support(y)
@@ -186,11 +181,11 @@ def fit_glm(design: Design, y, family: Family, options: FitOptions | None = None
     eta = x @ beta
     mu = family.mean(eta)
     ll = float(np.sum(family.log_pdf(y, eta)))
-    score_tol = m * opts.tol_score
+    score_tol = m * TOL_SCORE
 
     converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         score = x.T @ (y - mu)
         if np.max(np.abs(score)) <= score_tol:
             converged = True
@@ -204,7 +199,7 @@ def fit_glm(design: Design, y, family: Family, options: FitOptions | None = None
 
         alpha = 1.0
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             cand = beta + alpha * step
             eta_c = x @ cand
             if family.in_domain(eta_c):
@@ -218,7 +213,7 @@ def fit_glm(design: Design, y, family: Family, options: FitOptions | None = None
 
         beta, eta, mu = cand, eta_c, family.mean(eta_c)
         ll_prev, ll = ll, ll_c
-        if abs(ll - ll_prev) <= opts.tol_loglik * (1.0 + abs(ll)):
+        if abs(ll - ll_prev) <= TOL_LOGLIK * (1.0 + abs(ll)):
             if np.max(np.abs(x.T @ (y - mu))) <= score_tol:
                 converged = True
                 break

@@ -10,8 +10,6 @@ studentized, and deviance residuals are the classical alternatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .glm import Design, GlmFit, hat_diagonal
@@ -30,13 +28,6 @@ class LeverageError(ValueError):
     """A leverage of (numerically) one makes studentization undefined."""
 
 
-@dataclass(frozen=True)
-class ResidualVector:
-    kind: str
-    values: np.ndarray
-    source_fit: GlmFit
-
-
 def _check_aligned(fit: GlmFit, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != fit.mu.shape:
@@ -44,19 +35,19 @@ def _check_aligned(fit: GlmFit, y) -> np.ndarray:
     return y
 
 
-def raw(fit: GlmFit, y) -> ResidualVector:
+def raw(fit: GlmFit, y) -> np.ndarray:
     """Observed minus fitted mean."""
     y = _check_aligned(fit, y)
-    return ResidualVector(RAW, y - fit.mu, fit)
+    return y - fit.mu
 
 
-def fisher_scaled(fit: GlmFit, y) -> ResidualVector:
+def fisher_scaled(fit: GlmFit, y) -> np.ndarray:
     """Raw residual divided by the per-observation information A''(eta)."""
     y = _check_aligned(fit, y)
-    return ResidualVector(FISHER, (y - fit.mu) / fit.fisher_diag, fit)
+    return (y - fit.mu) / fit.fisher_diag
 
 
-def studentized(fit: GlmFit, design: Design, y) -> ResidualVector:
+def studentized(fit: GlmFit, design: Design, y) -> np.ndarray:
     """Raw residual scaled by its estimated standard deviation.
 
     Divides by sqrt(Var(Y) * (1 - h)) with h the hat-matrix leverage of
@@ -74,17 +65,17 @@ def studentized(fit: GlmFit, design: Design, y) -> ResidualVector:
     values = np.zeros_like(r)
     ok = ~saturated
     values[ok] = r[ok] / np.sqrt(var[ok] * (1.0 - h[ok]))
-    return ResidualVector(STUDENT, values, fit)
+    return values
 
 
-def deviance_residual(fit: GlmFit, y) -> ResidualVector:
+def deviance_residual(fit: GlmFit, y) -> np.ndarray:
     """sign(y - mu) * sqrt(unit deviance), with sign(0) = 0."""
     y = _check_aligned(fit, y)
     d = fit.family.unit_deviance(y, fit.mu)
-    return ResidualVector(DEVIANCE, np.sign(y - fit.mu) * np.sqrt(d), fit)
+    return np.sign(y - fit.mu) * np.sqrt(d)
 
 
-def compute(kind: str, fit: GlmFit, y, design: Design | None = None) -> ResidualVector:
+def compute(kind: str, fit: GlmFit, y, design: Design | None = None) -> np.ndarray:
     """Dispatch on a residual kind name; studentized requires the design."""
     if kind == RAW:
         return raw(fit, y)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family
-from .glm import Design, FitOptions, GlmFit, fit_glm, ols
+from .glm import Design, GlmFit, fit_glm, ols
 from . import residuals as res
 
 REGRESSION = "regression"
@@ -167,7 +167,7 @@ def three_quarter_sibling(x, y1, y2) -> np.ndarray:
 
 def _residual_matrix(panel: Panel, fits: list[GlmFit], kind: str) -> np.ndarray:
     cols = [
-        res.compute(kind, fits[j], panel.responses[:, j], design=panel.design).values
+        res.compute(kind, fits[j], panel.responses[:, j], design=panel.design)
         for j in range(panel.q)
     ]
     return np.column_stack(cols)
@@ -237,39 +237,12 @@ def _noise_from_residuals(
     return nhat, _r_squared(fitted_joint, r1), _r_squared(fitted_base, r1)
 
 
-def estimate_noise(
-    panel: Panel,
-    residual_kind: str = res.FISHER,
-    include_x: bool = False,
-    strategy: str = REGRESSION,
-    options: FitOptions | None = None,
-) -> np.ndarray:
-    """Mean-zero proxy for the shared latent noise, one value per row.
-
-    Fits one GLM per series on the shared design and computes residuals
-    of the chosen kind. The ``regression`` strategy condenses the
-    auxiliary residual columns into their shared component (see
-    ``_shared_component``; with one auxiliary this is just its centered
-    residual), regresses the target residuals on it (plus covariates
-    when ``include_x``), and returns the difference between that fit and
-    the baseline fit, which is mean zero by construction. The
-    ``mean_of_residuals`` strategy instead averages the auxiliary
-    residual columns and centers the result; it is only sensible when
-    every series loads on the noise with the same sign.
-    """
-    fits = _fit_all_series(panel, options)
-    resid = _residual_matrix(panel, fits, residual_kind)
-    nhat, _, _ = _noise_from_residuals(
-        resid, panel.target_index, panel.design.x, include_x, strategy
-    )
-    return nhat
-
-
-def _fit_all_series(panel: Panel, options: FitOptions | None) -> list[GlmFit]:
+def _fit_all_series(design: Design, responses: np.ndarray, family: Family) -> list[GlmFit]:
+    """One GLM per response column; a failure names its series."""
     fits = []
-    for j in range(panel.q):
+    for j in range(responses.shape[1]):
         try:
-            fits.append(fit_glm(panel.design, panel.responses[:, j], panel.family, options))
+            fits.append(fit_glm(design, responses[:, j], family))
         except Exception as exc:
             # name the series in place, so the type and attributes (such as
             # ConvergenceError.last_fit) reach the caller unchanged
@@ -283,36 +256,35 @@ def sglm_denoise(
     residual_kind: str = res.FISHER,
     include_x: bool = False,
     strategy: str = REGRESSION,
-    options: FitOptions | None = None,
-    noise_override: np.ndarray | None = None,
 ) -> SglmResult:
     """Full staged pipeline: noise proxy, refit, denoised signal.
 
-    ``noise_override`` substitutes a known noise series for the estimated
-    proxy (diagnostic hook for bounding achievable performance); it is
-    centered so the refit intercept plays the same role either way.
+    Fits one GLM per series on the shared design and computes residuals
+    of the chosen kind. The ``regression`` strategy condenses the
+    auxiliary residual columns into their shared component (see
+    ``_shared_component``; with one auxiliary this is just its centered
+    residual), regresses the target residuals on it (plus covariates
+    when ``include_x``), and takes the difference between that fit and
+    the baseline fit as the proxy, which is mean zero by construction.
+    The ``mean_of_residuals`` strategy instead averages the auxiliary
+    residual columns and centers the result; it is only sensible when
+    every series loads on the noise with the same sign. The target is
+    then refit with the proxy as an extra covariate.
     """
     y1 = panel.responses[:, panel.target_index]
-    fits = _fit_all_series(panel, options)
+    fits = _fit_all_series(panel.design, panel.responses, panel.family)
     base_fit = fits[panel.target_index]
 
-    if noise_override is not None:
-        nhat = np.asarray(noise_override, dtype=float)
-        if nhat.shape != (panel.m,):
-            raise ValueError("noise_override length does not match the panel")
-        nhat = nhat - nhat.mean()
-        r2_joint = r2_base = float("nan")
-    else:
-        resid = _residual_matrix(panel, fits, residual_kind)
-        nhat, r2_joint, r2_base = _noise_from_residuals(
-            resid, panel.target_index, panel.design.x, include_x, strategy
-        )
+    resid = _residual_matrix(panel, fits, residual_kind)
+    nhat, r2_joint, r2_base = _noise_from_residuals(
+        resid, panel.target_index, panel.design.x, include_x, strategy
+    )
 
     refit_design = Design(
         np.column_stack([panel.design.x, nhat]),
         (*panel.design.column_names, "noise_hat"),
     )
-    refit = fit_glm(refit_design, y1, panel.family, options)
+    refit = fit_glm(refit_design, y1, panel.family)
     signal_hat = panel.design.x @ refit.beta[: panel.design.p]
 
     return SglmResult(
@@ -324,7 +296,7 @@ def sglm_denoise(
         diagnostics=SglmDiagnostics(
             residual_kind=residual_kind,
             include_x=include_x,
-            strategy=strategy if noise_override is None else "override",
+            strategy=strategy,
             r2_joint=r2_joint,
             r2_baseline=r2_base,
         ),

@@ -176,19 +176,14 @@ def to_panel(truth: SimTruth, family: Family, target_index: int = 0) -> Panel:
     )
 
 
-def metrics(
-    truth: SimTruth,
-    estimate,
-    target_index: int = 0,
-    coef_index: int = 1,
-) -> MetricsRecord:
+def metrics(truth: SimTruth, estimate, target_index: int = 0) -> MetricsRecord:
     """Score an estimate against the generating truth with ``MetricsRecord.score``.
 
     ``estimate`` is a ``GlmFit`` (no proxy, so ``noise_corr`` is NaN), an
     ``SglmResult``, or an estimate record of ``benchmark.run_estimator``
     (no fit, so no ``bias``, for the linear estimators). The true signal
-    includes the domain shift; the coefficient is read at ``coef_index``,
-    which is 1 for the standard [intercept, x] design.
+    includes the domain shift; the coefficient is the one at index 1, the
+    ``x`` column of the standard [intercept, x] design.
     """
     if isinstance(estimate, GlmFit):
         signal_hat, noise_hat, fit = estimate.eta, None, estimate
@@ -199,7 +194,7 @@ def metrics(
     return MetricsRecord.score(
         signal_hat,
         noise_hat,
-        None if fit is None else float(fit.beta[coef_index]),
+        None if fit is None else float(fit.beta[1]),
         truth.signal[:, target_index] + truth.theta_shift,
         truth.noise,
         float(truth.x_coefs[target_index]),

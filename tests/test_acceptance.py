@@ -19,7 +19,6 @@ from sibglm.inference import relative_efficiency, sandwich
 from sibglm.residuals import DEVIANCE, FISHER, RAW, STUDENT, fisher_scaled
 from sibglm.sibling import (
     MEAN_OF_RESIDUALS,
-    estimate_noise,
     sglm_denoise,
     three_quarter_sibling,
 )
@@ -203,7 +202,7 @@ def test_criterion_06_first_order_residual_mean():
         for delta in (0.05, 0.1, 0.2):
             fit = evaluate_at(design_with_intercept(None, m=n), family, [eta0])
             y = family.sample(np.full(n, eta0 + delta), np.random.default_rng(5))
-            values = fisher_scaled(fit, y).values
+            values = fisher_scaled(fit, y)
             se = values.std(ddof=1) / np.sqrt(n)
             gap = abs(values.mean() - delta)
             band = 2 * delta**2 + 3 * se
@@ -223,9 +222,9 @@ def test_criterion_07_residual_averaging():
             truth = generate(
                 _sim_config("gaussian", 2000, q, replicate_seed(13, r), scheme="one")
             )
-            nhat = estimate_noise(
+            nhat = sglm_denoise(
                 to_panel(truth, gaussian(1.0)), strategy=MEAN_OF_RESIDUALS
-            )
+            ).noise_hat
             cs[r] = np.corrcoef(nhat, truth.noise)[0, 1]
         means.append(cs.mean())
     assert all(b > a for a, b in zip(means, means[1:])), f"not increasing: {means}"

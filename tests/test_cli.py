@@ -122,6 +122,21 @@ class TestSimulateCommand:
         assert panel.y.shape == (50, 4)  # flag overrides config; config overrides default
         assert panel.meta["seed"] == "9"
 
+    def test_config_strings_parse_through_option_type(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"m": "50", "sigma_eps": "0.2"}))
+        out = tmp_path / "p.csv"
+        assert _run("simulate", "--config", conf, "--q", "3", "--output", out) == 0
+        panel = read_panel(str(out))
+        assert panel.y.shape == (50, 3)
+        assert panel.meta["m"] == "50" and panel.meta["sigma_eps"] == "0.20000000000000001"
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_input_flag_is_rejected(self, tmp_path, command):
+        with pytest.raises(SystemExit) as excinfo:
+            _run(command, "--input", "x", "--output", tmp_path / "x.csv")
+        assert excinfo.value.code == 2
+
 
 class TestDenoiseCommand:
     def test_schema_is_estimator_agnostic(self, tmp_path):
@@ -202,6 +217,19 @@ class TestDenoiseCommand:
                 else:
                     assert float(meta[f"metric_{name}"]) == value, (estimator, name)
 
+    def test_flag_overrides_config(self, tmp_path):
+        panel = _simulate(tmp_path, seed=2)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"estimator": "glm"}))
+        out = tmp_path / "den.csv"
+        assert _run("denoise", "--config", conf, "--input", panel, "--output", out) == 0
+        assert "# estimator = glm" in out.read_text()
+        assert _run(
+            "denoise", "--config", conf, "--estimator", "sglm", "--input", panel, "--output", out,
+        ) == 0
+        text = out.read_text()
+        assert "# estimator = sglm" in text and "# coef_noise_hat = " in text
+
     def test_target_selection(self, tmp_path):
         panel = _simulate(tmp_path, seed=4)
         out = tmp_path / "den.csv"
@@ -246,6 +274,21 @@ class TestResidualsCommand:
         for kind in ("fisher", "raw", "student", "deviance"):
             assert f"# corr_{kind}_s00 = " in text
 
+    def test_failing_series_is_named(self, tmp_path, capsys):
+        # the third series is perfectly separated by x
+        x = np.linspace(-1, 1, 40)
+        noisy = (np.random.default_rng(0).random((40, 2)) < 0.5).astype(float)
+        table = np.column_stack([x, noisy, x > 0])
+        path = tmp_path / "separated.csv"
+        rows = ["x_x,y_a,y_b,y_c"] + [",".join(repr(float(v)) for v in row) for row in table]
+        path.write_text("\n".join(rows) + "\n")
+        rc = _run(
+            "residuals", "--family", "bernoulli", "--input", path,
+            "--output", tmp_path / "r.csv",
+        )
+        assert rc == 1
+        assert "error: ConvergenceError: series 2: " in capsys.readouterr().err
+
     def test_unknown_proxy_errors(self, tmp_path):
         panel = _simulate(tmp_path, seed=8)
         rc = _run(
@@ -263,8 +306,8 @@ class TestResidualsCommand:
             x, noise, y = _count_scale_series(replicate_seed(91, r))
             design = design_with_intercept(x, names=("x",))
             fit = fit_glm(design, y, fam)
-            c_fisher = np.corrcoef(fisher_scaled(fit, y).values, noise)[0, 1]
-            c_raw = np.corrcoef(raw(fit, y).values, noise)[0, 1]
+            c_fisher = np.corrcoef(fisher_scaled(fit, y), noise)[0, 1]
+            c_raw = np.corrcoef(raw(fit, y), noise)[0, 1]
             gaps.append(abs(c_fisher) - abs(c_raw))
         assert np.mean(gaps) >= 0.0
 
@@ -355,6 +398,26 @@ class TestBenchmarkCommand:
             "benchmark", "--q-grid", "1,2", "--output", tmp_path / "x.csv",
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("flag", ["--estimator", "--residual"])
+    def test_empty_list_errors(self, tmp_path, capsys, flag):
+        rc = _run(
+            "benchmark", "--estimator", "glm", flag, ",", "--q-grid", "2",
+            "--replicates", "1", "--output", tmp_path / "x.csv",
+        )
+        assert rc == 1
+        assert "must be nonempty" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_step3_with_x_from_config(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"step3_with_x": True}))
+        out = tmp_path / "bm.csv"
+        assert _run(
+            "benchmark", "--config", conf, "--m", "60", "--q-grid", "2",
+            "--replicates", "1", "--output", out,
+        ) == 0
+        assert "# step3_with_x = True" in out.read_text()
 
 
 def read_csv_columns(path):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import poisson as poisson_dist
 
+import sibglm.glm
 from sibglm.families import DomainError, bernoulli, gamma, gaussian, poisson
 from sibglm.glm import (
     ConvergenceError,
     Design,
-    FitOptions,
     SingularDesignError,
     design_with_intercept,
     evaluate_at,
@@ -121,14 +121,15 @@ class TestFitGlm:
         with pytest.raises(DomainError):
             fit_glm(_intercept_design(3), [-1.0, 2.0, 1.0], poisson())
 
-    def test_non_convergence_carries_last_iterate(self):
+    def test_non_convergence_carries_last_iterate(self, monkeypatch):
         rng = np.random.default_rng(4)
         m = 50
         x = np.column_stack([np.ones(m), rng.uniform(-1, 1, m)])
         y = poisson().sample(1.5 + 1.0 * x[:, 1], rng)
         design = Design(x, ("intercept", "x"))
+        monkeypatch.setattr(sibglm.glm, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as excinfo:
-            fit_glm(design, y, poisson(), FitOptions(max_iter=1))
+            fit_glm(design, y, poisson())
         last = excinfo.value.last_fit
         assert last is not None and not last.converged
         assert last.iterations == 1

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+import sibglm.glm
 from sibglm.families import bernoulli, gaussian, poisson
-from sibglm.glm import ConvergenceError, FitOptions, design_with_intercept
+from sibglm.glm import ConvergenceError, design_with_intercept, fit_glm
 from sibglm.sibling import (
     MEAN_OF_RESIDUALS,
     Panel,
     _noise_from_residuals,
-    estimate_noise,
     half_sibling,
     sglm_denoise,
     three_quarter_sibling,
@@ -108,14 +108,14 @@ class TestEstimateNoise:
         fam = poisson()
         cfg = SimConfig(fam, m=2000, q=6, seed=101, noise_coefficient_scheme="zero")
         truth = generate(cfg)
-        nhat = estimate_noise(to_panel(truth, fam))
+        nhat = sglm_denoise(to_panel(truth, fam)).noise_hat
         assert abs(np.corrcoef(nhat, truth.noise)[0, 1]) < 0.1
 
     def test_many_strong_siblings_recover_noise(self):
         fam = gaussian(1.0)
         cfg = SimConfig(fam, m=2000, q=21, seed=55, noise_coefficient_scheme="one")
         truth = generate(cfg)
-        nhat = estimate_noise(to_panel(truth, fam))
+        nhat = sglm_denoise(to_panel(truth, fam)).noise_hat
         assert np.corrcoef(nhat, truth.noise)[0, 1] > 0.9
 
     def test_correlation_non_decreasing_in_q(self):
@@ -129,7 +129,7 @@ class TestEstimateNoise:
                     noise_coefficient_scheme="one",
                 )
                 truth = generate(cfg)
-                nhat = estimate_noise(to_panel(truth, fam))
+                nhat = sglm_denoise(to_panel(truth, fam)).noise_hat
                 cs.append(np.corrcoef(nhat, truth.noise)[0, 1])
             means.append(np.mean(cs))
         diffs = np.diff(means)
@@ -140,7 +140,7 @@ class TestEstimateNoise:
         truth = generate(SimConfig(fam, m=300, q=5, seed=9))
         panel = to_panel(truth, fam)
         for strategy in ("regression", MEAN_OF_RESIDUALS):
-            nhat = estimate_noise(panel, strategy=strategy)
+            nhat = sglm_denoise(panel, strategy=strategy).noise_hat
             assert abs(nhat.mean()) < 1e-8
 
     def test_invariant_to_constant_shift_of_auxiliary_residuals(self):
@@ -158,15 +158,15 @@ class TestEstimateNoise:
         fam = poisson()
         truth = generate(SimConfig(fam, m=100, q=3, seed=2))
         with pytest.raises(ValueError):
-            estimate_noise(to_panel(truth, fam), strategy="ridge")
+            sglm_denoise(to_panel(truth, fam), strategy="ridge")
 
     def test_conditioning_on_covariates_keeps_contract(self):
         fam = gaussian(1.0)
         cfg = SimConfig(fam, m=2000, q=11, seed=63, noise_coefficient_scheme="one")
         truth = generate(cfg)
         panel = to_panel(truth, fam)
-        with_x = estimate_noise(panel, include_x=True)
-        without = estimate_noise(panel, include_x=False)
+        with_x = sglm_denoise(panel, include_x=True).noise_hat
+        without = sglm_denoise(panel, include_x=False).noise_hat
         assert abs(with_x.mean()) < 1e-8
         # residuals are nearly uncorrelated with the covariates, so the two
         # conditioning sets give nearly the same proxy
@@ -196,9 +196,11 @@ class TestSglmDenoise:
         for r in range(30):
             cfg = SimConfig(fam, m=1000, q=4, seed=replicate_seed(41, r))
             truth = generate(cfg)
+            # refit the target on the true noise it was generated with
             exact = truth.noise_coefs[0] * truth.noise + truth.eps[:, 0]
-            out = sglm_denoise(to_panel(truth, fam), noise_override=exact)
-            gaps.append(np.mean(out.signal_hat - truth.signal[:, 0]))
+            design = design_with_intercept(np.column_stack([truth.x, exact - exact.mean()]))
+            fit = fit_glm(design, truth.y[:, 0], fam)
+            gaps.append(np.mean(design.x[:, :2] @ fit.beta[:2] - truth.signal[:, 0]))
         se = np.std(gaps, ddof=1) / np.sqrt(len(gaps))
         assert abs(np.mean(gaps)) <= 3 * se + 0.01
 
@@ -224,17 +226,12 @@ class TestSglmDenoise:
         assert np.array_equal(a.refit.beta, b.refit.beta)
         assert np.array_equal(a.signal_hat, b.signal_hat)
 
-    def test_override_length_check(self):
-        fam = poisson()
-        truth = generate(SimConfig(fam, m=100, q=3, seed=5))
-        with pytest.raises(ValueError):
-            sglm_denoise(to_panel(truth, fam), noise_override=np.zeros(99))
-
-    def test_series_errors_keep_type_and_last_fit(self):
+    def test_series_errors_keep_type_and_last_fit(self, monkeypatch):
         fam = poisson()
         panel = to_panel(generate(SimConfig(fam, m=120, q=5, seed=1)), fam)
+        monkeypatch.setattr(sibglm.glm, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as excinfo:
-            sglm_denoise(panel, options=FitOptions(max_iter=1))
+            sglm_denoise(panel)
         assert str(excinfo.value).startswith("series 0:")
         assert excinfo.value.last_fit is not None
 
