@@ -24,6 +24,7 @@ from .glm import (
     design_with_intercept,
     evaluate_at,
     fit_glm,
+    fit_glms,
     hat_diagonal,
     log_likelihood,
     ols,
@@ -63,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Family", "gaussian", "poisson", "bernoulli", "gamma", "family_from_name",
     "DomainError",
-    "Design", "GlmFit", "design_with_intercept", "fit_glm",
+    "Design", "GlmFit", "design_with_intercept", "fit_glm", "fit_glms",
     "evaluate_at", "predict", "hat_diagonal", "log_likelihood", "ols",
     "SingularDesignError", "ConvergenceError",
     "RESIDUAL_KINDS", "raw", "fisher_scaled", "studentized",

@@ -25,7 +25,9 @@ from . import benchmark as bench
 from . import residuals as res
 from . import sibling
 from .families import FAMILY_KINDS, DomainError, Family, family_from_name
-from .glm import ConvergenceError, Design, SingularDesignError, design_with_intercept, fit_glm
+from .glm import (
+    ConvergenceError, Design, SingularDesignError, design_with_intercept, fit_glm, fit_glms,
+)
 from .inference import sandwich
 from .simulate import NOISE_COEF_SCHEMES, GenerationError, MetricsRecord, SimConfig, generate
 
@@ -301,13 +303,14 @@ def cmd_residuals(args: argparse.Namespace) -> int:
 
     meta = _meta(args)
     columns: dict[str, np.ndarray] = {}
-    fits = sibling._fit_all_series(design, panel.y, family)
+    fits = fit_glms(design, panel.y, family)
     for j, sname in enumerate(panel.y_names):
         for kind in res.RESIDUAL_KINDS:
             values = res.compute(kind, fits[j], panel.y[:, j], design=design)
             columns[f"{kind}_{sname}"] = values
             if proxy is not None:
-                corr = float(np.corrcoef(values, proxy)[0, 1]) if np.std(values) > 0 else float("nan")
+                varies = np.std(values) > 0.0 and np.std(proxy) > 0.0
+                corr = float(np.corrcoef(values, proxy)[0, 1]) if varies else float("nan")
                 meta[f"corr_{kind}_{sname}"] = _fmt(corr)
     _write_table(args.output, meta, columns)
     return 0
@@ -522,6 +525,8 @@ def main(argv: list[str] | None = None) -> int:
             # so parsing again lets explicit flags override it
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
+            if not isinstance(loaded, dict):
+                raise ValueError("config file must hold a JSON object")
             settings = _settings(args)
             for key in loaded:
                 if key not in settings:

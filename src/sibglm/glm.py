@@ -1,11 +1,11 @@
 """Canonical-link GLM estimation by iteratively reweighted least squares.
 
-The fitting loop is a damped Newton iteration: each step solves a
-weighted least-squares problem through an orthogonal factorization of
-``sqrt(W) X`` and is step-halved until the log-likelihood is
-non-decreasing and the natural parameters stay inside the family domain.
-At convergence the canonical score equation ``X'(y - mu) = 0`` holds to
-tolerance.
+The fitting loop is a damped Newton iteration over all response series
+that share one design: each step solves every series' weighted normal
+equations ``X'WX b = X'Wz`` and is step-halved until the log-likelihood
+is non-decreasing and the natural parameters stay inside the family
+domain. At convergence the canonical score equation ``X'(y - mu) = 0``
+holds to tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .families import GAMMA, Family
+from .families import GAMMA, DomainError, Family
 
 RANK_RTOL = 1e-10
 
@@ -136,117 +136,243 @@ def _wls_solve(x: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_triangular(r, q.T @ (sw * z))
 
 
-def _initial_beta(design: Design, y: np.ndarray, family: Family) -> np.ndarray:
-    """Feasible starting coefficients.
+def _initial_beta(x: np.ndarray, ys: np.ndarray, family: Family) -> np.ndarray:
+    """Feasible starting coefficients, one row per response row of ``ys``.
 
     Zero works for families whose natural-parameter domain is the whole
     real line. The Gamma domain excludes zero, so its start matches the
     intercept-only maximum likelihood solution when a constant column is
     available, falling back to a least-squares fit on the link scale.
     """
-    m, p = design.x.shape
+    m, p = x.shape
+    k = ys.shape[0]
+    beta = np.zeros((k, p))
     if family.kind != GAMMA:
-        return np.zeros(p)
-    spans = np.ptp(design.x, axis=0)
-    for j in range(p):
-        if spans[j] == 0.0 and design.x[0, j] != 0.0:
-            beta = np.zeros(p)
-            beta[j] = family.theta_from_mean(float(np.mean(y))) / design.x[0, j]
+        return beta
+    spans = np.ptp(x, axis=0)
+    for c in range(p):
+        if spans[c] == 0.0 and x[0, c] != 0.0:
+            beta[:, c] = family.theta_from_mean(ys.mean(axis=1)) / x[0, c]
             return beta
-    z = family.theta_from_mean(np.maximum(y, 1e-8))
-    beta = _wls_solve(design.x, z, np.ones(m))
-    if not family.in_domain(design.x @ beta):
-        raise ConvergenceError(
-            "no feasible gamma starting point; add an intercept column"
-        )
+    for j in range(k):
+        z = family.theta_from_mean(np.maximum(ys[j], 1e-8))
+        beta[j] = _wls_solve(x, z, np.ones(m))
+        if not family.in_domain(x @ beta[j]):
+            error = ConvergenceError("no feasible gamma starting point; add an intercept column")
+            raise _for_series(error, j, k)
     return beta
 
 
+def _for_series(exc: Exception, j: int, k: int) -> Exception:
+    """Name series ``j`` in the message when there are several, keeping the
+    exception's type and attributes (such as ``ConvergenceError.last_fit``)."""
+    if k > 1:
+        exc.args = (f"series {j}: {exc}", *exc.args[1:])
+    return exc
+
+
+def _cholesky_diagonals(a: np.ndarray) -> np.ndarray:
+    """Diagonals of the Cholesky factors of a stack of symmetric matrices.
+
+    For ``a = X'WX`` the diagonal is that of the QR factor ``R`` of
+    ``sqrt(W) X`` up to sign. A matrix that is not numerically positive
+    definite gets a zero diagonal.
+    """
+    try:
+        return np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros((1, a.shape[1]))
+        return np.concatenate([_cholesky_diagonals(a[i : i + 1]) for i in range(len(a))])
+
+
+def _newton_system(x, xx, family, y, eta):
+    """Score ``X'(y - mu)``, ``X'WX`` and ``X'Wz`` of one IRLS step per row.
+
+    ``y`` and ``eta`` hold one series per row; ``xx`` holds the per-row
+    outer products of the design, so ``w @ xx`` forms every ``X'WX``.
+    """
+    p = x.shape[1]
+    w = family.fisher_info(eta)
+    resid = y - family.mean(eta)
+    # rows with underflowed information carry no weight; avoid 0/0 in z;
+    # in place, since each array is as large as the panel
+    wz = resid / np.maximum(w, 1e-300)
+    wz += eta
+    wz *= w
+    return resid @ x, (w @ xx).reshape(-1, p, p), wz @ x
+
+
+def _row_loglik(family, y, eta):
+    """Log-likelihood of each row; NaN, which no test accepts, outside the domain."""
+    if family.in_domain(eta):
+        return family.log_pdf(y, eta).sum(axis=1)
+    ok = np.array([family.in_domain(row) for row in eta])
+    ll = np.full(len(eta), np.nan)
+    ll[ok] = family.log_pdf(y[ok], eta[ok]).sum(axis=1)
+    return ll
+
+
+def _keep_rows(mask, *arrays):
+    """The rows of each array where ``mask`` holds (the arrays when it holds for all)."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+
+
+def _irls(x, y, family):
+    """Damped Newton iterations for every row of ``y`` (one series each) at once.
+
+    Each row step-halves and stops on its own, exactly as it would alone.
+    Returns the final coefficients and log-likelihoods, the iteration
+    counts, the convergence flags and the errors of the rows that failed.
+    """
+    m, p = x.shape
+    xx = (x[:, :, None] * x[:, None, :]).reshape(m, p * p)
+    score_tol = m * TOL_SCORE
+    k = y.shape[0]
+    beta = _initial_beta(x, y, family)
+    e = beta @ x.T
+    ll = _row_loglik(family, y, e)
+    iterations = np.full(k, MAX_ITER)
+    converged = np.zeros(k, dtype=bool)
+    errors: dict[int, Exception] = {}
+
+    # the series still iterating, and their state (copies, because beta and
+    # ll are updated in place while the previous iterate is still needed)
+    live, b, lik = np.arange(k), beta.copy(), ll.copy()
+    for it in range(1, MAX_ITER + 1):
+        score, xwx, rhs = _newton_system(x, xx, family, y, e)
+        done = np.max(np.abs(score), axis=1) <= score_tol
+        converged[live[done]] = True
+        iterations[live[done]] = it - 1
+        d = _cholesky_diagonals(xwx)
+        singular = ~done & (d.min(axis=1) <= RANK_RTOL * np.maximum(d.max(axis=1), 1e-300))
+        for j in live[singular]:
+            errors[j] = SingularDesignError("weighted design is numerically singular")
+        live, b, e, y, lik, xwx, rhs = _keep_rows(~(done | singular), live, b, e, y, lik, xwx, rhs)
+        if not live.size:
+            break
+        step = np.linalg.solve(xwx, rhs[:, :, None])[:, :, 0] - b
+
+        # halve the steps of the series whose log-likelihood would fall or
+        # whose natural parameters would leave the domain
+        b_new = b + step
+        e_new = b_new @ x.T
+        lik_new = _row_loglik(family, y, e_new)
+        halve = ~(lik_new >= lik - 1e-12 * (1.0 + np.abs(lik)))
+        alpha = 1.0
+        for _ in range(MAX_HALVINGS):
+            if not halve.any():
+                break
+            alpha *= 0.5
+            rows = np.flatnonzero(halve)
+            b_new[rows] = b[rows] + alpha * step[rows]
+            e_new[rows] = b_new[rows] @ x.T
+            lik_new[rows] = _row_loglik(family, y[rows], e_new[rows])
+            halve[rows] = ~(lik_new[rows] >= lik[rows] - 1e-12 * (1.0 + np.abs(lik[rows])))
+        # a series whose step-halving is exhausted stops at its last iterate
+        iterations[live[halve]] = it
+        live, b_new, e_new, y, lik, lik_new = _keep_rows(
+            ~halve, live, b_new, e_new, y, lik, lik_new
+        )
+        if not live.size:
+            break
+
+        beta[live], ll[live] = b_new, lik_new
+        small = np.abs(lik_new - lik) <= TOL_LOGLIK * (1.0 + np.abs(lik_new))
+        score = (y[small] - family.mean(e_new[small])) @ x
+        small[small] = np.max(np.abs(score), axis=1) <= score_tol
+        converged[live[small]] = True
+        iterations[live[small]] = it
+        live, b, e, y, lik = _keep_rows(~small, live, b_new, e_new, y, lik_new)
+        if not live.size:
+            break
+    return beta, ll, iterations, converged, errors
+
+
+def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
+    """Maximum-likelihood fits of one canonical GLM per column of ``responses``.
+
+    All columns share the design, so one damped Newton loop fits them
+    together: each step forms every column's ``X'W_jX`` from per-row
+    outer products of the design, computed once, and solves all the
+    systems in one batched call. Each column step-halves and stops on
+    its own, so its fit equals the one ``fit_glm`` gives for it alone.
+
+    Raises ``SingularDesignError`` for rank-deficient designs,
+    ``DomainError`` for responses outside the family support, and
+    ``ConvergenceError`` (carrying the last iterate) when the iteration
+    budget or step-halving is exhausted before the score equation holds.
+    An error about one column is raised for the first failing column and
+    names it (``series j: ...``) when there are several.
+    """
+    x = design.x
+    m = x.shape[0]
+    ys = np.asarray(responses, dtype=float)
+    if ys.ndim != 2 or ys.shape[0] != m or ys.shape[1] < 1:
+        raise ValueError(f"responses of shape {ys.shape} are not an m={m} x k matrix")
+    k = ys.shape[1]
+    try:
+        family.check_support(ys)
+    except DomainError:
+        for j in range(k):
+            try:
+                family.check_support(ys[:, j])
+            except DomainError as exc:
+                raise _for_series(exc, j, k) from None
+        raise
+    _check_full_rank(x)
+
+    # one row per series
+    beta, ll, iterations, converged, errors = _irls(x, np.ascontiguousarray(ys.T), family)
+    eta = beta @ x.T
+    mean = family.mean(eta)
+    fisher = family.fisher_info(eta)
+    score_norms = np.max(np.abs((ys.T - mean) @ x), axis=1)
+    edges = np.sum(fisher == 0.0, axis=1)
+    fits = []
+    for j in range(k):
+        if j in errors:
+            raise _for_series(errors[j], j, k)
+        fit = GlmFit(
+            family=family,
+            beta=beta[j],
+            eta=eta[j],
+            mu=mean[j],
+            fisher_diag=fisher[j],
+            loglik=float(ll[j]),
+            converged=bool(converged[j] or score_norms[j] <= m * TOL_SCORE),
+            iterations=int(iterations[j]),
+        )
+        if not fit.converged:
+            message = (
+                f"IRLS did not converge in {fit.iterations} iterations "
+                f"(score inf-norm {score_norms[j]:.3e})"
+            )
+            raise _for_series(ConvergenceError(message, last_fit=fit), j, k)
+        if edges[j]:
+            # e.g. a separated Bernoulli series: the likelihood keeps rising
+            # along a direction, so no maximum-likelihood estimate exists
+            message = (
+                f"fitted means reach the edge of the {family.kind} support at {edges[j]} rows "
+                "(zero information); the maximum-likelihood estimate does not exist"
+            )
+            raise _for_series(ConvergenceError(message, last_fit=fit), j, k)
+        fits.append(fit)
+    return fits
+
+
 def fit_glm(design: Design, y, family: Family) -> GlmFit:
-    """Maximum-likelihood fit of a canonical GLM.
+    """Maximum-likelihood fit of a canonical GLM: ``fit_glms`` on one series.
 
     Raises ``SingularDesignError`` for rank-deficient designs,
     ``DomainError`` for responses outside the family support, and
     ``ConvergenceError`` (carrying the last iterate) when the iteration
     budget or step-halving is exhausted before the score equation holds.
     """
-    x = design.x
-    m = x.shape[0]
-    y = family.check_support(y)
-    if y.shape != (m,):
-        raise ValueError(f"response length {y.shape} does not match m={m}")
-    _check_full_rank(x)
-
-    beta = _initial_beta(design, y, family)
-    eta = x @ beta
-    mu = family.mean(eta)
-    ll = float(np.sum(family.log_pdf(y, eta)))
-    score_tol = m * TOL_SCORE
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
-        score = x.T @ (y - mu)
-        if np.max(np.abs(score)) <= score_tol:
-            converged = True
-            iterations -= 1
-            break
-
-        w = family.fisher_info(eta)
-        # rows with underflowed information carry no weight; avoid 0/0 in z
-        z = eta + (y - mu) / np.maximum(w, 1e-300)
-        step = _wls_solve(x, z, w) - beta
-
-        alpha = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            cand = beta + alpha * step
-            eta_c = x @ cand
-            if family.in_domain(eta_c):
-                ll_c = float(np.sum(family.log_pdf(y, eta_c)))
-                if ll_c >= ll - 1e-12 * (1.0 + abs(ll)):
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            break
-
-        beta, eta, mu = cand, eta_c, family.mean(eta_c)
-        ll_prev, ll = ll, ll_c
-        if abs(ll - ll_prev) <= TOL_LOGLIK * (1.0 + abs(ll)):
-            if np.max(np.abs(x.T @ (y - mu))) <= score_tol:
-                converged = True
-                break
-
-    if not converged and np.max(np.abs(x.T @ (y - mu))) <= score_tol:
-        converged = True
-
-    fit = GlmFit(
-        family=family,
-        beta=beta,
-        eta=eta,
-        mu=mu,
-        fisher_diag=family.fisher_info(eta),
-        loglik=ll,
-        converged=converged,
-        iterations=iterations,
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"IRLS did not converge in {iterations} iterations "
-            f"(score inf-norm {np.max(np.abs(x.T @ (y - mu))):.3e})",
-            last_fit=fit,
-        )
-    edge = int(np.sum(fit.fisher_diag == 0.0))
-    if edge:
-        # e.g. a separated Bernoulli series: the likelihood keeps rising
-        # along a direction, so no maximum-likelihood estimate exists
-        raise ConvergenceError(
-            f"fitted means reach the edge of the {family.kind} support at {edge} rows "
-            "(zero information); the maximum-likelihood estimate does not exist",
-            last_fit=fit,
-        )
-    return fit
+    y = np.asarray(y, dtype=float)
+    if y.shape != (design.m,):
+        raise ValueError(f"response length {y.shape} does not match m={design.m}")
+    return fit_glms(design, y[:, None], family)[0]
 
 
 def evaluate_at(design: Design, family: Family, beta, y=None) -> GlmFit:

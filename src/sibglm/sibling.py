@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family
-from .glm import Design, GlmFit, fit_glm, ols
+from .glm import Design, GlmFit, fit_glm, fit_glms, ols
 from . import residuals as res
 
 REGRESSION = "regression"
@@ -237,20 +237,6 @@ def _noise_from_residuals(
     return nhat, _r_squared(fitted_joint, r1), _r_squared(fitted_base, r1)
 
 
-def _fit_all_series(design: Design, responses: np.ndarray, family: Family) -> list[GlmFit]:
-    """One GLM per response column; a failure names its series."""
-    fits = []
-    for j in range(responses.shape[1]):
-        try:
-            fits.append(fit_glm(design, responses[:, j], family))
-        except Exception as exc:
-            # name the series in place, so the type and attributes (such as
-            # ConvergenceError.last_fit) reach the caller unchanged
-            exc.args = (f"series {j}: {exc}", *exc.args[1:])
-            raise
-    return fits
-
-
 def sglm_denoise(
     panel: Panel,
     residual_kind: str = res.FISHER,
@@ -272,7 +258,7 @@ def sglm_denoise(
     then refit with the proxy as an extra covariate.
     """
     y1 = panel.responses[:, panel.target_index]
-    fits = _fit_all_series(panel.design, panel.responses, panel.family)
+    fits = fit_glms(panel.design, panel.responses, panel.family)
     base_fit = fits[panel.target_index]
 
     resid = _residual_matrix(panel, fits, residual_kind)

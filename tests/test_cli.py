@@ -1,6 +1,7 @@
 """Command-line interface: panel format, round trips, determinism, commands."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,12 @@ class TestSimulateCommand:
         panel = read_panel(str(out))
         assert panel.y.shape == (50, 3)
         assert panel.meta["m"] == "50" and panel.meta["sigma_eps"] == "0.20000000000000001"
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(["m"]))
+        assert _run("simulate", "--config", conf, "--output", tmp_path / "p.csv") == 1
+        assert "error: ValueError: config file must hold a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "benchmark"])
     def test_input_flag_is_rejected(self, tmp_path, command):
@@ -273,6 +280,24 @@ class TestResidualsCommand:
         text = out.read_text()
         for kind in ("fisher", "raw", "student", "deviance"):
             assert f"# corr_{kind}_s00 = " in text
+
+    def test_constant_proxy_gives_nan_without_warnings(self, tmp_path):
+        x = np.linspace(-1, 1, 30)
+        y = poisson().sample(0.5 + x, np.random.default_rng(2))
+        path = tmp_path / "const.csv"
+        rows = ["x_x,y_a,truth_const"]
+        rows += [f"{a!r},{b!r},1.0" for a, b in zip(x.tolist(), y.tolist())]
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(
+                "residuals", "--family", "poisson", "--input", path,
+                "--output", out, "--proxy-column", "truth_const",
+            ) == 0
+        text = out.read_text()
+        for kind in ("fisher", "raw", "student", "deviance"):
+            assert f"# corr_{kind}_a = nan\n" in text
 
     def test_failing_series_is_named(self, tmp_path, capsys):
         # the third series is perfectly separated by x

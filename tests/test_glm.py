@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import poisson as poisson_dist
 
 import sibglm.glm
-from sibglm.families import DomainError, bernoulli, gamma, gaussian, poisson
+from sibglm.families import DomainError, Family, bernoulli, gamma, gaussian, poisson
 from sibglm.glm import (
     ConvergenceError,
     Design,
@@ -13,11 +13,14 @@ from sibglm.glm import (
     design_with_intercept,
     evaluate_at,
     fit_glm,
+    fit_glms,
     hat_diagonal,
     log_likelihood,
     ols,
     predict,
 )
+from sibglm.sibling import Panel, sglm_denoise
+from sibglm.simulate import SimConfig, generate, to_panel
 
 
 def _intercept_design(m):
@@ -150,6 +153,90 @@ class TestFitGlm:
         a = fit_glm(design, y, poisson())
         b = fit_glm(design, y, poisson())
         assert np.array_equal(a.beta, b.beta)
+
+
+class TestFitGlms:
+    @staticmethod
+    def _assert_each_column_fits_alone(design, ys, family):
+        fits = fit_glms(design, ys, family)
+        assert len(fits) == ys.shape[1]
+        for j, fit in enumerate(fits):
+            alone = fit_glm(design, ys[:, j], family)
+            assert fit.iterations == alone.iterations
+            assert fit.converged and alone.converged
+            assert np.allclose(fit.beta, alone.beta, rtol=1e-10, atol=0.0)
+            assert fit.loglik == pytest.approx(alone.loglik, rel=1e-10)
+            assert np.allclose(fit.mu, alone.mu, rtol=1e-10, atol=0.0)
+        return fits
+
+    @pytest.mark.parametrize(
+        "family", [poisson(), gaussian(0.5), bernoulli(), gamma(2.0)], ids=lambda f: f.kind
+    )
+    def test_each_column_equals_its_single_series_fit(self, family):
+        truth = generate(SimConfig(family, m=200, q=6, sigma_eps=0.3, seed=3))
+        panel = to_panel(truth, family)
+        self._assert_each_column_fits_alone(panel.design, panel.responses, family)
+
+    def test_gamma_columns_halve_and_stop_on_their_own(self, monkeypatch):
+        fam = gamma(2.0)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, 60)
+        design = design_with_intercept(x)
+        ys = np.column_stack([fam.sample(-s - 0.05 + s * x, rng) for s in (0.3, 1.5, 2.5, 4.5)])
+        rejected = []
+        in_domain = Family.in_domain
+
+        def recording(self, theta):
+            ok = in_domain(self, theta)
+            rejected.append(not ok)
+            return ok
+
+        monkeypatch.setattr(Family, "in_domain", recording)
+        fits = self._assert_each_column_fits_alone(design, ys, fam)
+        assert any(rejected)  # some Newton steps left the domain and were halved
+        assert len({fit.iterations for fit in fits}) > 1
+
+    def test_separated_series_is_named_with_last_fit(self):
+        # series 2 is perfectly separated by x
+        x = np.linspace(-1, 1, 40)
+        noisy = (np.random.default_rng(0).random((40, 2)) < 0.5).astype(float)
+        design, ys = design_with_intercept(x), np.column_stack([noisy, x > 0])
+        with pytest.raises(ConvergenceError, match="^series 2: ") as excinfo:
+            fit_glms(design, ys, bernoulli())
+        last = excinfo.value.last_fit
+        assert last is not None and np.min(last.fisher_diag) == 0.0
+        panel = Panel(design=design, responses=ys, family=bernoulli())
+        with pytest.raises(ConvergenceError, match="^series 2: ") as excinfo:
+            sglm_denoise(panel)
+        assert excinfo.value.last_fit is not None
+
+    def test_rank_deficient_design_fails_before_any_fit(self, monkeypatch):
+        design = Design(np.column_stack([np.ones(6), np.ones(6)]), ("a", "b"))
+        calls = []
+        monkeypatch.setattr(Family, "log_pdf", lambda *args: calls.append(args))
+        with pytest.raises(SingularDesignError, match="^design matrix is rank deficient"):
+            fit_glms(design, np.ones((6, 3)), poisson())
+        assert calls == []
+
+    def test_support_error_names_the_series(self):
+        ys = np.ones((5, 3))
+        ys[2, 1] = -1.0
+        with pytest.raises(DomainError, match="^series 1: poisson response"):
+            fit_glms(_intercept_design(5), ys, poisson())
+
+    def test_iteration_budget_is_read_at_call_time(self, monkeypatch):
+        truth = generate(SimConfig(poisson(), m=80, q=3, seed=4))
+        panel = to_panel(truth, poisson())
+        monkeypatch.setattr(sibglm.glm, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="^series 0: IRLS did not converge") as excinfo:
+            fit_glms(panel.design, panel.responses, poisson())
+        assert excinfo.value.last_fit.iterations == 1
+
+    def test_response_shape(self):
+        with pytest.raises(ValueError):
+            fit_glms(_intercept_design(4), np.ones(4), poisson())
+        with pytest.raises(ValueError):
+            fit_glms(_intercept_design(4), np.ones((3, 2)), poisson())
 
 
 class TestPredict:
