@@ -1,20 +1,25 @@
 """Replicated simulation studies over estimators, residual kinds, and q.
 
-One replicate draws a panel, runs the requested estimator, and scores it
-against the ground truth. Replicate seeds are derived from the master
-seed by replicate index only, so runs at different q (or with different
-estimators) see the same draws and comparisons are paired.
+A study runs replicate-major: each replicate draws one panel at the
+largest q of the grid and fits every series' GLM once; each cell then
+takes the first q series and runs only what depends on q before it is
+scored against the ground truth. Replicate seeds are derived from the
+master seed by replicate index only, so runs at different q (or with
+different estimators) see the same draws and comparisons are paired.
 
-``run_estimator`` is the one place that runs any of the four estimators;
-the ``denoise`` command calls it too. The linear sibling estimators
-operate on log1p-transformed responses for the Poisson and Gamma families
-(the standard count transformation the comparison is about) and on the
-raw responses otherwise; they estimate the denoised series directly, so
-only MSE and the noise correlation are defined for them.
+``run_estimator`` runs any of the four estimators on a panel from
+scratch; the ``denoise`` command calls it, and so does a study cell
+without shared fits. The linear sibling estimators operate on
+log1p-transformed responses for the Poisson and Gamma families (the
+standard count transformation the comparison is about) and on the raw
+responses otherwise; they estimate the denoised series directly, so only
+MSE and the noise correlation are defined for them.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -22,10 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import GAMMA, POISSON, Family
-from .glm import Design, GlmFit, fit_glm
+from .glm import Design, GlmFit, fit_glm, fit_glms
 from . import residuals as res
 from . import sibling
-from .simulate import MetricsRecord, SimConfig, generate, metrics, replicate_seed, to_panel
+from .simulate import (
+    MetricsRecord, SimConfig, SimTruth, generate, metrics, replicate_seed, to_panel,
+)
 
 GLM_ESTIMATOR = "glm"
 HALF_SIBLING = "half_sibling"
@@ -131,33 +138,147 @@ def run_estimator(
     return Estimate(signal_hat, ty[:, t] - signal_hat, mu_hat, None, None)
 
 
-def evaluate_estimator(truth, family: Family, spec: CellSpec) -> MetricsRecord:
-    """Score one estimator on one generated panel."""
-    estimate = run_estimator(
-        to_panel(truth, family), spec.estimator, spec.residual_kind, spec.include_x, spec.strategy
+@dataclass(frozen=True)
+class Replicate:
+    """One replicate's draws and the work every cell of a study shares.
+
+    ``truth`` and ``panel`` are the widest panel the cells need; a cell
+    of smaller q uses its first q series, which are bitwise the panel
+    ``generate`` gives at that q. ``fits`` holds the GLM fit of each of
+    the panel's first ``len(fits)`` series and ``residuals`` one matrix
+    per residual kind of the ``sglm`` cells; without ``fits`` a cell runs
+    its estimator from scratch on its own columns.
+    """
+
+    truth: SimTruth
+    panel: sibling.Panel
+    fits: list[GlmFit] | None = None
+    residuals: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+def _sim_config(spec: CellSpec, q: int, index: int) -> SimConfig:
+    return SimConfig(
+        family=spec.family,
+        m=spec.m,
+        q=q,
+        sigma_eps=spec.sigma_eps,
+        seed=replicate_seed(spec.master_seed, index),
+        noise_coefficient_scheme=spec.noise_scheme,
     )
-    return metrics(truth, estimate)
 
 
-def run_cell(spec: CellSpec) -> CellResult:
-    """Run and time all replicates of one cell; per-cell failures are recorded."""
-    started = time.perf_counter()
-    samples = {name: np.empty(spec.replicates) for name in METRIC_NAMES}
-    error = None
-    try:
-        for r in range(spec.replicates):
-            cfg = SimConfig(
-                family=spec.family,
-                m=spec.m,
-                q=spec.q,
-                sigma_eps=spec.sigma_eps,
-                seed=replicate_seed(spec.master_seed, r),
-                noise_coefficient_scheme=spec.noise_scheme,
-            )
-            rec = evaluate_estimator(generate(cfg), spec.family, spec)
-            samples["bias"][r] = rec.bias
-            samples["mse"][r] = rec.mse
-            samples["noise_corr"][r] = rec.noise_corr
-    except Exception as exc:
-        samples, error = {}, f"{type(exc).__name__}: {exc}"
-    return CellResult(spec, samples, error, seconds=time.perf_counter() - started)
+def _shared_replicate(cells: list[CellSpec], index: int) -> Replicate:
+    """Generate replicate ``index`` at the largest q once and fit what the cells share.
+
+    ``sglm`` cells need every series' fit and residuals, ``glm`` cells
+    only the target's fit; the linear estimators need no fit.
+    """
+    spec = cells[0]
+    truth = generate(_sim_config(spec, max(c.q for c in cells), index))
+    panel = to_panel(truth, spec.family)
+    estimators = {c.estimator for c in cells}
+    if not estimators & {GLM_ESTIMATOR, SGLM}:
+        return Replicate(truth, panel)
+    width = panel.q if SGLM in estimators else 1
+    fits = fit_glms(panel.design, panel.responses[:, :width], spec.family)
+    kinds = {c.residual_kind for c in cells if c.estimator == SGLM}
+    residuals = {kind: sibling.residual_matrix(panel, fits, kind) for kind in kinds}
+    return Replicate(truth, panel, fits, residuals)
+
+
+def run_cell(spec: CellSpec, replicate: Replicate) -> MetricsRecord:
+    """Score one cell on one replicate, running only what depends on its q."""
+    panel = replicate.panel
+    if panel.q != spec.q:
+        panel = sibling.Panel(panel.design, panel.responses[:, : spec.q], panel.family)
+    fits = replicate.fits
+    if fits is not None and spec.estimator == GLM_ESTIMATOR:
+        estimate = fits[0]
+    elif fits is not None and spec.estimator == SGLM:
+        resid = replicate.residuals[spec.residual_kind][:, : spec.q]
+        estimate = sibling.denoise_with_residuals(
+            panel, fits[0], resid, spec.residual_kind, spec.include_x, spec.strategy
+        )
+    else:
+        estimate = run_estimator(
+            panel, spec.estimator, spec.residual_kind, spec.include_x, spec.strategy
+        )
+    return metrics(replicate.truth, estimate)
+
+
+def run_replicates(
+    cells: list[CellSpec], start: int, stop: int
+) -> tuple[list[CellResult], float]:
+    """Run replicates ``start`` to ``stop - 1`` of every cell of a study.
+
+    Each replicate is generated and fitted once for all cells. When that
+    shared step fails (a series that cannot be generated or fitted), each
+    cell runs the replicate on its own panel instead, so a cell fails
+    exactly when its own series do. A cell stops at its first failure.
+    Returns each cell's results over the range and the shared steps' time.
+    """
+    results = [
+        CellResult(spec, {name: np.empty(stop - start) for name in METRIC_NAMES})
+        for spec in cells
+    ]
+    shared_seconds = 0.0
+    for index in range(start, stop):
+        started = time.perf_counter()
+        try:
+            shared = _shared_replicate(cells, index)
+        except Exception:
+            shared = None
+        shared_seconds += time.perf_counter() - started
+        for result in results:
+            if result.error is not None:
+                continue
+            spec = result.spec
+            started = time.perf_counter()
+            try:
+                replicate = shared
+                if replicate is None:
+                    truth = generate(_sim_config(spec, spec.q, index))
+                    replicate = Replicate(truth, to_panel(truth, spec.family))
+                rec = run_cell(spec, replicate)
+                for name in METRIC_NAMES:
+                    result.samples[name][index - start] = getattr(rec, name)
+            except Exception as exc:
+                result.samples, result.error = {}, f"{type(exc).__name__}: {exc}"
+            result.seconds += time.perf_counter() - started
+    return results, shared_seconds
+
+
+def _merge(parts: tuple[CellResult, ...]) -> CellResult:
+    """One cell's results over consecutive replicate ranges; the first failure wins."""
+    error = next((p.error for p in parts if p.error is not None), None)
+    samples = {}
+    if error is None:
+        samples = {n: np.concatenate([p.samples[n] for p in parts]) for n in METRIC_NAMES}
+    return CellResult(parts[0].spec, samples, error, sum(p.seconds for p in parts))
+
+
+def run_study(cells: list[CellSpec], jobs: int = 1) -> tuple[list[CellResult], float]:
+    """Run every replicate of every cell, replicate-major, in ``jobs`` processes.
+
+    The cells must share all generation settings (family, m, sigma_eps,
+    noise scheme, replicates and master seed). Each process runs one
+    contiguous range of replicates; replicate seeds depend only on the
+    index, so the results do not depend on ``jobs``. Returns each cell's
+    result and the total time of the shared generate-and-fit steps.
+    """
+    settings = {
+        (c.family, c.m, c.sigma_eps, c.noise_scheme, c.replicates, c.master_seed) for c in cells
+    }
+    if len(settings) != 1:
+        raise ValueError("the cells of a study must share their generation settings")
+    replicates = cells[0].replicates
+    chunks = max(1, min(jobs, replicates))
+    bounds = [replicates * i // chunks for i in range(chunks + 1)]
+    with contextlib.ExitStack() as stack:
+        run_all = map
+        if chunks > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=chunks)
+            run_all = stack.enter_context(pool).map
+        parts = list(run_all(run_replicates, [cells] * chunks, bounds[:-1], bounds[1:]))
+    results = [_merge(cell_parts) for cell_parts in zip(*(part[0] for part in parts))]
+    return results, sum(part[1] for part in parts)

@@ -11,8 +11,6 @@ significant digits so reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import contextlib
 import json
 import math
 import sys
@@ -370,19 +368,14 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     cells = build_cells(args)
 
     started = time.perf_counter()
-    results = []
-    with contextlib.ExitStack() as stack:
-        run_all = map
-        if args.jobs > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
-            run_all = stack.enter_context(pool).map
-        for cell, result in zip(cells, run_all(bench.run_cell, cells)):
-            print(
-                f"cell q={cell.q} estimator={cell.estimator} residual={cell.residual_kind}: "
-                f"{result.seconds:.2f}s",
-                file=sys.stderr,
-            )
-            results.append(result)
+    results, shared_seconds = bench.run_study(cells, args.jobs)
+    for cell, result in zip(cells, results):
+        print(
+            f"cell q={cell.q} estimator={cell.estimator} residual={cell.residual_kind}: "
+            f"{result.seconds:.2f}s",
+            file=sys.stderr,
+        )
+    print(f"shared generate and fit: {shared_seconds:.2f}s", file=sys.stderr)
     print(f"benchmark wall clock: {time.perf_counter() - started:.2f}s", file=sys.stderr)
 
     header = [
@@ -498,7 +491,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sp.add_argument("--step3-with-x", dest="step3_with_x", action="store_true")
     sp.add_argument("--replicates", type=int, default=100)
-    sp.add_argument("--jobs", type=int, default=1, help="concurrent benchmark cells")
+    sp.add_argument("--jobs", type=int, default=1, help="processes sharing the replicates")
     sp.set_defaults(func=cmd_benchmark)
 
     return parser, sub.choices

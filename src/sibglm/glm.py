@@ -186,6 +186,16 @@ def _cholesky_diagonals(a: np.ndarray) -> np.ndarray:
         return np.concatenate([_cholesky_diagonals(a[i : i + 1]) for i in range(len(a))])
 
 
+def _rows_times(v, a):
+    """``v @ a`` as one matrix product per row of ``v``.
+
+    Row j is bitwise ``v[j] @ a`` whatever the other rows are: a single
+    product over all rows lets BLAS block the sum differently for
+    different row counts.
+    """
+    return (v[:, None, :] @ a)[:, 0]
+
+
 def _newton_system(x, xx, family, y, eta):
     """Score ``X'(y - mu)``, ``X'WX`` and ``X'Wz`` of one IRLS step per row.
 
@@ -200,7 +210,7 @@ def _newton_system(x, xx, family, y, eta):
     wz = resid / np.maximum(w, 1e-300)
     wz += eta
     wz *= w
-    return resid @ x, (w @ xx).reshape(-1, p, p), wz @ x
+    return _rows_times(resid, x), _rows_times(w, xx).reshape(-1, p, p), _rows_times(wz, x)
 
 
 def _row_loglik(family, y, eta):
@@ -230,7 +240,7 @@ def _irls(x, y, family):
     score_tol = m * TOL_SCORE
     k = y.shape[0]
     beta = _initial_beta(x, y, family)
-    e = beta @ x.T
+    e = _rows_times(beta, x.T)
     ll = _row_loglik(family, y, e)
     iterations = np.full(k, MAX_ITER)
     converged = np.zeros(k, dtype=bool)
@@ -256,7 +266,7 @@ def _irls(x, y, family):
         # halve the steps of the series whose log-likelihood would fall or
         # whose natural parameters would leave the domain
         b_new = b + step
-        e_new = b_new @ x.T
+        e_new = _rows_times(b_new, x.T)
         lik_new = _row_loglik(family, y, e_new)
         halve = ~(lik_new >= lik - 1e-12 * (1.0 + np.abs(lik)))
         alpha = 1.0
@@ -266,7 +276,7 @@ def _irls(x, y, family):
             alpha *= 0.5
             rows = np.flatnonzero(halve)
             b_new[rows] = b[rows] + alpha * step[rows]
-            e_new[rows] = b_new[rows] @ x.T
+            e_new[rows] = _rows_times(b_new[rows], x.T)
             lik_new[rows] = _row_loglik(family, y[rows], e_new[rows])
             halve[rows] = ~(lik_new[rows] >= lik[rows] - 1e-12 * (1.0 + np.abs(lik[rows])))
         # a series whose step-halving is exhausted stops at its last iterate
@@ -279,7 +289,7 @@ def _irls(x, y, family):
 
         beta[live], ll[live] = b_new, lik_new
         small = np.abs(lik_new - lik) <= TOL_LOGLIK * (1.0 + np.abs(lik_new))
-        score = (y[small] - family.mean(e_new[small])) @ x
+        score = _rows_times(y[small] - family.mean(e_new[small]), x)
         small[small] = np.max(np.abs(score), axis=1) <= score_tol
         converged[live[small]] = True
         iterations[live[small]] = it
@@ -296,7 +306,9 @@ def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
     together: each step forms every column's ``X'W_jX`` from per-row
     outer products of the design, computed once, and solves all the
     systems in one batched call. Each column step-halves and stops on
-    its own, so its fit equals the one ``fit_glm`` gives for it alone.
+    its own, and every product is formed one column at a time, so
+    column j's fit is bitwise the one ``fit_glm`` gives for it alone,
+    whatever the other columns are.
 
     Raises ``SingularDesignError`` for rank-deficient designs,
     ``DomainError`` for responses outside the family support, and
@@ -324,10 +336,10 @@ def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
 
     # one row per series
     beta, ll, iterations, converged, errors = _irls(x, np.ascontiguousarray(ys.T), family)
-    eta = beta @ x.T
+    eta = _rows_times(beta, x.T)
     mean = family.mean(eta)
     fisher = family.fisher_info(eta)
-    score_norms = np.max(np.abs((ys.T - mean) @ x), axis=1)
+    score_norms = np.max(np.abs(_rows_times(ys.T - mean, x)), axis=1)
     edges = np.sum(fisher == 0.0, axis=1)
     fits = []
     for j in range(k):

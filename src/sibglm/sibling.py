@@ -165,7 +165,13 @@ def three_quarter_sibling(x, y1, y2) -> np.ndarray:
     return y1 - _fitted(full, y1) + _fitted(base, y1)
 
 
-def _residual_matrix(panel: Panel, fits: list[GlmFit], kind: str) -> np.ndarray:
+def residual_matrix(panel: Panel, fits: list[GlmFit], kind: str) -> np.ndarray:
+    """Residuals of one kind, a column per series, from one fit per series.
+
+    Each column depends only on its own series and fit, so the first q
+    columns of a wider panel's matrix are bitwise the matrix of its
+    first q series.
+    """
     cols = [
         res.compute(kind, fits[j], panel.responses[:, j], design=panel.design)
         for j in range(panel.q)
@@ -245,23 +251,42 @@ def sglm_denoise(
 ) -> SglmResult:
     """Full staged pipeline: noise proxy, refit, denoised signal.
 
-    Fits one GLM per series on the shared design and computes residuals
-    of the chosen kind. The ``regression`` strategy condenses the
-    auxiliary residual columns into their shared component (see
-    ``_shared_component``; with one auxiliary this is just its centered
-    residual), regresses the target residuals on it (plus covariates
-    when ``include_x``), and takes the difference between that fit and
-    the baseline fit as the proxy, which is mean zero by construction.
-    The ``mean_of_residuals`` strategy instead averages the auxiliary
-    residual columns and centers the result; it is only sensible when
-    every series loads on the noise with the same sign. The target is
-    then refit with the proxy as an extra covariate.
+    Fits one GLM per series on the shared design, computes residuals of
+    the chosen kind (``residual_matrix``) and hands them to
+    ``denoise_with_residuals`` for the proxy and the refit.
     """
-    y1 = panel.responses[:, panel.target_index]
     fits = fit_glms(panel.design, panel.responses, panel.family)
-    base_fit = fits[panel.target_index]
+    resid = residual_matrix(panel, fits, residual_kind)
+    return denoise_with_residuals(
+        panel, fits[panel.target_index], resid, residual_kind, include_x, strategy
+    )
 
-    resid = _residual_matrix(panel, fits, residual_kind)
+
+def denoise_with_residuals(
+    panel: Panel,
+    base_fit: GlmFit,
+    resid: np.ndarray,
+    residual_kind: str = res.FISHER,
+    include_x: bool = False,
+    strategy: str = REGRESSION,
+) -> SglmResult:
+    """The pipeline after the per-series fits: noise proxy, refit, signal.
+
+    ``resid`` holds the panel's residuals of kind ``residual_kind``, a
+    column per series, and ``base_fit`` is the target's own GLM fit. The
+    ``regression`` strategy condenses the auxiliary residual columns
+    into their shared component (see ``_shared_component``; with one
+    auxiliary this is just its centered residual), regresses the target
+    residuals on it (plus covariates when ``include_x``), and takes the
+    difference between that fit and the baseline fit as the proxy, which
+    is mean zero by construction. The ``mean_of_residuals`` strategy
+    instead averages the auxiliary residual columns and centers the
+    result; it is only sensible when every series loads on the noise
+    with the same sign. The target is then refit with the proxy as an
+    extra covariate.
+    """
+    if resid.shape != panel.responses.shape:
+        raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
     nhat, r2_joint, r2_base = _noise_from_residuals(
         resid, panel.target_index, panel.design.x, include_x, strategy
     )
@@ -270,7 +295,7 @@ def sglm_denoise(
         np.column_stack([panel.design.x, nhat]),
         (*panel.design.column_names, "noise_hat"),
     )
-    refit = fit_glm(refit_design, y1, panel.family)
+    refit = fit_glm(refit_design, panel.responses[:, panel.target_index], panel.family)
     signal_hat = panel.design.x @ refit.beta[: panel.design.p]
 
     return SglmResult(

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from sibglm.benchmark import SGLM, CellSpec, run_study
 from sibglm.cli import main as cli_main
 from sibglm.families import bernoulli, gamma, gaussian, poisson
 from sibglm.glm import Design, design_with_intercept, evaluate_at, fit_glm, ols
@@ -52,16 +53,29 @@ def _sim_config(family_key, m, q, seed, scheme="uniform"):
     )
 
 
+# The (q, residual kind) cells criteria 2-4 read, by (family, master seed).
+MSE_CELLS = {
+    ("poisson", 7): [(q, FISHER) for q in Q_GRID] + [(21, k) for k in (RAW, STUDENT, DEVIANCE)],
+    ("gamma", 11): [(q, FISHER) for q in Q_GRID],
+}
+
+
 @functools.cache
-def _sglm_mse_samples(family_key, master_seed, m, q, kind, reps):
-    """Per-replicate denoised-signal MSE for one (family, q, residual kind) cell."""
-    family = _family(family_key)
-    out = np.empty(reps)
-    for r in range(reps):
-        truth = generate(_sim_config(family_key, m, q, replicate_seed(master_seed, r)))
-        result = sglm_denoise(to_panel(truth, family), residual_kind=kind)
-        out[r] = metrics(truth, result).mse
-    return out
+def _sglm_mse_samples(family_key, master_seed, m, reps):
+    """Per-replicate denoised-signal MSE of each (q, residual kind) cell in ``MSE_CELLS``.
+
+    One replicate-major study pass: each replicate is drawn at the largest
+    q and its series are fitted once for all of the cells.
+    """
+    cells = [
+        CellSpec(_family(family_key), m, q, SGLM, kind, replicates=reps, master_seed=master_seed)
+        for q, kind in MSE_CELLS[family_key, master_seed]
+    ]
+    samples = {}
+    for result in run_study(cells)[0]:
+        assert result.error is None, result.error
+        samples[result.spec.q, result.spec.residual_kind] = result.samples["mse"]
+    return samples
 
 
 @functools.cache
@@ -121,7 +135,7 @@ def test_criterion_02_mse_non_increasing_in_q(family_key, master_seed):
     """Denoised-signal MSE is non-increasing in q up to 2 paired standard errors."""
     reps = 200
     samples = {
-        q: _sglm_mse_samples(family_key, master_seed, 120, q, FISHER, reps)
+        q: _sglm_mse_samples(family_key, master_seed, 120, reps)[q, FISHER]
         for q in Q_GRID
     }
     means = [samples[q].mean() for q in Q_GRID]
@@ -141,10 +155,10 @@ def test_criterion_03_residual_kind_ranking():
     """At q=21 the information-scaled residual's MSE is at most every
     alternative's plus 2 paired standard errors."""
     reps = 200
-    fisher = _sglm_mse_samples("poisson", 7, 120, 21, FISHER, reps)
+    fisher = _sglm_mse_samples("poisson", 7, 120, reps)[21, FISHER]
     details = []
     for kind in (RAW, STUDENT, DEVIANCE):
-        other = _sglm_mse_samples("poisson", 7, 120, 21, kind, reps)
+        other = _sglm_mse_samples("poisson", 7, 120, reps)[21, kind]
         d = fisher - other
         slack = 2 * d.std(ddof=1) / np.sqrt(reps)
         assert d.mean() <= slack, f"fisher MSE exceeds {kind} by {d.mean():.5f} > {slack:.5f}"
@@ -159,7 +173,7 @@ def test_criterion_04_three_quarter_comparison():
     """At q=21 the denoised fit beats the three-quarter estimator on
     log1p-transformed counts by at least 2 standard errors."""
     reps = 200
-    sglm = _sglm_mse_samples("poisson", 7, 120, 21, FISHER, reps)
+    sglm = _sglm_mse_samples("poisson", 7, 120, reps)[21, FISHER]
     tq = np.empty(reps)
     for r in range(reps):
         truth = generate(_sim_config("poisson", 120, 21, replicate_seed(7, r)))

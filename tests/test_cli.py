@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from sibglm.benchmark import ESTIMATORS, CellSpec, evaluate_estimator
+import sibglm.benchmark as bench
+from sibglm.benchmark import ESTIMATORS, CellSpec, run_estimator, run_study
 from sibglm.cli import main, read_panel
-from sibglm.families import family_from_name, gaussian, poisson
+from sibglm.families import bernoulli, family_from_name, gamma, gaussian, poisson
 from sibglm.glm import design_with_intercept, fit_glm
 from sibglm.residuals import fisher_scaled, raw
-from sibglm.simulate import SimConfig, generate, replicate_seed
+from sibglm.simulate import SimConfig, generate, replicate_seed, to_panel
 
 
 def _run(*argv):
@@ -37,6 +38,30 @@ def _simulate(tmp_path, name="panel.csv", **over):
         argv += [f"--{key.replace('_', '-')}", value]
     assert _run(*argv) == 0
     return out
+
+
+def _data_lines(path):
+    """The rows of a benchmark table, without its header lines."""
+    return [l for l in path.read_text().splitlines() if l and not l.startswith("#")][1:]
+
+
+def _cell_outcomes(path):
+    """Status and note of each (q, estimator, residual) cell of a benchmark table."""
+    rows = (line.split(",", 11) for line in _data_lines(path))
+    return {tuple(r[3:6]): (r[10], r[11]) for r in rows}
+
+
+def _per_cell_note(family, m, q, estimator, replicates, seed, **config):
+    """The note a cell gets when it runs on its own q-series panels."""
+    for r in range(replicates):
+        try:
+            truth = bench.generate(
+                SimConfig(family, m=m, q=q, seed=replicate_seed(seed, r), **config)
+            )
+            run_estimator(to_panel(truth, family), estimator)
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 class TestPanelFormat:
@@ -202,27 +227,41 @@ class TestDenoiseCommand:
 
     @pytest.mark.parametrize("family", ["gaussian", "poisson", "bernoulli", "gamma"])
     def test_metrics_match_the_study(self, tmp_path, family):
-        panel = _simulate(tmp_path, family=family, m=200, q=5, seed=4)
-        truth = generate(SimConfig(family_from_name(family), m=200, q=5, seed=4))
-        for estimator in ESTIMATORS:
-            out = tmp_path / f"den_{estimator}.csv"
-            assert _run(
-                "denoise", "--family", family, "--estimator", estimator,
-                "--input", panel, "--output", out,
-            ) == 0
-            meta = dict(
-                line[2:].split(" = ", 1)
-                for line in out.read_text().splitlines()
-                if line.startswith("# ")
+        # replicate 0 of a study with master seed 4 is the panel simulated
+        # with that replicate's seed; q=3 takes the first series of q=5
+        fam = family_from_name(family)
+        cells = [
+            CellSpec(family=fam, m=200, q=q, estimator=estimator, replicates=1, master_seed=4)
+            for q in (3, 5)
+            for estimator in ESTIMATORS
+        ]
+        results, _ = run_study(cells)
+        for q in (3, 5):
+            panel = _simulate(
+                tmp_path, name=f"panel{q}.csv", family=family, m=200, q=q,
+                seed=replicate_seed(4, 0),
             )
-            spec = CellSpec(family=family_from_name(family), m=200, q=5, estimator=estimator)
-            rec = evaluate_estimator(truth, spec.family, spec)
-            for name in ("mse", "bias", "noise_corr"):
-                value = getattr(rec, name)
-                if np.isnan(value):
-                    assert f"metric_{name}" not in meta, (estimator, name)
-                else:
-                    assert float(meta[f"metric_{name}"]) == value, (estimator, name)
+            for result in results:
+                if result.spec.q != q:
+                    continue
+                estimator = result.spec.estimator
+                out = tmp_path / f"den_{estimator}.csv"
+                assert _run(
+                    "denoise", "--family", family, "--estimator", estimator,
+                    "--input", panel, "--output", out,
+                ) == 0
+                meta = dict(
+                    line[2:].split(" = ", 1)
+                    for line in out.read_text().splitlines()
+                    if line.startswith("# ")
+                )
+                assert result.error is None
+                for name in ("mse", "bias", "noise_corr"):
+                    value = result.samples[name][0]
+                    if np.isnan(value):
+                        assert f"metric_{name}" not in meta, (q, estimator, name)
+                    else:
+                        assert float(meta[f"metric_{name}"]) == value, (q, estimator, name)
 
     def test_flag_overrides_config(self, tmp_path):
         panel = _simulate(tmp_path, seed=2)
@@ -417,6 +456,71 @@ class TestBenchmarkCommand:
         cells = [l for l in lines if l.startswith("cell q=")]
         assert len(cells) == 2 * (1 + 2)
         assert cells[0].startswith("cell q=2 estimator=glm residual=fisher: ")
+        assert len([l for l in lines if l.startswith("shared generate and fit: ")]) == 1
+
+    def test_small_q_rows_do_not_depend_on_the_grid(self, tmp_path):
+        common = [
+            "benchmark", "--family", "poisson", "--m", "60",
+            "--estimator", "glm,sglm,half_sibling,three_quarter", "--residual", "fisher,student",
+            "--replicates", "3", "--seed", "2",
+        ]
+        wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+        assert _run(*common, "--q-grid", "2,6,11,21", "--output", wide) == 0
+        assert _run(*common, "--q-grid", "2", "--output", narrow) == 0
+        q2 = [line for line in _data_lines(wide) if line.split(",")[3] == "2"]
+        assert q2 == _data_lines(narrow)
+
+    GAMMA_FAILING = [
+        "benchmark", "--family", "gamma", "--dispersion", "2.0", "--m", "40",
+        "--sigma-eps", "0.7", "--estimator", "glm,sglm,half_sibling", "--replicates", "8",
+        "--seed", "1",
+    ]
+
+    def test_generation_failure_beyond_a_cell_leaves_it_ok(self, tmp_path):
+        # some replicates cannot be generated at q=16 because of series 8,
+        # so the cells of q <= 8 run as if the grid stopped at 8
+        wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+        assert _run(*self.GAMMA_FAILING, "--q-grid", "2,4,8,16", "--output", wide) == 0
+        assert _run(*self.GAMMA_FAILING, "--q-grid", "2,4,8", "--output", narrow) == 0
+        note = _per_cell_note(gamma(2.0), 40, 16, "glm", 8, 1, sigma_eps=0.7)
+        assert note.startswith("GenerationError: series 8, ")
+        for (q, _, _), outcome in _cell_outcomes(wide).items():
+            assert outcome == (("failed", note) if q == "16" else ("ok", ""))
+        assert [line for line in _data_lines(wide) if line.split(",")[3] != "16"] == (
+            _data_lines(narrow)
+        )
+
+    def test_separated_series_beyond_a_cell_leaves_it_ok(self, tmp_path, monkeypatch):
+        simulate = bench.generate
+
+        def separated(config):
+            truth = simulate(config)
+            if config.q > 3:
+                truth.y[:, 3] = truth.x > 0.0  # series 3 is separated by x
+            return truth
+
+        monkeypatch.setattr(bench, "generate", separated)
+        out = tmp_path / "bm.csv"
+        assert _run(
+            "benchmark", "--family", "bernoulli", "--m", "60", "--q-grid", "2,3,6",
+            "--estimator", "glm,sglm,half_sibling", "--replicates", "3", "--seed", "1",
+            "--output", out,
+        ) == 0
+        note = _per_cell_note(bernoulli(), 60, 6, "sglm", 3, 1)
+        assert note.startswith("ConvergenceError: series 3: ")
+        for cell, outcome in _cell_outcomes(out).items():
+            assert outcome == (("failed", note) if cell == ("6", "sglm", "fisher") else ("ok", ""))
+
+    def test_job_count_does_not_change_bytes_with_failures(self, tmp_path):
+        outputs = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"bm{jobs}.csv"
+            assert _run(
+                *self.GAMMA_FAILING, "--q-grid", "2,8,16", "--jobs", jobs, "--output", out
+            ) == 0
+            outputs.append(out.read_bytes().replace(out.name.encode(), b""))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert b",failed," in outputs[0] and b",ok," in outputs[0]
 
     def test_bad_grid_errors(self, tmp_path):
         rc = _run(

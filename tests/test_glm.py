@@ -155,6 +155,25 @@ class TestFitGlm:
         assert np.array_equal(a.beta, b.beta)
 
 
+FIT_FIELDS = ("beta", "eta", "mu", "fisher_diag")
+
+
+def _assert_bitwise_equal(fit, alone):
+    for name in FIT_FIELDS:
+        assert getattr(fit, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert np.float64(fit.loglik).tobytes() == np.float64(alone.loglik).tobytes()
+    assert fit.iterations == alone.iterations
+
+
+def _gamma_halving_panel():
+    """Gamma series whose Newton steps leave the domain and are halved."""
+    fam = gamma(2.0)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1, 1, 60)
+    ys = np.column_stack([fam.sample(-s - 0.05 + s * x, rng) for s in (0.3, 1.5, 2.5, 4.5)])
+    return design_with_intercept(x), ys, fam
+
+
 class TestFitGlms:
     @staticmethod
     def _assert_each_column_fits_alone(design, ys, family):
@@ -162,11 +181,8 @@ class TestFitGlms:
         assert len(fits) == ys.shape[1]
         for j, fit in enumerate(fits):
             alone = fit_glm(design, ys[:, j], family)
-            assert fit.iterations == alone.iterations
             assert fit.converged and alone.converged
-            assert np.allclose(fit.beta, alone.beta, rtol=1e-10, atol=0.0)
-            assert fit.loglik == pytest.approx(alone.loglik, rel=1e-10)
-            assert np.allclose(fit.mu, alone.mu, rtol=1e-10, atol=0.0)
+            _assert_bitwise_equal(fit, alone)
         return fits
 
     @pytest.mark.parametrize(
@@ -177,12 +193,25 @@ class TestFitGlms:
         panel = to_panel(truth, family)
         self._assert_each_column_fits_alone(panel.design, panel.responses, family)
 
+    @pytest.mark.parametrize(
+        "family", [poisson(), gaussian(0.5), bernoulli(), gamma(2.0), "gamma-halving"],
+        ids=lambda f: getattr(f, "kind", f),
+    )
+    def test_any_batch_is_bitwise_the_lone_fits(self, family):
+        # column j of a batch of any width is bitwise fit_glm on column j alone
+        if family == "gamma-halving":
+            design, ys, family = _gamma_halving_panel()
+        else:
+            truth = generate(SimConfig(family, m=120, q=21, seed=5))
+            panel = to_panel(truth, family)
+            design, ys = panel.design, panel.responses
+        alone = [fit_glm(design, ys[:, j], family) for j in range(ys.shape[1])]
+        for k in (1, 2, 6, 11, 21):
+            for j, fit in enumerate(fit_glms(design, ys[:, :k], family)):
+                _assert_bitwise_equal(fit, alone[j])
+
     def test_gamma_columns_halve_and_stop_on_their_own(self, monkeypatch):
-        fam = gamma(2.0)
-        rng = np.random.default_rng(3)
-        x = rng.uniform(-1, 1, 60)
-        design = design_with_intercept(x)
-        ys = np.column_stack([fam.sample(-s - 0.05 + s * x, rng) for s in (0.3, 1.5, 2.5, 4.5)])
+        design, ys, fam = _gamma_halving_panel()
         rejected = []
         in_domain = Family.in_domain
 

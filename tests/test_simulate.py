@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sibglm.families import gamma, gaussian, poisson
+from sibglm.families import bernoulli, gamma, gaussian, poisson
 from sibglm.glm import design_with_intercept, evaluate_at, fit_glm
 from sibglm.inference import sandwich
 from sibglm.sibling import SglmDiagnostics, SglmResult
@@ -44,6 +44,24 @@ class TestGenerate:
         assert np.array_equal(small.x_coefs, large.x_coefs[:3])
         assert np.array_equal(small.noise_coefs, large.noise_coefs[:3])
         assert np.array_equal(small.y, large.y[:, :3])
+
+    @pytest.mark.parametrize(
+        "family", [poisson(), gaussian(0.5), bernoulli(), gamma(2.0)], ids=lambda f: f.kind
+    )
+    def test_wide_panel_sliced_is_bitwise_the_narrow_panel(self, family):
+        # the premise of the replicate-major study: one draw at the largest q
+        # serves every smaller q
+        wide = generate(SimConfig(family, m=90, q=21, sigma_eps=0.3, seed=12))
+        for q in (2, 6, 11):
+            narrow = generate(SimConfig(family, m=90, q=q, sigma_eps=0.3, seed=12))
+            for name in ("x", "noise"):
+                assert getattr(wide, name).tobytes() == getattr(narrow, name).tobytes(), name
+            for name in ("x_coefs", "noise_coefs"):
+                assert getattr(wide, name)[:q].tobytes() == getattr(narrow, name).tobytes(), name
+            for name in ("eps", "signal", "theta", "y"):
+                cols = np.ascontiguousarray(getattr(wide, name)[:, :q])
+                assert cols.tobytes() == getattr(narrow, name).tobytes(), (q, name)
+            assert wide.theta_shift == narrow.theta_shift
 
     def test_theta_identity_exact(self):
         truth = generate(SimConfig(gamma(2.0), m=300, q=4, seed=3))
