@@ -22,15 +22,12 @@ from .glm import (
     GlmFit,
     SingularDesignError,
     design_with_intercept,
-    evaluate_at,
     fit_glm,
     fit_glms,
     hat_diagonal,
-    log_likelihood,
     ols,
-    predict,
 )
-from .inference import SandwichCovariance, relative_efficiency, sandwich
+from .inference import SandwichCovariance, sandwich
 from .residuals import (
     RESIDUAL_KINDS,
     LeverageError,
@@ -65,14 +62,14 @@ __all__ = [
     "Family", "gaussian", "poisson", "bernoulli", "gamma", "family_from_name",
     "DomainError",
     "Design", "GlmFit", "design_with_intercept", "fit_glm", "fit_glms",
-    "evaluate_at", "predict", "hat_diagonal", "log_likelihood", "ols",
+    "hat_diagonal", "ols",
     "SingularDesignError", "ConvergenceError",
     "RESIDUAL_KINDS", "raw", "fisher_scaled", "studentized",
     "deviance_residual", "LeverageError",
     "Panel", "SglmResult", "NOISE_STRATEGIES", "half_sibling",
     "three_quarter_sibling",
     "sglm_denoise",
-    "SandwichCovariance", "sandwich", "relative_efficiency",
+    "SandwichCovariance", "sandwich",
     "SimConfig", "SimTruth", "MetricsRecord", "GenerationError", "generate",
     "metrics", "replicate_seed", "to_panel",
     "Estimate", "run_estimator",

@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -54,11 +55,37 @@ class PanelData:
         return self.y.shape[0]
 
 
+# Data rows per block when parsing or writing a panel. Blocks of 128 to
+# 512 rows were no faster, and they raised the peak RSS of writing an
+# m=50 000 panel by up to 9 MB of allocator heap, not of live objects.
+_BLOCK_ROWS = 64
+
+
 def read_panel(path: str) -> PanelData:
-    """Parse a panel CSV; parse errors carry row and column locations."""
+    """Parse a panel CSV; parse errors carry row and column locations.
+
+    Data rows are parsed a block at a time while the file is read, so the
+    cells' strings never all sit in memory at once. A cell reads as
+    ``float(cell.strip())`` reads it. A wrong cell count anywhere in the
+    file is reported before a bad cell.
+    """
     meta: dict[str, str] = {}
     header: list[str] | None = None
-    rows: list[list[str]] = []
+    blocks: list[np.ndarray] = []
+    rows: list[list[str]] = []  # data rows not parsed yet
+    parsed = 0  # data rows before ``rows``
+    cell_error: PanelFormatError | None = None
+
+    def parse_rows() -> None:
+        nonlocal rows, parsed, cell_error
+        if cell_error is None:
+            try:
+                blocks.append(_parse_rows(path, header, rows, parsed))
+            except PanelFormatError as exc:
+                cell_error = exc
+        parsed += len(rows)
+        rows = []
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -78,25 +105,17 @@ def read_panel(path: str) -> PanelData:
                     f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
                 )
             rows.append(cells)
+            if len(rows) == _BLOCK_ROWS:
+                parse_rows()
+    if rows:
+        parse_rows()
     if header is None:
         raise PanelFormatError(f"{path}: no header row found")
-    if not rows:
+    if not parsed:
         raise PanelFormatError(f"{path}: no data rows")
-
-    data = np.empty((len(rows), len(header)))
-    for i, cells in enumerate(rows):
-        for j, cell in enumerate(cells):
-            cell = cell.strip()
-            if cell == "":
-                raise PanelFormatError(
-                    f"{path}: missing cell at row {i + 1}, column {header[j]!r}"
-                )
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}: bad number {cell!r} at row {i + 1}, column {header[j]!r}"
-                ) from None
+    if cell_error is not None:
+        raise cell_error
+    data = np.concatenate(blocks)
 
     x_idx = [j for j, n in enumerate(header) if n.startswith("x_")]
     y_idx = [j for j, n in enumerate(header) if n.startswith("y_")]
@@ -109,6 +128,9 @@ def read_panel(path: str) -> PanelData:
         )
     if not y_idx:
         raise PanelFormatError(f"{path}: need at least one y_ column")
+    repeated = [n for j, n in enumerate(header) if n in header[:j]]
+    if repeated:
+        raise PanelFormatError(f"{path}: column {repeated[0]!r} appears more than once")
 
     return PanelData(
         x_names=[header[j][2:] for j in x_idx],
@@ -120,15 +142,57 @@ def read_panel(path: str) -> PanelData:
     )
 
 
-def _write_table(path: str, meta: dict[str, str], columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    m = len(next(iter(columns.values())))
+def _parse_rows(path: str, header: list[str], rows: list[list[str]], first: int) -> np.ndarray:
+    """Rows of cells as floats; ``first`` data rows precede them in the file.
+
+    numpy converts each cell with Python's ``float``. Only when that fails
+    does the per-cell loop run: it names the first bad cell, or parses a
+    block whose cells carry characters that ``str.strip`` removes and
+    ``float`` alone rejects, such as ``"\\x1f"``.
+    """
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        pass
+    data = np.empty((len(rows), len(header)))
+    for i, cells in enumerate(rows):
+        for j, cell in enumerate(cells):
+            cell = cell.strip()
+            if cell == "":
+                raise PanelFormatError(
+                    f"{path}: missing cell at row {first + i + 1}, column {header[j]!r}"
+                )
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise PanelFormatError(
+                    f"{path}: bad number {cell!r} at row {first + i + 1}, column {header[j]!r}"
+                ) from None
+    return data
+
+
+def _write_table(path: str, meta: dict[str, str], columns: dict) -> None:
+    """Write metadata lines, a header and the columns' rows, a block of rows per write.
+
+    Float64 array columns are written with ``%.17g``, which gives the
+    same text as ``format(v, ".17g")``; other columns are written as
+    ``_fmt`` gives them.
+    """
+    cols = list(columns.values())
+    m = len(cols[0])
+    floats = [isinstance(c, np.ndarray) and c.dtype == np.float64 for c in cols]
+    row = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(meta):
             fh.write(f"# {key} = {meta[key]}\n")
-        fh.write(",".join(names) + "\n")
-        for i in range(m):
-            fh.write(",".join(_fmt(columns[n][i]) for n in names) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, m, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, m)
+            cells = [
+                c[start:stop].tolist() if f else [_fmt(v) for v in c[start:stop]]
+                for c, f in zip(cols, floats)
+            ]
+            fh.write((row * (stop - start)) % tuple(chain.from_iterable(zip(*cells))))
 
 
 # -- configuration plumbing -------------------------------------------

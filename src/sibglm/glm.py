@@ -387,40 +387,6 @@ def fit_glm(design: Design, y, family: Family) -> GlmFit:
     return fit_glms(design, y[:, None], family)[0]
 
 
-def evaluate_at(design: Design, family: Family, beta, y=None) -> GlmFit:
-    """Evaluate a GLM at fixed coefficients without fitting.
-
-    Useful for constructing reference fits with known parameters; the
-    log-likelihood is computed when ``y`` is supplied.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (design.p,):
-        raise ValueError("coefficient length does not match design columns")
-    eta = design.x @ beta
-    family.check_domain(eta)
-    ll = float(np.sum(family.log_pdf(y, eta))) if y is not None else float("nan")
-    return GlmFit(
-        family=family,
-        beta=beta,
-        eta=eta,
-        mu=family.mean(eta),
-        fisher_diag=family.fisher_info(eta),
-        loglik=ll,
-        converged=True,
-        iterations=0,
-    )
-
-
-def predict(fit: GlmFit, design: Design) -> tuple[np.ndarray, np.ndarray]:
-    """Linear predictors and fitted means for a (new) design."""
-    if design.p != fit.beta.shape[0]:
-        raise ValueError(
-            f"design has {design.p} columns, fit expects {fit.beta.shape[0]}"
-        )
-    eta = design.x @ fit.beta
-    return eta, fit.family.mean(eta)
-
-
 def hat_diagonal(fit: GlmFit, design: Design) -> np.ndarray:
     """Leverages: diagonal of sqrt(W) X (X'WX)^{-1} X' sqrt(W).
 
@@ -434,11 +400,6 @@ def hat_diagonal(fit: GlmFit, design: Design) -> np.ndarray:
     if d.min() <= RANK_RTOL * max(d.max(), 1e-300):
         raise SingularDesignError("X'WX is numerically singular")
     return np.sum(q**2, axis=1)
-
-
-def log_likelihood(fit: GlmFit, y) -> float:
-    """Total log-likelihood of ``y`` under the fitted natural parameters."""
-    return float(np.sum(fit.family.log_pdf(y, fit.eta)))
 
 
 def ols(x, y) -> np.ndarray:

@@ -59,18 +59,3 @@ def sandwich(fit: GlmFit, design: Design, y) -> SandwichCovariance:
     se = np.sqrt(np.maximum(np.diag(c), 0.0) / m)
     return SandwichCovariance(a_bar=a_bar, b_bar=b_bar, c=c, standard_errors=se)
 
-
-def relative_efficiency(
-    direct: SandwichCovariance, denoised: SandwichCovariance, coef_index: int
-) -> float:
-    """Variance ratio (direct / denoised) for one shared coefficient.
-
-    Values above 1 mean the denoised refit estimates that coefficient
-    more precisely than the direct fit.
-    """
-    for cov in (direct, denoised):
-        if not 0 <= coef_index < cov.standard_errors.shape[0]:
-            raise IndexError(f"coefficient index {coef_index} out of range")
-    return float(
-        (direct.standard_errors[coef_index] / denoised.standard_errors[coef_index]) ** 2
-    )

@@ -2,6 +2,10 @@
 
 import numpy as np
 
+from sibglm.cli import PanelData, PanelFormatError, _fmt
+from sibglm.families import Family
+from sibglm.glm import Design, GlmFit
+from sibglm.inference import SandwichCovariance
 from sibglm.sibling import (
     _as_columns,
     _fitted,
@@ -42,3 +46,141 @@ def residual_form_equivalence(y1, y2, x=None) -> tuple[np.ndarray, np.ndarray]:
         mat = ones
     rhs = y1 - _fitted(mat, r1)
     return lhs, rhs
+
+
+def evaluate_at(design: Design, family: Family, beta, y=None) -> GlmFit:
+    """Evaluate a GLM at fixed coefficients without fitting.
+
+    Useful for constructing reference fits with known parameters; the
+    log-likelihood is computed when ``y`` is supplied.
+    """
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (design.p,):
+        raise ValueError("coefficient length does not match design columns")
+    eta = design.x @ beta
+    family.check_domain(eta)
+    ll = float(np.sum(family.log_pdf(y, eta))) if y is not None else float("nan")
+    return GlmFit(
+        family=family,
+        beta=beta,
+        eta=eta,
+        mu=family.mean(eta),
+        fisher_diag=family.fisher_info(eta),
+        loglik=ll,
+        converged=True,
+        iterations=0,
+    )
+
+
+def predict(fit: GlmFit, design: Design) -> tuple[np.ndarray, np.ndarray]:
+    """Linear predictors and fitted means for a (new) design."""
+    if design.p != fit.beta.shape[0]:
+        raise ValueError(
+            f"design has {design.p} columns, fit expects {fit.beta.shape[0]}"
+        )
+    eta = design.x @ fit.beta
+    return eta, fit.family.mean(eta)
+
+
+def log_likelihood(fit: GlmFit, y) -> float:
+    """Total log-likelihood of ``y`` under the fitted natural parameters."""
+    return float(np.sum(fit.family.log_pdf(y, fit.eta)))
+
+
+def relative_efficiency(
+    direct: SandwichCovariance, denoised: SandwichCovariance, coef_index: int
+) -> float:
+    """Variance ratio (direct / denoised) for one shared coefficient.
+
+    Values above 1 mean the denoised refit estimates that coefficient
+    more precisely than the direct fit.
+    """
+    for cov in (direct, denoised):
+        if not 0 <= coef_index < cov.standard_errors.shape[0]:
+            raise IndexError(f"coefficient index {coef_index} out of range")
+    return float(
+        (direct.standard_errors[coef_index] / denoised.standard_errors[coef_index]) ** 2
+    )
+
+
+def read_panel_per_cell(path: str) -> PanelData:
+    """The panel reader as a two-pass, cell-by-cell loop.
+
+    Reads every line, then converts each cell with ``float`` on its own;
+    ``sibglm.cli.read_panel`` must return the same arrays, bit for bit,
+    and raise the same messages.
+    """
+    meta: dict[str, str] = {}
+    header: list[str] | None = None
+    rows: list[list[str]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                if header is None and "=" in line:
+                    key, _, value = line[1:].partition("=")
+                    meta[key.strip()] = value.strip()
+                continue
+            cells = line.split(",")
+            if header is None:
+                header = [c.strip() for c in cells]
+                continue
+            if len(cells) != len(header):
+                raise PanelFormatError(
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
+                )
+            rows.append(cells)
+    if header is None:
+        raise PanelFormatError(f"{path}: no header row found")
+    if not rows:
+        raise PanelFormatError(f"{path}: no data rows")
+
+    data = np.empty((len(rows), len(header)))
+    for i, cells in enumerate(rows):
+        for j, cell in enumerate(cells):
+            cell = cell.strip()
+            if cell == "":
+                raise PanelFormatError(
+                    f"{path}: missing cell at row {i + 1}, column {header[j]!r}"
+                )
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise PanelFormatError(
+                    f"{path}: bad number {cell!r} at row {i + 1}, column {header[j]!r}"
+                ) from None
+
+    x_idx = [j for j, n in enumerate(header) if n.startswith("x_")]
+    y_idx = [j for j, n in enumerate(header) if n.startswith("y_")]
+    t_idx = [j for j, n in enumerate(header) if n.startswith("truth_")]
+    known = set(x_idx) | set(y_idx) | set(t_idx)
+    unknown = [header[j] for j in range(len(header)) if j not in known]
+    if unknown:
+        raise PanelFormatError(
+            f"{path}: unknown columns {unknown}; names must start with x_, y_, or truth_"
+        )
+    if not y_idx:
+        raise PanelFormatError(f"{path}: need at least one y_ column")
+
+    return PanelData(
+        x_names=[header[j][2:] for j in x_idx],
+        x=data[:, x_idx],
+        y_names=[header[j][2:] for j in y_idx],
+        y=data[:, y_idx],
+        truth={header[j]: data[:, j] for j in t_idx},
+        meta=meta,
+    )
+
+
+def write_table_per_row(path: str, meta: dict[str, str], columns: dict) -> None:
+    """The table writer as a row-by-row loop that formats each cell with ``_fmt``."""
+    names = list(columns)
+    m = len(next(iter(columns.values())))
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in sorted(meta):
+            fh.write(f"# {key} = {meta[key]}\n")
+        fh.write(",".join(names) + "\n")
+        for i in range(m):
+            fh.write(",".join(_fmt(columns[n][i]) for n in names) + "\n")

@@ -15,8 +15,8 @@ import pytest
 from sibglm.benchmark import SGLM, CellSpec, run_study
 from sibglm.cli import main as cli_main
 from sibglm.families import bernoulli, gamma, gaussian, poisson
-from sibglm.glm import Design, design_with_intercept, evaluate_at, fit_glm, ols
-from sibglm.inference import relative_efficiency, sandwich
+from sibglm.glm import Design, design_with_intercept, fit_glm, ols
+from sibglm.inference import sandwich
 from sibglm.residuals import DEVIANCE, FISHER, RAW, STUDENT, fisher_scaled
 from sibglm.sibling import (
     MEAN_OF_RESIDUALS,
@@ -25,7 +25,7 @@ from sibglm.sibling import (
 )
 from sibglm.simulate import SimConfig, generate, metrics, replicate_seed, to_panel
 
-from oracles import residual_form_equivalence
+from oracles import evaluate_at, relative_efficiency, residual_form_equivalence
 
 Q_GRID = (2, 6, 11, 21)
 

@@ -8,11 +8,14 @@ import pytest
 
 import sibglm.benchmark as bench
 from sibglm.benchmark import ESTIMATORS, CellSpec, run_estimator, run_study
-from sibglm.cli import main, read_panel
+import sibglm.cli
+from sibglm.cli import _BLOCK_ROWS, PanelFormatError, _write_table, main, read_panel
 from sibglm.families import bernoulli, family_from_name, gamma, gaussian, poisson
 from sibglm.glm import design_with_intercept, fit_glm
 from sibglm.residuals import fisher_scaled, raw
 from sibglm.simulate import SimConfig, generate, replicate_seed, to_panel
+
+from oracles import read_panel_per_cell, write_table_per_row
 
 
 def _run(*argv):
@@ -96,6 +99,170 @@ class TestPanelFormat:
         panel = read_panel(str(out))
         truth = generate(SimConfig(gaussian(1.0), m=120, q=4, seed=11))
         assert np.array_equal(panel.y, truth.y)
+
+    def test_repeated_column_is_an_error(self, tmp_path, capsys):
+        p = tmp_path / "dup.csv"
+        p.write_text("x_a,y_s,y_s,truth_n,truth_n\n1,2,3,4,5\n2,3,4,5,6\n")
+        with pytest.raises(PanelFormatError, match=r"dup\.csv: column 'y_s' appears more than once"):
+            read_panel(str(p))
+        out = tmp_path / "res.csv"
+        assert _run("residuals", "--input", p, "--output", out) == 1
+        assert "column 'y_s' appears more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _read_or_error(reader, path):
+    try:
+        return reader(str(path))
+    except PanelFormatError as exc:
+        return str(exc)
+
+
+def _assert_reads_like_per_cell(path):
+    """read_panel gives the per-cell reader's arrays bit for bit, or its message."""
+    got = _read_or_error(read_panel, path)
+    want = _read_or_error(read_panel_per_cell, path)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert (got.x_names, got.y_names, got.meta) == (want.x_names, want.y_names, want.meta)
+    pairs = [(got.x, want.x), (got.y, want.y)]
+    assert list(got.truth) == list(want.truth)
+    pairs += [(got.truth[n], want.truth[n]) for n in want.truth]
+    for a, b in pairs:
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+# Cells that Python's float() reads unusually, or rejects; "\x1c" and "\x1f"
+# are removed by str.strip() but rejected by float() alone
+ODD_CELLS = [
+    "1_0", "\u0661", " 2 ", "+1.5", ".5", "infinity", "-inf", "nan", "-nan", "NaN",
+    "1e400", "1e-400", "5e-324", "-0", "0x10", "", "   ", "\t", "1__0", "_1", "2.5e",
+    "\uff11\uff12", "\x1c3\x1c", "\x1f1", "\u00a04", "1,5",
+]
+
+
+class TestReaderContract:
+    @pytest.mark.parametrize("cell", ODD_CELLS)
+    def test_odd_cell_reads_like_float(self, tmp_path, cell):
+        for text in (f"x_a,y_b\n1,{cell}\n2,3\n", f"y_b,x_a\n{cell},1\n"):
+            p = tmp_path / "odd.csv"
+            p.write_text(text, encoding="utf-8")
+            _assert_reads_like_per_cell(p)
+
+    def test_crlf_line_endings(self, tmp_path):
+        p = tmp_path / "crlf.csv"
+        p.write_bytes(b"# k = v\r\nx_a,y_b,truth_c\r\n1,2,3\r\n4.5,-6,1e3\r\n")
+        _assert_reads_like_per_cell(p)
+        assert read_panel(str(p)).meta == {"k": "v"}
+        p.write_bytes(b"x_a,y_b\r\n1,2\r\n\r\n3,4\r\n")
+        _assert_reads_like_per_cell(p)
+
+    @pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 7])
+    def test_block_boundaries(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+        lines = ["# a = 1", "x_a,y_b,truth_c"] + [",".join(map(repr, r)) for r in values.tolist()]
+        p = tmp_path / "blocks.csv"
+        p.write_text("\n".join(lines) + "\n")
+        _assert_reads_like_per_cell(p)
+        assert read_panel(str(p)).y[:, 0].tobytes() == values[:, 1].tobytes()
+
+    @pytest.mark.parametrize("bad_row", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3])
+    def test_bad_cell_names_its_row_in_any_block(self, tmp_path, bad_row):
+        for bad in ("", "zap"):
+            lines = ["x_a,y_b"] + [f"{i},{i}" for i in range(1, 2 * _BLOCK_ROWS + 5)]
+            lines[bad_row] = f"{bad_row},{bad}"
+            p = tmp_path / "bad.csv"
+            p.write_text("\n".join(lines) + "\n")
+            _assert_reads_like_per_cell(p)
+            with pytest.raises(PanelFormatError, match=f"at row {bad_row}, column 'y_b'"):
+                read_panel(str(p))
+
+    @pytest.mark.parametrize("short_line", [3, _BLOCK_ROWS + 2, 2 * _BLOCK_ROWS + 4])
+    def test_wrong_cell_count_on_line_n_comes_first(self, tmp_path, short_line):
+        # a bad cell in an earlier row still yields the cell-count error
+        lines = ["# c = 1", "x_a,y_b"] + [f"{i},{i}" for i in range(2 * _BLOCK_ROWS + 5)]
+        lines[2] = "0,zap"
+        lines[short_line - 1] = "7"
+        p = tmp_path / "short.csv"
+        p.write_text("\n".join(lines) + "\n")
+        _assert_reads_like_per_cell(p)
+        with pytest.raises(PanelFormatError, match=f"short.csv:{short_line}: expected 2 cells, got 1"):
+            read_panel(str(p))
+
+    @pytest.mark.parametrize("text", [
+        "", "# only = comments\n", "x_a,y_b\n", "x_a,z_b\n1,2\n", "x_a\n1\n", "x_a,z_b\n1,zap\n",
+    ])
+    def test_file_level_errors(self, tmp_path, text):
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        _assert_reads_like_per_cell(p)
+        with pytest.raises(PanelFormatError):
+            read_panel(str(p))
+
+
+@pytest.fixture
+def paired_writes(monkeypatch):
+    """Every table a command writes, also written by the row-by-row writer."""
+    paths = []
+
+    def both(path, meta, columns):
+        _write_table(path, meta, columns)
+        write_table_per_row(path + ".per_row", meta, columns)
+        paths.append(path)
+
+    monkeypatch.setattr(sibglm.cli, "_write_table", both)
+    return paths
+
+
+def _assert_same_bytes(paths):
+    assert paths
+    for path in paths:
+        with open(path, "rb") as a, open(path + ".per_row", "rb") as b:
+            assert a.read() == b.read(), path
+
+
+class TestWriterGolden:
+    @pytest.mark.parametrize("family", ["gaussian", "poisson", "bernoulli", "gamma"])
+    def test_every_command_table(self, tmp_path, paired_writes, family):
+        panel = str(tmp_path / "panel.csv")
+        fam = ["--family", family]
+        calls = [
+            ["simulate", *fam, "--m", "300", "--q", "4", "--seed", "3", "--output", panel],
+            ["fit", *fam, "--input", panel, "--output", str(tmp_path / "fit.csv")],
+            ["denoise", *fam, "--input", panel, "--output", str(tmp_path / "den.csv")],
+            ["residuals", *fam, "--input", panel, "--proxy-column", "truth_noise",
+             "--output", str(tmp_path / "res.csv")],
+            ["benchmark", *fam, "--m", "60", "--q-grid", "2,3", "--replicates", "2",
+             "--estimator", "glm,sglm,half_sibling", "--residual", "fisher,raw",
+             "--output", str(tmp_path / "bm.csv")],
+        ]
+        for argv in calls:
+            assert main(argv) == 0, argv
+        assert len(paired_writes) == len(calls)
+        _assert_same_bytes(paired_writes)
+
+    @pytest.mark.parametrize("m", [1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 5])
+    def test_special_values_and_mixed_columns(self, tmp_path, m):
+        special = [-0.0, 1e-300, 5e-324, np.nan, np.inf, -np.inf, 0.1, 1.0, -2.5e300]
+        rng = np.random.default_rng(m)
+        floats = rng.normal(size=m) * 10.0 ** rng.integers(-320, 300, size=m)
+        floats[: len(special)] = special[:m]
+        columns = {
+            "f": floats,
+            "g": -floats[::-1].copy(),
+            "name": np.array([f"c{i}" for i in range(m)], dtype=object),
+            "tag": [["ok", "", "x,y"][i % 3] for i in range(m)],
+            "i": np.arange(m),
+            "h": np.linspace(-1.0, 1.0, m, dtype=np.float32),
+        }
+        path = str(tmp_path / "t.csv")
+        meta = {"b": "2", "a": "%s %.17g"}
+        _write_table(path, meta, columns)
+        write_table_per_row(path + ".per_row", meta, columns)
+        _assert_same_bytes([path])
 
 
 class TestDeterminism:

@@ -11,16 +11,15 @@ from sibglm.glm import (
     Design,
     SingularDesignError,
     design_with_intercept,
-    evaluate_at,
     fit_glm,
     fit_glms,
     hat_diagonal,
-    log_likelihood,
     ols,
-    predict,
 )
 from sibglm.sibling import Panel, sglm_denoise
 from sibglm.simulate import SimConfig, generate, to_panel
+
+from oracles import evaluate_at, log_likelihood, predict
 
 
 def _intercept_design(m):

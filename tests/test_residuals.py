@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sibglm.families import bernoulli, gamma, gaussian, poisson
-from sibglm.glm import Design, design_with_intercept, evaluate_at, fit_glm
+from sibglm.glm import Design, design_with_intercept, fit_glm
 from sibglm.residuals import (
     LeverageError,
     compute,
@@ -13,6 +13,8 @@ from sibglm.residuals import (
     raw,
     studentized,
 )
+
+from oracles import evaluate_at
 
 
 def _fixed_fit(family, eta):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sibglm.families import bernoulli, gamma, gaussian, poisson
-from sibglm.glm import design_with_intercept, evaluate_at, fit_glm
+from sibglm.glm import design_with_intercept, fit_glm
 from sibglm.inference import sandwich
 from sibglm.sibling import SglmDiagnostics, SglmResult
 from sibglm.simulate import (
@@ -16,6 +16,8 @@ from sibglm.simulate import (
     replicate_seed,
     to_panel,
 )
+
+from oracles import evaluate_at
 
 
 class TestGenerate:
