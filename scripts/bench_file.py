@@ -7,7 +7,8 @@ Run from the root of a checkout:
 For each workload that BENCHMARK.json declares, this runs the benchmark
 command twice, with ``--trace 0`` (end-to-end metrics) and ``--trace 1``
 (per-layer metrics), and writes one JSON file holding both, the status
-of each run, the seed, the seconds and the machine.
+of each run, the seed, the run length (BENCHMARK.json's ``run_seconds``)
+and the machine.
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
 
+    seconds = spec["run_seconds"]
     workloads = {}
     for w in spec["workloads"]:
         name = w["name"]
-        plain = run(spec["command"], name, args.seed, args.seconds, 0)
-        traced = run(spec["command"], name, args.seed, args.seconds, 1)
+        plain = run(spec["command"], name, args.seed, seconds, 0)
+        traced = run(spec["command"], name, args.seed, seconds, 1)
         workloads[name] = {
             "runs": {
                 f"trace{t}": {k: r[k] for k in ("correct", "attempted", "failed")}
@@ -66,7 +67,7 @@ def main(argv=None) -> int:
     result = {
         "pr": args.pr,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "command": spec["command"],
         "machine": machine(),
         "workloads": workloads,
