@@ -429,6 +429,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         raise ValueError("benchmark requires --output")
     if args.replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     cells = build_cells(args)
 
     started = time.perf_counter()

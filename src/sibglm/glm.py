@@ -115,25 +115,24 @@ class GlmFit:
     iterations: int
 
 
-def _check_full_rank(x: np.ndarray) -> None:
+def _rank_deficient(d: np.ndarray):
+    """The one rank test, on triangular-factor diagonals along the last axis
+    of ``d``: the smallest is negligible next to the largest, or there are none."""
+    d = np.abs(d)
+    return d.shape[-1] == 0 or d.min(axis=-1) <= RANK_RTOL * np.maximum(d.max(axis=-1), 1e-300)
+
+
+def _check_rows(x: np.ndarray) -> None:
     if x.shape[0] < x.shape[1]:
-        raise SingularDesignError(
-            f"need at least as many rows as columns, got {x.shape}"
-        )
-    r = scipy.linalg.qr(x, mode="r", pivoting=True)[0]
-    d = np.abs(np.diag(r))
-    if d.size == 0 or d.min() <= RANK_RTOL * d.max():
-        raise SingularDesignError("design matrix is rank deficient")
+        raise SingularDesignError(f"need at least as many rows as columns, got {x.shape}")
 
 
-def _wls_solve(x: np.ndarray, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve the weighted least-squares problem min ||sqrt(w)(z - x b)||."""
-    sw = np.sqrt(w)
-    q, r = np.linalg.qr(sw[:, None] * x)
-    d = np.abs(np.diag(r))
-    if d.min() <= RANK_RTOL * max(d.max(), 1e-300):
-        raise SingularDesignError("weighted design is numerically singular")
-    return scipy.linalg.solve_triangular(r, q.T @ (sw * z))
+def _factor(x: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """QR factors of ``x``; ``SingularDesignError(message)`` when R fails the rank test."""
+    q, r = np.linalg.qr(x)
+    if _rank_deficient(np.diag(r)):
+        raise SingularDesignError(message)
+    return q, r
 
 
 def _initial_beta(x: np.ndarray, ys: np.ndarray, family: Family) -> np.ndarray:
@@ -144,7 +143,7 @@ def _initial_beta(x: np.ndarray, ys: np.ndarray, family: Family) -> np.ndarray:
     intercept-only maximum likelihood solution when a constant column is
     available, falling back to a least-squares fit on the link scale.
     """
-    m, p = x.shape
+    p = x.shape[1]
     k = ys.shape[0]
     beta = np.zeros((k, p))
     if family.kind != GAMMA:
@@ -156,7 +155,7 @@ def _initial_beta(x: np.ndarray, ys: np.ndarray, family: Family) -> np.ndarray:
             return beta
     for j in range(k):
         z = family.theta_from_mean(np.maximum(ys[j], 1e-8))
-        beta[j] = _wls_solve(x, z, np.ones(m))
+        beta[j] = ols(x, z)
         if not family.in_domain(x @ beta[j]):
             error = ConvergenceError("no feasible gamma starting point; add an intercept column")
             raise _for_series(error, j, k)
@@ -254,8 +253,7 @@ def _irls(x, y, family):
         done = np.max(np.abs(score), axis=1) <= score_tol
         converged[live[done]] = True
         iterations[live[done]] = it - 1
-        d = _cholesky_diagonals(xwx)
-        singular = ~done & (d.min(axis=1) <= RANK_RTOL * np.maximum(d.max(axis=1), 1e-300))
+        singular = ~done & _rank_deficient(_cholesky_diagonals(xwx))
         for j in live[singular]:
             errors[j] = SingularDesignError("weighted design is numerically singular")
         live, b, e, y, lik, xwx, rhs = _keep_rows(~(done | singular), live, b, e, y, lik, xwx, rhs)
@@ -332,7 +330,9 @@ def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
             except DomainError as exc:
                 raise _for_series(exc, j, k) from None
         raise
-    _check_full_rank(x)
+    _check_rows(x)
+    if _rank_deficient(np.diag(scipy.linalg.qr(x, mode="r", pivoting=True)[0])):
+        raise SingularDesignError("design matrix is rank deficient")
 
     # one row per series
     beta, ll, iterations, converged, errors = _irls(x, np.ascontiguousarray(ys.T), family)
@@ -395,20 +395,19 @@ def hat_diagonal(fit: GlmFit, design: Design) -> np.ndarray:
     if design.m != fit.eta.shape[0] or design.p != fit.beta.shape[0]:
         raise ValueError("design shape does not match the fit")
     sw = np.sqrt(fit.fisher_diag)
-    q, r = np.linalg.qr(sw[:, None] * design.x)
-    d = np.abs(np.diag(r))
-    if d.min() <= RANK_RTOL * max(d.max(), 1e-300):
-        raise SingularDesignError("X'WX is numerically singular")
+    q = _factor(sw[:, None] * design.x, "X'WX is numerically singular")[0]
     return np.sum(q**2, axis=1)
 
 
 def ols(x, y) -> np.ndarray:
-    """Ordinary least-squares coefficients via QR.
-
-    The residual is orthogonal to the columns of ``x``; rank deficiency
-    raises ``SingularDesignError``.
+    """Least-squares coefficients from one QR of ``x``, for a vector ``y`` or
+    for each column of an m x k matrix ``y``. Each residual is orthogonal to
+    the columns of ``x``; fewer rows than columns or a rank-deficient ``x``
+    raise ``SingularDesignError``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    _check_full_rank(x)
-    return _wls_solve(x, y, np.ones(x.shape[0]))
+    _check_rows(x)
+    q, r = _factor(x, "design matrix is rank deficient")
+    # a contiguous right-hand side keeps the product on one BLAS path, so
+    # the bytes do not depend on whether ``y`` is a strided view
+    return scipy.linalg.solve_triangular(r, q.T @ np.ascontiguousarray(y, dtype=float))

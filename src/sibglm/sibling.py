@@ -126,12 +126,8 @@ def _informative_columns(y2: np.ndarray, base: np.ndarray) -> np.ndarray:
     unconditional regressions coincide, so it is dropped rather than
     breaking the fit with a rank-deficient matrix.
     """
-    keep = []
-    for j in range(y2.shape[1]):
-        col = y2[:, j]
-        resid = col - _fitted(base, col)
-        if np.linalg.norm(resid) > 1e-9 * max(1.0, float(np.linalg.norm(col))):
-            keep.append(j)
+    resid = y2 - _fitted(base, y2)
+    keep = np.linalg.norm(resid, axis=0) > 1e-9 * np.maximum(1.0, np.linalg.norm(y2, axis=0))
     return y2[:, keep]
 
 

@@ -6,45 +6,50 @@ from sibglm.cli import PanelData, PanelFormatError, _fmt
 from sibglm.families import Family
 from sibglm.glm import Design, GlmFit
 from sibglm.inference import SandwichCovariance
-from sibglm.sibling import (
-    _as_columns,
-    _fitted,
-    _informative_columns,
-    _nonconstant_columns,
-    half_sibling,
-    three_quarter_sibling,
-)
+from sibglm.sibling import half_sibling, three_quarter_sibling
+
+
+def _lstsq_fitted(mat, y):
+    return mat @ np.linalg.lstsq(mat, y, rcond=None)[0]
+
+
+def informative_columns_per_column(y2, base) -> np.ndarray:
+    """The columns of ``y2`` that the sibling estimators keep, one column at
+    a time: a column stays when its least-squares residual on ``base`` is
+    above ``1e-9 * max(1, ||column||)``."""
+    keep = []
+    for j in range(y2.shape[1]):
+        col = y2[:, j]
+        resid = col - _lstsq_fitted(base, col)
+        if np.linalg.norm(resid) > 1e-9 * max(1.0, float(np.linalg.norm(col))):
+            keep.append(j)
+    return y2[:, keep]
 
 
 def residual_form_equivalence(y1, y2, x=None) -> tuple[np.ndarray, np.ndarray]:
     """Both algebraic forms of the sibling estimator, for self-testing.
 
-    Returns the direct form (difference of conditional-expectation fits)
-    and the residual form (target minus the regression of its centered
-    residuals on the auxiliaries' centered residuals). With matched
-    intercept-augmented least squares the two agree to rounding error.
+    Returns the direct form (difference of conditional-expectation fits,
+    from the package) and the residual form (target minus the regression
+    of its centered residuals on the auxiliaries' centered residuals,
+    from ``np.linalg.lstsq``). With matched intercept-augmented least
+    squares the two agree to rounding error.
     """
     y1 = np.asarray(y1, dtype=float)
-    y2 = _as_columns(y2)
+    y2 = np.asarray(y2, dtype=float).reshape(len(y1), -1)
     ones = np.ones(len(y1))[:, None]
     if x is None:
         lhs = half_sibling(y1, y2)
         base = ones
     else:
         lhs = three_quarter_sibling(x, y1, y2)
-        xc = _nonconstant_columns(_as_columns(x))
-        base = np.column_stack([ones, xc]) if xc.shape[1] else ones
+        x = np.asarray(x, dtype=float).reshape(len(y1), -1)
+        base = np.column_stack([ones, x[:, np.ptp(x, axis=0) > 0.0]])
 
-    y2 = _informative_columns(y2, base)
-    r1 = y1 - _fitted(base, y1)
-    if y2.shape[1]:
-        r2 = np.column_stack(
-            [y2[:, j] - _fitted(base, y2[:, j]) for j in range(y2.shape[1])]
-        )
-        mat = np.column_stack([ones, r2])
-    else:
-        mat = ones
-    rhs = y1 - _fitted(mat, r1)
+    y2 = informative_columns_per_column(y2, base)
+    r1 = y1 - _lstsq_fitted(base, y1)
+    r2 = y2 - _lstsq_fitted(base, y2)
+    rhs = y1 - _lstsq_fitted(np.column_stack([ones, r2]), r1)
     return lhs, rhs
 
 

@@ -705,6 +705,17 @@ class TestBenchmarkCommand:
         assert "must be nonempty" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_nonpositive_jobs_error_before_any_cell(self, tmp_path, capsys, jobs):
+        rc = _run(
+            "benchmark", "--estimator", "glm", "--q-grid", "2", "--replicates", "1",
+            "--jobs", jobs, "--output", tmp_path / "x.csv",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: jobs must be >= 1\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_step3_with_x_from_config(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"step3_with_x": True}))

@@ -1,5 +1,7 @@
 """GLM fitting: pinned solutions, independent oracles, error contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import poisson as poisson_dist
@@ -246,6 +248,17 @@ class TestFitGlms:
             fit_glms(design, np.ones((6, 3)), poisson())
         assert calls == []
 
+    def test_singular_weighted_design_is_named(self, monkeypatch):
+        # zero information on every row makes each X'WX singular at the first step
+        monkeypatch.setattr(Family, "fisher_info", lambda self, eta: np.zeros_like(eta))
+        design = design_with_intercept(np.linspace(-1.0, 1.0, 8))
+        with pytest.raises(SingularDesignError, match="^weighted design is numerically singular$"):
+            fit_glm(design, np.arange(8.0), poisson())
+        with pytest.raises(
+            SingularDesignError, match="^series 0: weighted design is numerically singular$"
+        ):
+            fit_glms(design, np.tile(np.arange(8.0)[:, None], 3), poisson())
+
     def test_support_error_names_the_series(self):
         ys = np.ones((5, 3))
         ys[2, 1] = -1.0
@@ -315,6 +328,13 @@ class TestHatDiagonal:
         with pytest.raises(ValueError):
             hat_diagonal(fit, Design(np.ones((4, 2)), ("a", "b")))
 
+    def test_zero_information_is_singular(self):
+        design = design_with_intercept(np.arange(4.0))
+        fit = fit_glm(design, [1.0, 2.0, 0.0, 1.0], gaussian())
+        fit = dataclasses.replace(fit, fisher_diag=np.zeros(4))
+        with pytest.raises(SingularDesignError, match="^X'WX is numerically singular$"):
+            hat_diagonal(fit, design)
+
     def test_saturated_two_point_poisson(self):
         design = Design(np.array([[1.0, 0.0], [1.0, 1.0]]), ("intercept", "slope"))
         y = np.array([1.0, np.e])
@@ -376,6 +396,55 @@ class TestOls:
         x = np.column_stack([np.ones(10), np.ones(10)])
         with pytest.raises(SingularDesignError):
             ols(x, np.arange(10.0))
+
+    @staticmethod
+    def _deficient(kind):
+        x = np.random.default_rng(6).normal(size=(12, 4))
+        if kind == "duplicate":
+            x[:, 2] = x[:, 1]
+        elif kind == "zero":
+            x[:, 1] = 0.0
+        elif kind == "first":
+            x[:, 0] = 0.0
+        elif kind == "first_combination":
+            x[:, 0] = x[:, 1] - 2.0 * x[:, 3]
+        elif kind == "last":
+            x[:, 3] = 0.5 * x[:, 0] + x[:, 2]
+        return x
+
+    @pytest.mark.parametrize("kind", ["duplicate", "zero", "first", "first_combination", "last"])
+    def test_rank_deficient_designs_raise(self, kind):
+        with pytest.raises(SingularDesignError, match="^design matrix is rank deficient$"):
+            ols(self._deficient(kind), np.arange(12.0))
+
+    def test_fewer_rows_than_columns(self):
+        x = np.random.default_rng(7).normal(size=(2, 3))
+        with pytest.raises(SingularDesignError, match="^need at least as many rows as columns"):
+            ols(x, np.ones(2))
+
+    def test_zero_column_design(self):
+        with pytest.raises(SingularDesignError, match="^design matrix is rank deficient$"):
+            ols(np.empty((6, 0)), np.ones(6))
+
+    @pytest.mark.parametrize("m, p", [(120, 2), (120, 3), (400, 5), (37, 4)])
+    def test_bytes_do_not_depend_on_memory_layout(self, m, p):
+        rng = np.random.default_rng(m + p)
+        x = np.column_stack([np.ones(m), rng.normal(size=(m, p - 1))])
+        panel = rng.normal(size=(m, 6))
+        for j in range(panel.shape[1]):
+            view, copy = panel[:, j], panel[:, j].copy()
+            assert not view.flags.c_contiguous
+            assert ols(x, view).tobytes() == ols(x, copy).tobytes()
+
+    def test_matrix_response_matches_lstsq_per_column(self):
+        rng = np.random.default_rng(8)
+        x = np.column_stack([np.ones(80), rng.normal(size=(80, 3))])
+        ys = rng.normal(size=(80, 5))
+        beta = ols(x, ys)
+        assert beta.shape == (4, 5)
+        for j in range(ys.shape[1]):
+            oracle = np.linalg.lstsq(x, ys[:, j], rcond=None)[0]
+            assert np.max(np.abs(beta[:, j] - oracle)) <= 1e-12
 
 
 class TestDesign:

@@ -5,10 +5,11 @@ import pytest
 
 import sibglm.glm
 from sibglm.families import bernoulli, gaussian, poisson
-from sibglm.glm import ConvergenceError, design_with_intercept, fit_glm
+from sibglm.glm import ConvergenceError, SingularDesignError, design_with_intercept, fit_glm
 from sibglm.sibling import (
     MEAN_OF_RESIDUALS,
     Panel,
+    _informative_columns,
     _noise_from_residuals,
     half_sibling,
     sglm_denoise,
@@ -16,7 +17,7 @@ from sibglm.sibling import (
 )
 from sibglm.simulate import SimConfig, generate, replicate_seed, to_panel
 
-from oracles import residual_form_equivalence
+from oracles import informative_columns_per_column, residual_form_equivalence
 
 
 def _normal_equation_fitted(mat, y):
@@ -76,6 +77,59 @@ class TestThreeQuarterSibling:
         before = abs(np.corrcoef(y1 - 1.2 * x, noise)[0, 1])
         after = abs(np.corrcoef(z_hat - 1.2 * x, noise)[0, 1])
         assert after < before
+
+
+class TestInformativeColumns:
+    M = 200
+
+    @classmethod
+    def _grid(cls):
+        """Sibling columns by name, with whether each is kept given ``[1, x]``."""
+        rng = np.random.default_rng(12)
+        m = cls.M
+        x = rng.normal(size=m)
+        sibling = rng.normal(size=m)
+        noise = rng.normal(size=m)
+        cases = {
+            "constant": (np.full(m, 2.0), False),
+            "zero": (np.zeros(m), False),
+            "equal_to_x": (x.copy(), False),
+            "x_plus_1e-12": (x + 1e-12 * noise, False),
+            "base_plus_1e-8": (3.0 - 2.0 * x + 1e-8 * noise, True),
+            "base_plus_1e-10": (3.0 - 2.0 * x + 1e-10 * noise, False),
+            "duplicate_a": (sibling, True),
+            "duplicate_b": (sibling.copy(), True),
+            "informative": (rng.normal(size=m), True),
+        }
+        return x, cases
+
+    def test_same_columns_as_the_per_column_loop(self):
+        x, cases = self._grid()
+        ones = np.ones((self.M, 1))
+        y2 = np.column_stack([col for col, _ in cases.values()])
+        for base in (ones, np.column_stack([ones, x])):
+            for col, _ in cases.values():
+                one = col[:, None]
+                assert np.array_equal(
+                    _informative_columns(one, base), informative_columns_per_column(one, base)
+                )
+            assert np.array_equal(
+                _informative_columns(y2, base), informative_columns_per_column(y2, base)
+            )
+
+    def test_columns_kept_given_the_covariate(self):
+        x, cases = self._grid()
+        base = np.column_stack([np.ones(self.M), x])
+        y2 = np.column_stack([col for col, _ in cases.values()])
+        kept = np.array([keep for _, keep in cases.values()])
+        assert np.array_equal(_informative_columns(y2, base), y2[:, kept])
+
+    def test_duplicate_siblings_still_fail_the_final_fit(self):
+        _, cases = self._grid()
+        y2 = np.column_stack([cases["duplicate_a"][0], cases["duplicate_b"][0]])
+        y1 = np.random.default_rng(13).normal(size=self.M)
+        with pytest.raises(SingularDesignError, match="^design matrix is rank deficient$"):
+            half_sibling(y1, y2)
 
 
 class TestResidualFormEquivalence:
