@@ -1,0 +1,225 @@
+"""Run a fixed grid of CLI calls and write a manifest of what each produced.
+
+Run it once per checkout and compare the two manifests:
+
+    python3 scripts/byte_gate.py --src path/to/base/src --out base.json
+    python3 scripts/byte_gate.py --src src --out change.json
+    diff base.json change.json
+
+The calls run in this process through ``sibglm.cli.main``, imported from
+``--src``. They cover simulate, fit, residuals, denoise and benchmark over
+the four families, every estimator, residual kind, noise strategy and
+flag, studies with ``--jobs 1`` and ``--jobs 2``, study grids whose cells
+fail, missing-path errors and bad configs. Every path is relative to a
+work directory (``--workdir``, by default a fresh temporary directory)
+that holds nothing else, so the manifest does not depend on where it
+is. Per call the manifest records the return code, the SHA-256 of each CSV
+file the call wrote, with the file's own path removed, the standard
+output, and the ``error:`` line of standard error (null when there is
+none).
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, so sums keep one order and the bytes repeat.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+
+# Written out rather than imported, so every checkout runs the same grid.
+FAMILIES = (("gaussian", "1.0"), ("poisson", "1.0"), ("bernoulli", "1.0"), ("gamma", "2.0"))
+ESTIMATORS = ("glm", "sglm", "half_sibling", "three_quarter")
+RESIDUAL_KINDS = ("fisher", "raw", "student", "deviance")
+NOISE_STRATEGIES = ("regression", "mean_of_residuals")
+GAMMA_FAILING = [
+    "benchmark", "--family", "gamma", "--dispersion", "2.0", "--m", "40", "--sigma-eps", "0.7",
+    "--estimator", "glm,sglm,half_sibling", "--replicates", "8", "--seed", "1",
+]
+
+# Files the calls read besides the panels they write themselves.
+FILES = {
+    "paths.json": json.dumps({"input": "poisson.csv", "output": "config-paths.csv"}),
+    "output.json": json.dumps({"output": "config-output.csv", "m": 50, "q": 3}),
+    "list.json": json.dumps(["m"]),
+    "unknown.json": json.dumps({"no_such_option": 1}),
+    "broken.json": "{",
+    "bad.csv": "x_x,y_a\n1,2\n3,oops\n",
+}
+
+
+def cases():
+    """(name, argv) of every call in the order they run; see ``run_case`` for outputs."""
+    for family, dispersion in FAMILIES:
+        fam = ["--family", family, "--dispersion", dispersion]
+        panel = f"{family}.csv"
+        yield family, ["simulate", *fam, "--m", "120", "--q", "6", "--seed", "3"]
+        for scheme in ("zero", "one"):
+            yield f"{family}-simulate-{scheme}", [
+                "simulate", *fam, "--m", "60", "--q", "3", "--seed", "5",
+                "--sigma-eps", "0.2", "--noise-scheme", scheme,
+            ]
+        yield f"{family}-fit", ["fit", *fam, "--input", panel]
+        yield f"{family}-fit-target", ["fit", *fam, "--input", panel, "--target", "s02"]
+        yield f"{family}-fit-unknown-target", ["fit", *fam, "--input", panel, "--target", "zz"]
+        yield f"{family}-residuals", ["residuals", *fam, "--input", panel]
+        for column in ("truth_noise", "x_x", "y_s01", "nope"):
+            yield f"{family}-residuals-{column}", [
+                "residuals", *fam, "--input", panel, "--proxy-column", column,
+            ]
+        for estimator in ESTIMATORS:
+            yield f"{family}-denoise-{estimator}", [
+                "denoise", *fam, "--input", panel, "--estimator", estimator,
+            ]
+            yield f"{family}-denoise-{estimator}-target", [
+                "denoise", *fam, "--input", panel, "--estimator", estimator, "--target", "s03",
+            ]
+        for kind in RESIDUAL_KINDS:
+            for strategy in NOISE_STRATEGIES:
+                for step3 in ((), ("--step3-with-x",)):
+                    yield f"{family}-denoise-{kind}-{strategy}{''.join(step3)}", [
+                        "denoise", *fam, "--input", panel, "--residual", kind,
+                        "--noise-strategy", strategy, *step3,
+                    ]
+        study = [
+            "benchmark", *fam, "--m", "60", "--q-grid", "2,3,6",
+            "--estimator", ",".join(ESTIMATORS), "--residual", ",".join(RESIDUAL_KINDS),
+            "--replicates", "3", "--seed", "2",
+        ]
+        for jobs in ("1", "2"):
+            yield f"{family}-benchmark-jobs{jobs}", [*study, "--jobs", jobs]
+        yield f"{family}-benchmark-flags", [
+            *study, "--step3-with-x", "--noise-strategy", "mean_of_residuals",
+            "--noise-scheme", "one", "--sigma-eps", "0.3",
+        ]
+
+    # study grids whose cells fail, in the shared step and in a cell's own
+    for jobs in ("1", "2"):
+        yield f"gamma-failing-jobs{jobs}", [*GAMMA_FAILING, "--q-grid", "2,4,8,16", "--jobs", jobs]
+    yield "gamma-all-failing", [
+        "benchmark", "--family", "gamma", "--dispersion", "2.0", "--m", "60",
+        "--sigma-eps", "5.0", "--q-grid", "2", "--estimator", "glm", "--replicates", "2",
+        "--seed", "4",
+    ]
+    for jobs in ("1", "2"):
+        yield f"bernoulli-small-m-jobs{jobs}", [
+            "benchmark", "--family", "bernoulli", "--m", "12", "--q-grid", "2,4,8",
+            "--estimator", ",".join(ESTIMATORS), "--residual", "fisher,student",
+            "--replicates", "6", "--seed", "3", "--jobs", jobs,
+        ]
+
+    # one larger panel through every command
+    yield "large", ["simulate", "--m", "3000", "--q", "20", "--seed", "11"]
+    for command in ("fit", "denoise", "residuals"):
+        yield f"large-{command}", [command, "--input", "large.csv"]
+
+    # paths: missing, or given by a config file
+    for command in ("simulate", "benchmark"):
+        yield f"{command}-no-output", [command, "--no-output"]
+    for command in ("fit", "denoise", "residuals"):
+        yield f"{command}-no-paths", [command, "--no-output"]
+        yield f"{command}-input-only", [command, "--input", "poisson.csv", "--no-output"]
+        yield f"{command}-output-only", [command]
+        yield f"{command}-config-paths", [command, "--config", "paths.json", "--no-output"]
+    yield "simulate-config-output", ["simulate", "--config", "output.json", "--no-output"]
+    yield "missing-input", ["fit", "--input", "missing.csv"]
+    yield "bad-panel", ["fit", "--input", "bad.csv"]
+
+    # other errors
+    yield "simulate-q1", ["simulate", "--q", "1"]
+    yield "config-list", ["simulate", "--config", "list.json"]
+    yield "config-unknown-key", ["simulate", "--config", "unknown.json"]
+    yield "config-broken", ["simulate", "--config", "broken.json"]
+    yield "config-missing", ["simulate", "--config", "missing.json"]
+    yield "bad-choice", ["denoise", "--input", "poisson.csv", "--estimator", "nope"]
+    yield "bad-int", ["simulate", "--m", "many"]
+    yield "benchmark-bad-estimator", ["benchmark", "--estimator", "glm,nope", "--q-grid", "2"]
+    yield "benchmark-bad-residual", ["benchmark", "--residual", "nope", "--q-grid", "2"]
+    yield "benchmark-bad-grid", ["benchmark", "--q-grid", "1,2"]
+    yield "benchmark-empty-list", ["benchmark", "--estimator", ",", "--q-grid", "2"]
+    yield "benchmark-jobs0", ["benchmark", "--jobs", "0", "--q-grid", "2"]
+    yield "benchmark-replicates0", ["benchmark", "--replicates", "0", "--q-grid", "2"]
+
+
+def _csv_files() -> dict[str, tuple[int, int]]:
+    """Modification time and size of each CSV file in the work directory."""
+    return {
+        entry.name: (entry.stat().st_mtime_ns, entry.stat().st_size)
+        for entry in os.scandir(".") if entry.name.endswith(".csv")
+    }
+
+
+def run_case(main, name: str, argv: list[str]) -> dict:
+    """Run one call with ``--output <name>.csv``, or with no ``--output`` if ``argv``
+    holds ``--no-output``."""
+    if "--no-output" in argv:
+        argv = [a for a in argv if a != "--no-output"]
+    else:
+        argv = [*argv, "--output", f"{name}.csv"]
+    before = _csv_files()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        except Exception as exc:  # a traceback the CLI should not give; record it
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    digests = {}
+    for path, stamp in sorted(_csv_files().items()):
+        if before.get(path) != stamp:
+            with open(path, "rb") as fh:
+                digests[path] = hashlib.sha256(fh.read().replace(path.encode(), b"")).hexdigest()
+    errors = [line for line in err.getvalue().splitlines() if "error: " in line]
+    return {
+        "argv": argv,
+        "code": code,
+        "outputs": digests,
+        "stdout": out.getvalue(),
+        "error": errors[-1] if errors else None,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default="src", help="the checkout's src directory")
+    parser.add_argument("--out", required=True, help="manifest JSON to write")
+    parser.add_argument("--workdir", help="empty or new directory for the calls' files")
+    args = parser.parse_args()
+
+    src = os.path.abspath(args.src)
+    out = os.path.abspath(args.out)
+    sys.path.insert(0, src)
+    import sibglm.cli
+
+    if not os.path.abspath(sibglm.cli.__file__).startswith(src + os.sep):
+        parser.error(f"imported sibglm from {sibglm.cli.__file__}, not from {src}")
+
+    with contextlib.ExitStack() as stack:
+        workdir = args.workdir or stack.enter_context(tempfile.TemporaryDirectory())
+        os.makedirs(workdir, exist_ok=True)
+        if os.listdir(workdir):
+            parser.error(f"{workdir} is not empty")
+        os.chdir(workdir)
+        for path, text in FILES.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        manifest = {name: run_case(sibglm.cli.main, name, argv) for name, argv in cases()}
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    failed = sum(case["code"] != 0 for case in manifest.values())
+    print(f"{len(manifest)} calls, {failed} nonzero exits; manifest in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,8 +8,8 @@ master seed by replicate index only, so runs at different q (or with
 different estimators) see the same draws and comparisons are paired.
 
 ``run_estimator`` runs any of the four estimators on a panel from
-scratch; the ``denoise`` command calls it, and so does a study cell
-without shared fits. The linear sibling estimators operate on
+scratch; the ``denoise`` command calls it, and so does a study cell of
+a linear estimator. The linear sibling estimators operate on
 log1p-transformed responses for the Poisson and Gamma families (the
 standard count transformation the comparison is about) and on the raw
 responses otherwise; they estimate the denoised series directly, so only
@@ -145,9 +145,9 @@ class Replicate:
     ``truth`` and ``panel`` are the widest panel the cells need; a cell
     of smaller q uses its first q series, which are bitwise the panel
     ``generate`` gives at that q. ``fits`` holds the GLM fit of each of
-    the panel's first ``len(fits)`` series and ``residuals`` one matrix
-    per residual kind of the ``sglm`` cells; without ``fits`` a cell runs
-    its estimator from scratch on its own columns.
+    the panel's first ``len(fits)`` series, or is None when only linear
+    estimators run, and ``residuals`` holds one matrix per residual kind
+    of the ``sglm`` cells.
     """
 
     truth: SimTruth
@@ -191,18 +191,15 @@ def run_cell(spec: CellSpec, replicate: Replicate) -> MetricsRecord:
     panel = replicate.panel
     if panel.q != spec.q:
         panel = sibling.Panel(panel.design, panel.responses[:, : spec.q], panel.family)
-    fits = replicate.fits
-    if fits is not None and spec.estimator == GLM_ESTIMATOR:
-        estimate = fits[0]
-    elif fits is not None and spec.estimator == SGLM:
+    if spec.estimator == GLM_ESTIMATOR:
+        estimate = replicate.fits[0]
+    elif spec.estimator == SGLM:
         resid = replicate.residuals[spec.residual_kind][:, : spec.q]
         estimate = sibling.denoise_with_residuals(
-            panel, fits[0], resid, spec.residual_kind, spec.include_x, spec.strategy
+            panel, replicate.fits[0], resid, spec.include_x, spec.strategy
         )
     else:
-        estimate = run_estimator(
-            panel, spec.estimator, spec.residual_kind, spec.include_x, spec.strategy
-        )
+        estimate = run_estimator(panel, spec.estimator)
     return metrics(replicate.truth, estimate)
 
 
@@ -213,7 +210,7 @@ def run_replicates(
 
     Each replicate is generated and fitted once for all cells. When that
     shared step fails (a series that cannot be generated or fitted), each
-    cell runs the replicate on its own panel instead, so a cell fails
+    cell repeats it for itself alone, on its own q series, so a cell fails
     exactly when its own series do. A cell stops at its first failure.
     Returns each cell's results over the range and the shared steps' time.
     """
@@ -235,11 +232,7 @@ def run_replicates(
             spec = result.spec
             started = time.perf_counter()
             try:
-                replicate = shared
-                if replicate is None:
-                    truth = generate(_sim_config(spec, spec.q, index))
-                    replicate = Replicate(truth, to_panel(truth, spec.family))
-                rec = run_cell(spec, replicate)
+                rec = run_cell(spec, shared or _shared_replicate([spec], index))
                 for name in METRIC_NAMES:
                     result.samples[name][index - start] = getattr(rec, name)
             except Exception as exc:

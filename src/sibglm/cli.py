@@ -23,12 +23,12 @@ import numpy as np
 from . import benchmark as bench
 from . import residuals as res
 from . import sibling
-from .families import FAMILY_KINDS, DomainError, Family, family_from_name
-from .glm import (
-    ConvergenceError, Design, SingularDesignError, design_with_intercept, fit_glm, fit_glms,
-)
+from .families import FAMILY_KINDS, Family, family_from_name
+from .glm import ConvergenceError, Design, design_with_intercept, fit_glm, fit_glms
 from .inference import sandwich
-from .simulate import NOISE_COEF_SCHEMES, GenerationError, MetricsRecord, SimConfig, generate
+from .simulate import (
+    NOISE_COEF_SCHEMES, GenerationError, MetricsRecord, SimConfig, correlation, generate,
+)
 
 
 class PanelFormatError(ValueError):
@@ -232,21 +232,10 @@ def _target_index(panel: PanelData, target: str | None) -> int:
     return panel.y_names.index(target)
 
 
-def _panel_from_file(panel: PanelData, family: Family, target: str | None) -> sibling.Panel:
-    return sibling.Panel(
-        design=_design_from_file(panel),
-        responses=panel.y,
-        family=family,
-        target_index=_target_index(panel, target),
-    )
-
-
 # -- commands ----------------------------------------------------------
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if not args.output:
-        raise ValueError("simulate requires --output")
     truth = generate(
         SimConfig(
             family=_family(args),
@@ -276,8 +265,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    if not args.input or not args.output:
-        raise ValueError("fit requires --input and --output")
     family = _family(args)
     panel = read_panel(args.input)
     design = _design_from_file(panel)
@@ -301,13 +288,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    if not args.input or not args.output:
-        raise ValueError("denoise requires --input and --output")
     if args.estimator not in bench.ESTIMATORS:
         raise ValueError(f"unknown estimator {args.estimator!r}")
     family = _family(args)
     panel = read_panel(args.input)
-    p = _panel_from_file(panel, family, args.target)
+    p = sibling.Panel(_design_from_file(panel), panel.y, family, _target_index(panel, args.target))
     target = panel.y_names[p.target_index]
     est = bench.run_estimator(
         p, args.estimator, args.residual, args.step3_with_x, args.noise_strategy
@@ -345,8 +330,6 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def cmd_residuals(args: argparse.Namespace) -> int:
-    if not args.input or not args.output:
-        raise ValueError("residuals requires --input and --output")
     family = _family(args)
     panel = read_panel(args.input)
     design = _design_from_file(panel)
@@ -371,9 +354,7 @@ def cmd_residuals(args: argparse.Namespace) -> int:
             values = res.compute(kind, fits[j], panel.y[:, j], design=design)
             columns[f"{kind}_{sname}"] = values
             if proxy is not None:
-                varies = np.std(values) > 0.0 and np.std(proxy) > 0.0
-                corr = float(np.corrcoef(values, proxy)[0, 1]) if varies else float("nan")
-                meta[f"corr_{kind}_{sname}"] = _fmt(corr)
+                meta[f"corr_{kind}_{sname}"] = _fmt(correlation(values, proxy))
     _write_table(args.output, meta, columns)
     return 0
 
@@ -425,8 +406,6 @@ def build_cells(args: argparse.Namespace) -> list[bench.CellSpec]:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    if not args.output:
-        raise ValueError("benchmark requires --output")
     if args.replicates < 1:
         raise ValueError("replicates must be >= 1")
     if args.jobs < 1:
@@ -480,16 +459,38 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 # -- argument parsing --------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser, *names: str) -> None:
+def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
+    """Options every command takes, and those of the named shared groups.
+
+    ``input``: an input panel; ``target``: its target series;
+    ``simulation``: the simulated panels' settings; ``proxy``: how the
+    ``sglm`` noise proxy is built.
+    """
     sp.add_argument("--family", choices=FAMILY_KINDS, default="poisson")
     sp.add_argument(
         "--dispersion", type=float, default=1.0, help="variance (gaussian) or shape (gamma)"
     )
-    if "input" in names:
+    if "input" in groups:
         sp.add_argument("--input", help="input panel CSV")
     sp.add_argument("--output", help="output file path")
-    if "seed" in names:
+    if "target" in groups:
+        sp.add_argument("--target", help="y_ column of the target series (default: first)")
+    if "simulation" in groups:
         sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--m", type=int, default=120, help="observations per series")
+        sp.add_argument("--sigma-eps", dest="sigma_eps", type=float, default=0.1)
+        sp.add_argument(
+            "--noise-scheme", dest="noise_scheme", choices=NOISE_COEF_SCHEMES, default="uniform"
+        )
+    if "proxy" in groups:
+        sp.add_argument(
+            "--noise-strategy", dest="noise_strategy", choices=sibling.NOISE_STRATEGIES,
+            default=sibling.REGRESSION,
+        )
+        sp.add_argument(
+            "--step3-with-x", dest="step3_with_x", action="store_true",
+            help="condition the residual regressions on the covariates as well",
+        )
     sp.add_argument("--config", help="JSON config file; flags override it")
 
 
@@ -502,33 +503,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="write a synthetic panel with ground truth")
-    _add_common(sp, "seed")
-    sp.add_argument("--m", type=int, default=120, help="observations per series")
+    _add_common(sp, "simulation")
     sp.add_argument("--q", type=int, default=20, help="number of series (target + auxiliaries)")
-    sp.add_argument("--sigma-eps", dest="sigma_eps", type=float, default=0.1)
-    sp.add_argument(
-        "--noise-scheme", dest="noise_scheme", choices=NOISE_COEF_SCHEMES, default="uniform"
-    )
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fit", help="fit one GLM to a target series")
-    _add_common(sp, "input")
-    sp.add_argument("--target", help="y_ column to fit (default: first)")
+    _add_common(sp, "input", "target")
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("denoise", help="estimate the denoised series for a target")
-    _add_common(sp, "input")
-    sp.add_argument("--target", help="y_ column to denoise (default: first)")
+    _add_common(sp, "input", "target", "proxy")
     sp.add_argument("--estimator", choices=bench.ESTIMATORS, default=bench.SGLM)
     sp.add_argument("--residual", choices=res.RESIDUAL_KINDS, default=res.FISHER)
-    sp.add_argument(
-        "--noise-strategy", dest="noise_strategy", choices=sibling.NOISE_STRATEGIES,
-        default=sibling.REGRESSION,
-    )
-    sp.add_argument(
-        "--step3-with-x", dest="step3_with_x", action="store_true",
-        help="condition the residual regressions on the covariates as well",
-    )
     sp.set_defaults(func=cmd_denoise)
 
     sp = sub.add_parser("residuals", help="write all residual kinds for every series")
@@ -540,22 +526,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.set_defaults(func=cmd_residuals)
 
     sp = sub.add_parser("benchmark", help="replicated sweep over q, estimators, residuals")
-    _add_common(sp, "seed")
-    sp.add_argument("--m", type=int, default=120)
-    sp.add_argument("--sigma-eps", dest="sigma_eps", type=float, default=0.1)
+    _add_common(sp, "simulation", "proxy")
     sp.add_argument("--q-grid", dest="q_grid", default="2,6,11,21", help="comma-separated q values")
     sp.add_argument("--estimator", default="glm,sglm", help="comma-separated estimators")
     sp.add_argument(
         "--residual", default=res.FISHER, help="comma-separated residual kinds (sglm cells)"
     )
-    sp.add_argument(
-        "--noise-strategy", dest="noise_strategy", choices=sibling.NOISE_STRATEGIES,
-        default=sibling.REGRESSION,
-    )
-    sp.add_argument(
-        "--noise-scheme", dest="noise_scheme", choices=NOISE_COEF_SCHEMES, default="uniform"
-    )
-    sp.add_argument("--step3-with-x", dest="step3_with_x", action="store_true")
     sp.add_argument("--replicates", type=int, default=100)
     sp.add_argument("--jobs", type=int, default=1, help="processes sharing the replicates")
     sp.set_defaults(func=cmd_benchmark)
@@ -563,16 +539,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-KNOWN_ERRORS = (
-    DomainError,
-    SingularDesignError,
-    ConvergenceError,
-    GenerationError,
-    PanelFormatError,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
+# errors reported in one line; the typed errors not named here and
+# json.JSONDecodeError subclass ValueError
+KNOWN_ERRORS = (ValueError, ConvergenceError, GenerationError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -592,6 +561,10 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValueError(f"unknown config key {key!r}")
             commands[args.command].set_defaults(**loaded)
             args = parser.parse_args(argv)
+        paths = [name for name in ("input", "output") if name in vars(args)]
+        if not all(getattr(args, name) for name in paths):
+            flags = " and ".join(f"--{name}" for name in paths)
+            raise ValueError(f"{args.command} requires {flags}")
         return args.func(args)
     except KNOWN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

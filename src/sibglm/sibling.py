@@ -72,17 +72,6 @@ class Panel:
 
 
 @dataclass(frozen=True)
-class SglmDiagnostics:
-    """Per-step records of the denoising pipeline."""
-
-    residual_kind: str
-    include_x: bool
-    strategy: str
-    r2_joint: float
-    r2_baseline: float
-
-
-@dataclass(frozen=True)
 class SglmResult:
     """Output of the staged denoising pipeline.
 
@@ -98,7 +87,6 @@ class SglmResult:
     refit: GlmFit
     refit_design: Design
     signal_hat: np.ndarray
-    diagnostics: SglmDiagnostics
 
 
 def _as_columns(y2) -> np.ndarray:
@@ -175,13 +163,6 @@ def residual_matrix(panel: Panel, fits: list[GlmFit], kind: str) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _r_squared(fitted: np.ndarray, y: np.ndarray) -> float:
-    sst = float(np.sum((y - np.mean(y)) ** 2))
-    if sst == 0.0:
-        return 0.0
-    return 1.0 - float(np.sum((y - fitted) ** 2)) / sst
-
-
 def _shared_component(aux: np.ndarray) -> np.ndarray:
     """Combine centered auxiliary residuals along their shared direction.
 
@@ -214,15 +195,14 @@ def _shared_component(aux: np.ndarray) -> np.ndarray:
 
 def _noise_from_residuals(
     resid: np.ndarray, target: int, x: np.ndarray, include_x: bool, strategy: str
-) -> tuple[np.ndarray, float, float]:
+) -> np.ndarray:
     m = resid.shape[0]
     r1 = resid[:, target]
     aux = np.delete(resid, target, axis=1)
 
     if strategy == MEAN_OF_RESIDUALS:
         nhat = aux.mean(axis=1)
-        nhat = nhat - nhat.mean()
-        return nhat, float("nan"), float("nan")
+        return nhat - nhat.mean()
     if strategy != REGRESSION:
         raise ValueError(
             f"unknown noise strategy {strategy!r}; expected one of {NOISE_STRATEGIES}"
@@ -233,10 +213,7 @@ def _noise_from_residuals(
     shared = _shared_component(aux)[:, None]
     joint = np.column_stack([ones, shared, xc])
     baseline = np.column_stack([ones, xc])
-    fitted_joint = _fitted(joint, r1)
-    fitted_base = _fitted(baseline, r1)
-    nhat = fitted_joint - fitted_base
-    return nhat, _r_squared(fitted_joint, r1), _r_squared(fitted_base, r1)
+    return _fitted(joint, r1) - _fitted(baseline, r1)
 
 
 def sglm_denoise(
@@ -253,23 +230,20 @@ def sglm_denoise(
     """
     fits = fit_glms(panel.design, panel.responses, panel.family)
     resid = residual_matrix(panel, fits, residual_kind)
-    return denoise_with_residuals(
-        panel, fits[panel.target_index], resid, residual_kind, include_x, strategy
-    )
+    return denoise_with_residuals(panel, fits[panel.target_index], resid, include_x, strategy)
 
 
 def denoise_with_residuals(
     panel: Panel,
     base_fit: GlmFit,
     resid: np.ndarray,
-    residual_kind: str = res.FISHER,
     include_x: bool = False,
     strategy: str = REGRESSION,
 ) -> SglmResult:
     """The pipeline after the per-series fits: noise proxy, refit, signal.
 
-    ``resid`` holds the panel's residuals of kind ``residual_kind``, a
-    column per series, and ``base_fit`` is the target's own GLM fit. The
+    ``resid`` holds the panel's residuals of one kind, a column per
+    series, and ``base_fit`` is the target's own GLM fit. The
     ``regression`` strategy condenses the auxiliary residual columns
     into their shared component (see ``_shared_component``; with one
     auxiliary this is just its centered residual), regresses the target
@@ -283,9 +257,7 @@ def denoise_with_residuals(
     """
     if resid.shape != panel.responses.shape:
         raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
-    nhat, r2_joint, r2_base = _noise_from_residuals(
-        resid, panel.target_index, panel.design.x, include_x, strategy
-    )
+    nhat = _noise_from_residuals(resid, panel.target_index, panel.design.x, include_x, strategy)
 
     refit_design = Design(
         np.column_stack([panel.design.x, nhat]),
@@ -300,11 +272,4 @@ def denoise_with_residuals(
         refit=refit,
         refit_design=refit_design,
         signal_hat=signal_hat,
-        diagnostics=SglmDiagnostics(
-            residual_kind=residual_kind,
-            include_x=include_x,
-            strategy=strategy,
-            r2_joint=r2_joint,
-            r2_baseline=r2_base,
-        ),
     )

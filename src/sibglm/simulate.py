@@ -75,6 +75,13 @@ class SimTruth:
     theta_shift: float
 
 
+def correlation(a, b) -> float:
+    """Pearson correlation of ``a`` and ``b``; NaN when either is constant."""
+    if np.std(a) > 0.0 and np.std(b) > 0.0:
+        return float(np.corrcoef(a, b)[0, 1])
+    return float("nan")
+
+
 @dataclass(frozen=True)
 class MetricsRecord:
     mse: float
@@ -101,13 +108,8 @@ class MetricsRecord:
             mse = float(np.mean((signal_hat - true_signal) ** 2))
         if w_hat is not None and w_true is not None and w_true != 0.0:
             bias = (w_hat - w_true) / w_true
-        if (
-            noise_hat is not None
-            and true_noise is not None
-            and np.std(noise_hat) > 0.0
-            and np.std(true_noise) > 0.0
-        ):
-            noise_corr = float(np.corrcoef(noise_hat, true_noise)[0, 1])
+        if noise_hat is not None and true_noise is not None:
+            noise_corr = correlation(noise_hat, true_noise)
         return cls(mse=mse, bias=bias, noise_corr=noise_corr)
 
 

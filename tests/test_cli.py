@@ -727,6 +727,118 @@ class TestBenchmarkCommand:
         assert "# step3_with_x = True" in out.read_text()
 
 
+
+FAMILY = ("family", "poisson", None, ("gaussian", "poisson", "bernoulli", "gamma"))
+NOISE_SCHEME = ("noise_scheme", "uniform", None, ("uniform", "zero", "one"))
+NOISE_STRATEGY = ("noise_strategy", "regression", None, ("regression", "mean_of_residuals"))
+ESTIMATOR_CHOICE = ("estimator", "sglm", None, ("glm", "half_sibling", "three_quarter", "sglm"))
+RESIDUAL_CHOICE = ("residual", "fisher", None, ("fisher", "raw", "student", "deviance"))
+
+# flag -> (dest, default, type, choices) of every option of each command
+PARSER_CONTRACT = {
+    "simulate": {
+        "--family": FAMILY, "--dispersion": ("dispersion", 1.0, float, None),
+        "--output": ("output", None, None, None), "--config": ("config", None, None, None),
+        "--seed": ("seed", 0, int, None), "--m": ("m", 120, int, None),
+        "--q": ("q", 20, int, None), "--sigma-eps": ("sigma_eps", 0.1, float, None),
+        "--noise-scheme": NOISE_SCHEME,
+    },
+    "fit": {
+        "--family": FAMILY, "--dispersion": ("dispersion", 1.0, float, None),
+        "--input": ("input", None, None, None), "--output": ("output", None, None, None),
+        "--config": ("config", None, None, None), "--target": ("target", None, None, None),
+    },
+    "denoise": {
+        "--family": FAMILY, "--dispersion": ("dispersion", 1.0, float, None),
+        "--input": ("input", None, None, None), "--output": ("output", None, None, None),
+        "--config": ("config", None, None, None), "--target": ("target", None, None, None),
+        "--estimator": ESTIMATOR_CHOICE, "--residual": RESIDUAL_CHOICE,
+        "--noise-strategy": NOISE_STRATEGY,
+        "--step3-with-x": ("step3_with_x", False, None, None),
+    },
+    "residuals": {
+        "--family": FAMILY, "--dispersion": ("dispersion", 1.0, float, None),
+        "--input": ("input", None, None, None), "--output": ("output", None, None, None),
+        "--config": ("config", None, None, None),
+        "--proxy-column": ("proxy_column", None, None, None),
+    },
+    "benchmark": {
+        "--family": FAMILY, "--dispersion": ("dispersion", 1.0, float, None),
+        "--output": ("output", None, None, None), "--config": ("config", None, None, None),
+        "--seed": ("seed", 0, int, None), "--m": ("m", 120, int, None),
+        "--sigma-eps": ("sigma_eps", 0.1, float, None), "--noise-scheme": NOISE_SCHEME,
+        "--q-grid": ("q_grid", "2,6,11,21", None, None),
+        "--estimator": ("estimator", "glm,sglm", None, None),
+        "--residual": ("residual", "fisher", None, None),
+        "--noise-strategy": NOISE_STRATEGY,
+        "--step3-with-x": ("step3_with_x", False, None, None),
+        "--replicates": ("replicates", 100, int, None), "--jobs": ("jobs", 1, int, None),
+    },
+}
+
+
+class TestParserContract:
+    def test_commands(self):
+        assert set(sibglm.cli.build_parser()[1]) == set(PARSER_CONTRACT)
+
+    @pytest.mark.parametrize("command", sorted(PARSER_CONTRACT))
+    def test_options_of_each_command(self, command):
+        sp = sibglm.cli.build_parser()[1][command]
+        options = {
+            a.option_strings[0]: (a.dest, a.default, a.type, a.choices and tuple(a.choices))
+            for a in sp._actions if a.dest != "help"
+        }
+        assert options == PARSER_CONTRACT[command]
+        assert all(len(a.option_strings) == 1 for a in sp._actions if a.dest != "help")
+
+    @pytest.mark.parametrize("command", ["denoise", "benchmark"])
+    def test_step3_with_x_is_a_switch(self, command):
+        sp = sibglm.cli.build_parser()[1][command]
+        assert sp.parse_args(["--step3-with-x"]).step3_with_x is True
+        assert sp.parse_args([]).step3_with_x is False
+
+
+class TestRequiredPaths:
+    MISSING = [
+        ("simulate", [], "simulate requires --output"),
+        ("simulate", ["--output", ""], "simulate requires --output"),
+        ("benchmark", [], "benchmark requires --output"),
+        *(
+            (command, flags, f"{command} requires --input and --output")
+            for command in ("fit", "denoise", "residuals")
+            for flags in ([], ["--input", "IN"], ["--output", "OUT"])
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,flags,message", MISSING, ids=[f"{c}{''.join(f)}" for c, f, _ in MISSING]
+    )
+    def test_missing_path_is_one_error_line(self, tmp_path, capsys, command, flags, message):
+        panel = _simulate(tmp_path, m=30, q=3)
+        capsys.readouterr()
+        argv = [{"IN": panel, "OUT": tmp_path / "out.csv"}.get(f, f) for f in flags]
+        assert _run(command, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ValueError: {message}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [panel.name]
+
+    @pytest.mark.parametrize("command", sorted(PARSER_CONTRACT))
+    def test_paths_from_the_config_satisfy_the_check(self, tmp_path, command):
+        panel = _simulate(tmp_path, m=30, q=3)
+        out = tmp_path / "out.csv"
+        paths = {"output": str(out)}
+        if "--input" in PARSER_CONTRACT[command]:
+            paths["input"] = str(panel)
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(paths))
+        extra = {
+            "simulate": ["--m", "30", "--q", "3"],
+            "benchmark": ["--m", "30", "--q-grid", "2", "--replicates", "1"],
+        }
+        assert _run(command, "--config", conf, *extra.get(command, [])) == 0
+        assert f"# output = {out}" in out.read_text()
+
 def read_csv_columns(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#") and l]
     names = lines[0].split(",")

@@ -202,10 +202,10 @@ class TestEstimateNoise:
         resid = rng.normal(size=(100, 5))
         x = np.column_stack([np.ones(100), rng.normal(size=100)])
         for strategy in ("regression", MEAN_OF_RESIDUALS):
-            base, *_ = _noise_from_residuals(resid, 0, x, False, strategy)
+            base = _noise_from_residuals(resid, 0, x, False, strategy)
             shifted = resid.copy()
             shifted[:, 1:] += 4.2
-            moved, *_ = _noise_from_residuals(shifted, 0, x, False, strategy)
+            moved = _noise_from_residuals(shifted, 0, x, False, strategy)
             assert np.allclose(base, moved, atol=1e-10)
 
     def test_unknown_strategy(self):
@@ -267,8 +267,6 @@ class TestSglmDenoise:
         assert abs(out.noise_hat.mean()) < 1e-8
         assert out.refit.beta.shape == (3,)  # intercept, x, proxy
         assert np.allclose(out.signal_hat, panel.design.x @ out.refit.beta[:2])
-        assert out.diagnostics.residual_kind == "deviance"
-        assert 0.0 <= out.diagnostics.r2_joint <= 1.0
 
     def test_bit_identical_reruns(self):
         fam = poisson()

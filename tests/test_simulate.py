@@ -6,7 +6,7 @@ import pytest
 from sibglm.families import bernoulli, gamma, gaussian, poisson
 from sibglm.glm import design_with_intercept, fit_glm
 from sibglm.inference import sandwich
-from sibglm.sibling import SglmDiagnostics, SglmResult
+from sibglm.sibling import SglmResult
 from sibglm.simulate import (
     GenerationError,
     MetricsRecord,
@@ -155,7 +155,6 @@ class TestMetrics:
             refit=refit,
             refit_design=refit_design,
             signal_hat=truth.signal[:, 0],
-            diagnostics=SglmDiagnostics("fisher", False, "override", 1.0, 0.0),
         )
 
     def test_exact_noise_gives_unit_correlation(self):
