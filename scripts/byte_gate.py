@@ -10,7 +10,8 @@ The calls run in this process through ``sibglm.cli.main``, imported from
 ``--src``. They cover simulate, fit, residuals, denoise and benchmark over
 the four families, every estimator, residual kind, noise strategy and
 flag, studies with ``--jobs 1`` and ``--jobs 2``, study grids whose cells
-fail, missing-path errors and bad configs. Every path is relative to a
+fail, missing-path errors, bad configs, and option values outside their
+choices given by flag or by config. Every path is relative to a
 work directory (``--workdir``, by default a fresh temporary directory)
 that holds nothing else, so the manifest does not depend on where it
 is. Per call the manifest records the return code, the SHA-256 of each CSV
@@ -44,6 +45,14 @@ GAMMA_FAILING = [
     "benchmark", "--family", "gamma", "--dispersion", "2.0", "--m", "40", "--sigma-eps", "0.7",
     "--estimator", "glm,sglm,half_sibling", "--replicates", "8", "--seed", "1",
 ]
+# (command, option dest, value outside the option's choices)
+BAD_CHOICES = (
+    ("benchmark", "noise_strategy", "ridge"),
+    ("benchmark", "noise_scheme", "half"),
+    ("benchmark", "family", "Poisson"),
+    ("denoise", "estimator", "bogus"),
+    ("denoise", "residual", "pearson"),
+)
 
 # Files the calls read besides the panels they write themselves.
 FILES = {
@@ -53,6 +62,7 @@ FILES = {
     "unknown.json": json.dumps({"no_such_option": 1}),
     "broken.json": "{",
     "bad.csv": "x_x,y_a\n1,2\n3,oops\n",
+    **{f"bad-{dest}.json": json.dumps({dest: value}) for _, dest, value in BAD_CHOICES},
 }
 
 
@@ -147,6 +157,20 @@ def cases():
     yield "benchmark-empty-list", ["benchmark", "--estimator", ",", "--q-grid", "2"]
     yield "benchmark-jobs0", ["benchmark", "--jobs", "0", "--q-grid", "2"]
     yield "benchmark-replicates0", ["benchmark", "--replicates", "0", "--q-grid", "2"]
+
+    # a bad choice given as a flag, by a config file, and by a config a valid flag overrides
+    small = {
+        "benchmark": ["benchmark", "--m", "30", "--q-grid", "2", "--replicates", "1"],
+        "denoise": ["denoise", "--input", "poisson.csv"],
+    }
+    for command, dest, value in BAD_CHOICES:
+        flag = "--" + dest.replace("_", "-")
+        config = ["--config", f"bad-{dest}.json"]
+        yield f"{command}-bad-{dest}-flag", [*small[command], flag, value]
+        yield f"{command}-bad-{dest}-config", [*small[command], *config]
+    yield "denoise-bad-estimator-config-overridden", [
+        *small["denoise"], "--config", "bad-estimator.json", "--estimator", "glm",
+    ]
 
 
 def _csv_files() -> dict[str, tuple[int, int]]:

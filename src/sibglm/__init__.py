@@ -38,8 +38,8 @@ from .residuals import (
 )
 from .sibling import (
     NOISE_STRATEGIES,
+    Estimate,
     Panel,
-    SglmResult,
     half_sibling,
     sglm_denoise,
     three_quarter_sibling,
@@ -54,7 +54,7 @@ from .simulate import (
     replicate_seed,
     to_panel,
 )
-from .benchmark import Estimate, run_estimator
+from .benchmark import run_estimator
 
 __version__ = "0.1.0"
 
@@ -66,12 +66,12 @@ __all__ = [
     "SingularDesignError", "ConvergenceError",
     "RESIDUAL_KINDS", "raw", "fisher_scaled", "studentized",
     "deviance_residual", "LeverageError",
-    "Panel", "SglmResult", "NOISE_STRATEGIES", "half_sibling",
+    "Panel", "Estimate", "NOISE_STRATEGIES", "half_sibling",
     "three_quarter_sibling",
     "sglm_denoise",
     "SandwichCovariance", "sandwich",
     "SimConfig", "SimTruth", "MetricsRecord", "GenerationError", "generate",
     "metrics", "replicate_seed", "to_panel",
-    "Estimate", "run_estimator",
+    "run_estimator",
     "__version__",
 ]

@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import GAMMA, POISSON, Family
-from .glm import Design, GlmFit, fit_glm, fit_glms
+from .glm import GlmFit, fit_glm, fit_glms
 from . import residuals as res
 from . import sibling
+from .sibling import Estimate
 from .simulate import (
     MetricsRecord, SimConfig, SimTruth, generate, metrics, replicate_seed, to_panel,
 )
@@ -45,20 +46,32 @@ METRIC_NAMES = ("bias", "mse", "noise_corr")
 
 
 @dataclass(frozen=True)
-class CellSpec:
-    """One benchmark cell: a (q, estimator, residual kind) combination."""
+class Study:
+    """The settings every cell of a study shares.
+
+    ``family``, ``m``, ``sigma_eps`` and ``noise_scheme`` describe the
+    simulated panels, ``replicates`` and ``master_seed`` which of them are
+    drawn, and ``include_x`` and ``strategy`` how the ``sglm`` cells
+    build their noise proxy.
+    """
 
     family: Family
     m: int
-    q: int
-    estimator: str
-    residual_kind: str = res.FISHER
     sigma_eps: float = 0.1
-    include_x: bool = False
-    strategy: str = sibling.REGRESSION
     noise_scheme: str = "uniform"
     replicates: int = 100
     master_seed: int = 0
+    include_x: bool = False
+    strategy: str = sibling.REGRESSION
+
+
+@dataclass(frozen=True)
+class CellSpec:
+    """One benchmark cell: a (q, estimator, residual kind) combination."""
+
+    q: int
+    estimator: str
+    residual_kind: str = res.FISHER
 
 
 @dataclass
@@ -76,24 +89,6 @@ class CellResult:
         if len(v) < 2:
             return float("nan")
         return float(np.std(v, ddof=1) / math.sqrt(len(v)))
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """One estimator's output for the panel's target series.
-
-    ``signal_hat`` is the denoised estimate, on the natural-parameter scale
-    for the GLM estimators and on the working scale for the linear ones;
-    ``noise_hat`` is the removed noise (all zeros for ``glm``), and
-    ``mu_hat`` the fitted mean. ``fit`` and its ``design`` are the target
-    GLM (the refit for ``sglm``) and are None for the linear estimators.
-    """
-
-    signal_hat: np.ndarray
-    noise_hat: np.ndarray
-    mu_hat: np.ndarray
-    fit: GlmFit | None
-    design: Design | None
 
 
 def working_scale(family: Family, y: np.ndarray) -> np.ndarray:
@@ -116,13 +111,11 @@ def run_estimator(
     """
     family, t = panel.family, panel.target_index
     if estimator == SGLM:
-        out = sibling.sglm_denoise(
+        return sibling.sglm_denoise(
             panel, residual_kind=residual_kind, include_x=include_x, strategy=strategy
         )
-        return Estimate(out.signal_hat, out.noise_hat, out.refit.mu, out.refit, out.refit_design)
     if estimator == GLM_ESTIMATOR:
-        fit = fit_glm(panel.design, panel.responses[:, t], family)
-        return Estimate(fit.eta, np.zeros(panel.m), fit.mu, fit, panel.design)
+        return Estimate.of_fit(fit_glm(panel.design, panel.responses[:, t], family), panel.design)
 
     ty = working_scale(family, panel.responses)
     aux = np.delete(ty, t, axis=1)
@@ -146,8 +139,9 @@ class Replicate:
     of smaller q uses its first q series, which are bitwise the panel
     ``generate`` gives at that q. ``fits`` holds the GLM fit of each of
     the panel's first ``len(fits)`` series, or is None when only linear
-    estimators run, and ``residuals`` holds one matrix per residual kind
-    of the ``sglm`` cells.
+    estimators run; ``fits[0]`` is the target's fit, a ``glm`` cell's
+    estimate. ``residuals`` holds one matrix per residual kind of the
+    ``sglm`` cells, computed from ``fits``.
     """
 
     truth: SimTruth
@@ -156,55 +150,43 @@ class Replicate:
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _sim_config(spec: CellSpec, q: int, index: int) -> SimConfig:
-    return SimConfig(
-        family=spec.family,
-        m=spec.m,
-        q=q,
-        sigma_eps=spec.sigma_eps,
-        seed=replicate_seed(spec.master_seed, index),
-        noise_coefficient_scheme=spec.noise_scheme,
-    )
-
-
-def _shared_replicate(cells: list[CellSpec], index: int) -> Replicate:
-    """Generate replicate ``index`` at the largest q once and fit what the cells share.
+def _shared_replicate(study: Study, cells: list[CellSpec], index: int) -> Replicate:
+    """Generate replicate ``index`` at the cells' largest q once and fit what they share.
 
     ``sglm`` cells need every series' fit and residuals, ``glm`` cells
     only the target's fit; the linear estimators need no fit.
     """
-    spec = cells[0]
-    truth = generate(_sim_config(spec, max(c.q for c in cells), index))
-    panel = to_panel(truth, spec.family)
+    q = max(c.q for c in cells)
+    seed = replicate_seed(study.master_seed, index)
+    truth = generate(SimConfig(study.family, study.m, q, study.sigma_eps, seed, study.noise_scheme))
+    panel = to_panel(truth, study.family)
     estimators = {c.estimator for c in cells}
     if not estimators & {GLM_ESTIMATOR, SGLM}:
         return Replicate(truth, panel)
     width = panel.q if SGLM in estimators else 1
-    fits = fit_glms(panel.design, panel.responses[:, :width], spec.family)
+    fits = fit_glms(panel.design, panel.responses[:, :width], study.family)
     kinds = {c.residual_kind for c in cells if c.estimator == SGLM}
     residuals = {kind: sibling.residual_matrix(panel, fits, kind) for kind in kinds}
     return Replicate(truth, panel, fits, residuals)
 
 
-def run_cell(spec: CellSpec, replicate: Replicate) -> MetricsRecord:
+def run_cell(study: Study, spec: CellSpec, replicate: Replicate) -> MetricsRecord:
     """Score one cell on one replicate, running only what depends on its q."""
     panel = replicate.panel
     if panel.q != spec.q:
         panel = sibling.Panel(panel.design, panel.responses[:, : spec.q], panel.family)
     if spec.estimator == GLM_ESTIMATOR:
-        estimate = replicate.fits[0]
+        estimate = Estimate.of_fit(replicate.fits[0], panel.design)
     elif spec.estimator == SGLM:
         resid = replicate.residuals[spec.residual_kind][:, : spec.q]
-        estimate = sibling.denoise_with_residuals(
-            panel, replicate.fits[0], resid, spec.include_x, spec.strategy
-        )
+        estimate = sibling.denoise_with_residuals(panel, resid, study.include_x, study.strategy)
     else:
         estimate = run_estimator(panel, spec.estimator)
     return metrics(replicate.truth, estimate)
 
 
 def run_replicates(
-    cells: list[CellSpec], start: int, stop: int
+    study: Study, cells: list[CellSpec], start: int, stop: int
 ) -> tuple[list[CellResult], float]:
     """Run replicates ``start`` to ``stop - 1`` of every cell of a study.
 
@@ -222,7 +204,7 @@ def run_replicates(
     for index in range(start, stop):
         started = time.perf_counter()
         try:
-            shared = _shared_replicate(cells, index)
+            shared = _shared_replicate(study, cells, index)
         except Exception:
             shared = None
         shared_seconds += time.perf_counter() - started
@@ -232,7 +214,7 @@ def run_replicates(
             spec = result.spec
             started = time.perf_counter()
             try:
-                rec = run_cell(spec, shared or _shared_replicate([spec], index))
+                rec = run_cell(study, spec, shared or _shared_replicate(study, [spec], index))
                 for name in METRIC_NAMES:
                     result.samples[name][index - start] = getattr(rec, name)
             except Exception as exc:
@@ -250,21 +232,17 @@ def _merge(parts: tuple[CellResult, ...]) -> CellResult:
     return CellResult(parts[0].spec, samples, error, sum(p.seconds for p in parts))
 
 
-def run_study(cells: list[CellSpec], jobs: int = 1) -> tuple[list[CellResult], float]:
+def run_study(
+    study: Study, cells: list[CellSpec], jobs: int = 1
+) -> tuple[list[CellResult], float]:
     """Run every replicate of every cell, replicate-major, in ``jobs`` processes.
 
-    The cells must share all generation settings (family, m, sigma_eps,
-    noise scheme, replicates and master seed). Each process runs one
-    contiguous range of replicates; replicate seeds depend only on the
-    index, so the results do not depend on ``jobs``. Returns each cell's
-    result and the total time of the shared generate-and-fit steps.
+    Each process runs one contiguous range of replicates; replicate seeds
+    depend only on the index, so the results do not depend on ``jobs``.
+    Returns each cell's result and the total time of the shared
+    generate-and-fit steps.
     """
-    settings = {
-        (c.family, c.m, c.sigma_eps, c.noise_scheme, c.replicates, c.master_seed) for c in cells
-    }
-    if len(settings) != 1:
-        raise ValueError("the cells of a study must share their generation settings")
-    replicates = cells[0].replicates
+    replicates = study.replicates
     chunks = max(1, min(jobs, replicates))
     bounds = [replicates * i // chunks for i in range(chunks + 1)]
     with contextlib.ExitStack() as stack:
@@ -272,6 +250,8 @@ def run_study(cells: list[CellSpec], jobs: int = 1) -> tuple[list[CellResult], f
         if chunks > 1:
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=chunks)
             run_all = stack.enter_context(pool).map
-        parts = list(run_all(run_replicates, [cells] * chunks, bounds[:-1], bounds[1:]))
+        parts = list(
+            run_all(run_replicates, [study] * chunks, [cells] * chunks, bounds[:-1], bounds[1:])
+        )
     results = [_merge(cell_parts) for cell_parts in zip(*(part[0] for part in parts))]
     return results, sum(part[1] for part in parts)

@@ -288,8 +288,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    if args.estimator not in bench.ESTIMATORS:
-        raise ValueError(f"unknown estimator {args.estimator!r}")
     family = _family(args)
     panel = read_panel(args.input)
     p = sibling.Panel(_design_from_file(panel), panel.y, family, _target_index(panel, args.target))
@@ -300,20 +298,21 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
     meta = _meta(args)
     meta["target"] = target
-    if est.fit is not None:
-        sw = sandwich(est.fit, est.design, p.responses[:, p.target_index])
-        for name, value, se in zip(est.design.column_names, est.fit.beta, sw.standard_errors):
+    fit = est.refit
+    if fit is not None:
+        sw = sandwich(fit, est.refit_design, p.responses[:, p.target_index])
+        for name, value, se in zip(est.refit_design.column_names, fit.beta, sw.standard_errors):
             meta[f"coef_{name}"] = _fmt(value)
             meta[f"stderr_{name}"] = _fmt(se)
-        meta["converged"] = str(est.fit.converged).lower()
-        meta["iterations"] = str(est.fit.iterations)
+        meta["converged"] = str(fit.converged).lower()
+        meta["iterations"] = str(fit.iterations)
     # the coefficient is the bias target only on the one-covariate design
     # the simulator writes, whose truth_w_x_ lines name it
     w_key = f"truth_w_x_{target}"
     scores = MetricsRecord.score(
         est.signal_hat,
         est.noise_hat,
-        float(est.fit.beta[1]) if est.fit is not None and len(panel.x_names) == 1 else None,
+        float(fit.beta[1]) if fit is not None and len(panel.x_names) == 1 else None,
         panel.truth.get(f"truth_z_{target}"),
         panel.truth.get("truth_noise"),
         float(panel.meta[w_key]) if w_key in panel.meta else None,
@@ -366,7 +365,6 @@ def _parse_list(value, parse=str) -> list:
 
 
 def build_cells(args: argparse.Namespace) -> list[bench.CellSpec]:
-    family = _family(args)
     q_grid = _parse_list(args.q_grid, int)
     estimators = _parse_list(args.estimator)
     kinds = _parse_list(args.residual)
@@ -386,22 +384,7 @@ def build_cells(args: argparse.Namespace) -> list[bench.CellSpec]:
     for q in q_grid:
         for estimator in estimators:
             cell_kinds = kinds if estimator == bench.SGLM else [kinds[0]]
-            for kind in cell_kinds:
-                cells.append(
-                    bench.CellSpec(
-                        family=family,
-                        m=args.m,
-                        q=q,
-                        estimator=estimator,
-                        residual_kind=kind,
-                        sigma_eps=args.sigma_eps,
-                        include_x=args.step3_with_x,
-                        strategy=args.noise_strategy,
-                        noise_scheme=args.noise_scheme,
-                        replicates=args.replicates,
-                        master_seed=args.seed,
-                    )
-                )
+            cells.extend(bench.CellSpec(q, estimator, kind) for kind in cell_kinds)
     return cells
 
 
@@ -410,10 +393,14 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         raise ValueError("replicates must be >= 1")
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
+    study = bench.Study(
+        _family(args), args.m, args.sigma_eps, args.noise_scheme, args.replicates,
+        master_seed=args.seed, include_x=args.step3_with_x, strategy=args.noise_strategy,
+    )
     cells = build_cells(args)
 
     started = time.perf_counter()
-    results, shared_seconds = bench.run_study(cells, args.jobs)
+    results, shared_seconds = bench.run_study(study, cells, args.jobs)
     for cell, result in zip(cells, results):
         print(
             f"cell q={cell.q} estimator={cell.estimator} residual={cell.residual_kind}: "
@@ -430,12 +417,12 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     lines = []
     for cell, result in zip(cells, results):
         prefix = [
-            cell.family.kind, str(cell.m), _fmt(cell.sigma_eps), str(cell.q),
+            study.family.kind, str(study.m), _fmt(study.sigma_eps), str(cell.q),
             cell.estimator,
             cell.residual_kind if cell.estimator == bench.SGLM else "-",
         ]
         if result.error is not None:
-            lines.append(prefix + ["", "", "", str(cell.replicates), "failed", result.error])
+            lines.append(prefix + ["", "", "", str(study.replicates), "failed", result.error])
             continue
         for metric in bench.METRIC_NAMES:
             lines.append(
@@ -444,7 +431,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                     metric,
                     _fmt(result.mean(metric)),
                     _fmt(result.stderr(metric)),
-                    str(cell.replicates),
+                    str(study.replicates),
                     "ok",
                     "",
                 ]
@@ -559,8 +546,16 @@ def main(argv: list[str] | None = None) -> int:
             for key in loaded:
                 if key not in settings:
                     raise ValueError(f"unknown config key {key!r}")
-            commands[args.command].set_defaults(**loaded)
+            command = commands[args.command]
+            command.set_defaults(**loaded)
             args = parser.parse_args(argv)
+            # set_defaults skips the choices check a flag gets, so run it here
+            for action in command._actions:
+                if action.dest in loaded:
+                    try:
+                        command._check_value(action, getattr(args, action.dest))
+                    except argparse.ArgumentError as exc:
+                        command.error(str(exc))
         paths = [name for name in ("input", "output") if name in vars(args)]
         if not all(getattr(args, name) for name in paths):
             flags = " and ".join(f"--{name}" for name in paths)

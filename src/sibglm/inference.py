@@ -15,8 +15,6 @@ import numpy as np
 
 from .glm import Design, GlmFit, SingularDesignError
 
-ASYM_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class SandwichCovariance:

@@ -72,21 +72,28 @@ class Panel:
 
 
 @dataclass(frozen=True)
-class SglmResult:
-    """Output of the staged denoising pipeline.
+class Estimate:
+    """One estimator's output for a panel's target series.
 
-    ``noise_hat`` is the mean-zero noise proxy, ``refit`` the target GLM
-    refit on ``refit_design`` (the original design plus the proxy as a
-    last column named ``noise_hat``), and ``signal_hat`` the
-    covariate-only part of the refit linear predictor (the denoised
-    natural-parameter estimate).
+    ``signal_hat`` is the denoised estimate, on the natural-parameter
+    scale for the GLM estimators and on the working scale for the linear
+    ones; ``noise_hat`` is the removed noise, and ``mu_hat`` the fitted
+    mean. ``refit`` is the target GLM fitted on ``refit_design``: for
+    ``sglm`` the original design plus the proxy as a last column named
+    ``noise_hat``, for a plain fit the original design. Both are None
+    for the linear estimators.
     """
 
-    noise_hat: np.ndarray
-    base_fit: GlmFit
-    refit: GlmFit
-    refit_design: Design
     signal_hat: np.ndarray
+    noise_hat: np.ndarray
+    mu_hat: np.ndarray
+    refit: GlmFit | None
+    refit_design: Design | None
+
+    @classmethod
+    def of_fit(cls, fit: GlmFit, design: Design) -> "Estimate":
+        """A plain fit as an estimate: nothing removed, so ``noise_hat`` is zero."""
+        return cls(fit.eta, np.zeros(len(fit.eta)), fit.mu, fit, design)
 
 
 def _as_columns(y2) -> np.ndarray:
@@ -221,7 +228,7 @@ def sglm_denoise(
     residual_kind: str = res.FISHER,
     include_x: bool = False,
     strategy: str = REGRESSION,
-) -> SglmResult:
+) -> Estimate:
     """Full staged pipeline: noise proxy, refit, denoised signal.
 
     Fits one GLM per series on the shared design, computes residuals of
@@ -230,30 +237,30 @@ def sglm_denoise(
     """
     fits = fit_glms(panel.design, panel.responses, panel.family)
     resid = residual_matrix(panel, fits, residual_kind)
-    return denoise_with_residuals(panel, fits[panel.target_index], resid, include_x, strategy)
+    return denoise_with_residuals(panel, resid, include_x, strategy)
 
 
 def denoise_with_residuals(
     panel: Panel,
-    base_fit: GlmFit,
     resid: np.ndarray,
     include_x: bool = False,
     strategy: str = REGRESSION,
-) -> SglmResult:
+) -> Estimate:
     """The pipeline after the per-series fits: noise proxy, refit, signal.
 
     ``resid`` holds the panel's residuals of one kind, a column per
-    series, and ``base_fit`` is the target's own GLM fit. The
-    ``regression`` strategy condenses the auxiliary residual columns
-    into their shared component (see ``_shared_component``; with one
-    auxiliary this is just its centered residual), regresses the target
-    residuals on it (plus covariates when ``include_x``), and takes the
-    difference between that fit and the baseline fit as the proxy, which
-    is mean zero by construction. The ``mean_of_residuals`` strategy
-    instead averages the auxiliary residual columns and centers the
-    result; it is only sensible when every series loads on the noise
-    with the same sign. The target is then refit with the proxy as an
-    extra covariate.
+    series, computed from one GLM fit per series. The ``regression``
+    strategy condenses the auxiliary residual columns into their shared
+    component (see ``_shared_component``; with one auxiliary this is
+    just its centered residual), regresses the target residuals on it
+    (plus covariates when ``include_x``), and takes the difference
+    between that fit and the baseline fit as the proxy, which is mean
+    zero by construction. The ``mean_of_residuals`` strategy instead
+    averages the auxiliary residual columns and centers the result; it
+    is only sensible when every series loads on the noise with the same
+    sign. The target is then refit with the proxy as an extra covariate,
+    and the returned ``Estimate`` holds the proxy, that refit and its
+    design, and the covariate-only part of the refit linear predictor.
     """
     if resid.shape != panel.responses.shape:
         raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
@@ -265,11 +272,4 @@ def denoise_with_residuals(
     )
     refit = fit_glm(refit_design, panel.responses[:, panel.target_index], panel.family)
     signal_hat = panel.design.x @ refit.beta[: panel.design.p]
-
-    return SglmResult(
-        noise_hat=nhat,
-        base_fit=base_fit,
-        refit=refit,
-        refit_design=refit_design,
-        signal_hat=signal_hat,
-    )
+    return Estimate(signal_hat, nhat, refit.mu, refit, refit_design)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import GAMMA, Family
-from .glm import GlmFit, design_with_intercept
-from .sibling import Panel, SglmResult
+from .glm import design_with_intercept
+from .sibling import Estimate, Panel
 
 W_X_LOW, W_X_HIGH = 0.5, 1.5
 GAMMA_THETA_SHIFT = -3.5
@@ -108,7 +108,7 @@ class MetricsRecord:
             mse = float(np.mean((signal_hat - true_signal) ** 2))
         if w_hat is not None and w_true is not None and w_true != 0.0:
             bias = (w_hat - w_true) / w_true
-        if noise_hat is not None and true_noise is not None:
+        if true_noise is not None:
             noise_corr = correlation(noise_hat, true_noise)
         return cls(mse=mse, bias=bias, noise_corr=noise_corr)
 
@@ -178,25 +178,19 @@ def to_panel(truth: SimTruth, family: Family, target_index: int = 0) -> Panel:
     )
 
 
-def metrics(truth: SimTruth, estimate, target_index: int = 0) -> MetricsRecord:
+def metrics(truth: SimTruth, estimate: Estimate, target_index: int = 0) -> MetricsRecord:
     """Score an estimate against the generating truth with ``MetricsRecord.score``.
 
-    ``estimate`` is a ``GlmFit`` (no proxy, so ``noise_corr`` is NaN), an
-    ``SglmResult``, or an estimate record of ``benchmark.run_estimator``
-    (no fit, so no ``bias``, for the linear estimators). The true signal
-    includes the domain shift; the coefficient is the one at index 1, the
-    ``x`` column of the standard [intercept, x] design.
+    A plain fit's zero ``noise_hat`` scores ``noise_corr`` as NaN, and an
+    estimate without a ``refit`` (a linear estimator) has no ``bias``.
+    The true signal includes the domain shift; the coefficient is the one
+    at index 1, the ``x`` column of the standard [intercept, x] design.
     """
-    if isinstance(estimate, GlmFit):
-        signal_hat, noise_hat, fit = estimate.eta, None, estimate
-    elif isinstance(estimate, SglmResult):
-        signal_hat, noise_hat, fit = estimate.signal_hat, estimate.noise_hat, estimate.refit
-    else:
-        signal_hat, noise_hat, fit = estimate.signal_hat, estimate.noise_hat, estimate.fit
+    refit = estimate.refit
     return MetricsRecord.score(
-        signal_hat,
-        noise_hat,
-        None if fit is None else float(fit.beta[1]),
+        estimate.signal_hat,
+        estimate.noise_hat,
+        None if refit is None else float(refit.beta[1]),
         truth.signal[:, target_index] + truth.theta_shift,
         truth.noise,
         float(truth.x_coefs[target_index]),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sibglm.benchmark as bench
-from sibglm.benchmark import ESTIMATORS, CellSpec, run_estimator, run_study
+from sibglm.benchmark import ESTIMATORS, CellSpec, Study, run_estimator, run_study
 import sibglm.cli
 from sibglm.cli import _BLOCK_ROWS, PanelFormatError, _write_table, main, read_panel
 from sibglm.families import bernoulli, family_from_name, gamma, gaussian, poisson
@@ -397,12 +397,9 @@ class TestDenoiseCommand:
         # replicate 0 of a study with master seed 4 is the panel simulated
         # with that replicate's seed; q=3 takes the first series of q=5
         fam = family_from_name(family)
-        cells = [
-            CellSpec(family=fam, m=200, q=q, estimator=estimator, replicates=1, master_seed=4)
-            for q in (3, 5)
-            for estimator in ESTIMATORS
-        ]
-        results, _ = run_study(cells)
+        study = Study(fam, m=200, replicates=1, master_seed=4)
+        cells = [CellSpec(q, estimator) for q in (3, 5) for estimator in ESTIMATORS]
+        results, _ = run_study(study, cells)
         for q in (3, 5):
             panel = _simulate(
                 tmp_path, name=f"panel{q}.csv", family=family, m=200, q=q,
@@ -796,6 +793,42 @@ class TestParserContract:
         sp = sibglm.cli.build_parser()[1][command]
         assert sp.parse_args(["--step3-with-x"]).step3_with_x is True
         assert sp.parse_args([]).step3_with_x is False
+
+    BAD_CHOICES = [
+        ("benchmark", "--noise-strategy", "ridge"),
+        ("benchmark", "--noise-scheme", "half"),
+        ("benchmark", "--family", "Poisson"),
+        ("denoise", "--estimator", "bogus"),
+        ("denoise", "--residual", "pearson"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value", BAD_CHOICES)
+    def test_bad_config_choice_fails_as_the_flag_does(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        panel = _simulate(tmp_path, m=30, q=3)
+        out = tmp_path / "out.csv"
+        argv = {
+            "benchmark": ["benchmark", "--m", "30", "--q-grid", "2", "--replicates", "1"],
+            "denoise": ["denoise", "--input", panel],
+        }[command] + ["--output", out]
+        dest, default = PARSER_CONTRACT[command][flag][:2]
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({dest: value}))
+        capsys.readouterr()
+        failures = []
+        for given in ([flag, value], ["--config", conf]):
+            with pytest.raises(SystemExit) as excinfo:
+                _run(*argv, *given)
+            failures.append((excinfo.value.code, capsys.readouterr().err.splitlines()[-1]))
+        assert failures[0] == failures[1]
+        code, line = failures[0]
+        assert code == 2
+        assert f"{command}: error: argument {flag}: invalid choice: {value!r}" in line
+        assert not out.exists()
+        # a valid flag overrides the bad config value
+        assert _run(*argv, "--config", conf, flag, default) == 0
+        assert f"# {dest} = {default}" in out.read_text()
 
 
 class TestRequiredPaths:

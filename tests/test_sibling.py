@@ -237,8 +237,9 @@ class TestSglmDenoise:
         from sibglm.inference import sandwich
 
         panel = to_panel(truth, fam)
-        sw = sandwich(out.base_fit, panel.design, truth.y[:, 0])
-        gap = np.abs(out.refit.beta[:2] - out.base_fit.beta)
+        base_fit = fit_glm(panel.design, truth.y[:, 0], fam)
+        sw = sandwich(base_fit, panel.design, truth.y[:, 0])
+        gap = np.abs(out.refit.beta[:2] - base_fit.beta)
         assert np.all(gap <= 2 * sw.standard_errors)
         # the proxy coefficient carries no real signal
         sw_refit = sandwich(out.refit, out.refit_design, truth.y[:, 0])
@@ -302,16 +303,20 @@ class TestSglmDenoise:
     def test_non_default_target(self):
         fam = poisson()
         truth = generate(SimConfig(fam, m=500, q=4, seed=15))
-        out = sglm_denoise(to_panel(truth, fam, target_index=2))
+        panel = to_panel(truth, fam, target_index=2)
+        out = sglm_denoise(panel)
         from sibglm.simulate import metrics
 
         rec = metrics(truth, out, target_index=2)
         assert np.isfinite(rec.mse) and np.isfinite(rec.bias)
-        direct = out.base_fit
+        direct = fit_glm(panel.design, truth.y[:, 2], fam)
         assert np.allclose(
             direct.mu, fam.mean(direct.eta)
         )  # base fit belongs to the chosen series
         assert abs(direct.beta[1] - truth.x_coefs[2]) < 1.0
+        # the refit solves the chosen series' score equation
+        score = out.refit_design.x.T @ (truth.y[:, 2] - out.refit.mu)
+        assert np.abs(score).max() < 1e-6
 
 
 class TestPanel:

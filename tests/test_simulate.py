@@ -6,7 +6,7 @@ import pytest
 from sibglm.families import bernoulli, gamma, gaussian, poisson
 from sibglm.glm import design_with_intercept, fit_glm
 from sibglm.inference import sandwich
-from sibglm.sibling import SglmResult
+from sibglm.sibling import Estimate
 from sibglm.simulate import (
     GenerationError,
     MetricsRecord,
@@ -135,26 +135,24 @@ class TestMetrics:
         fit = evaluate_at(
             design, gaussian(1.0), [truth.theta_shift, truth.x_coefs[0]]
         )
-        rec = metrics(truth, fit)
+        rec = metrics(truth, Estimate.of_fit(fit, design))
         assert rec.mse == pytest.approx(0.0, abs=1e-24)
         assert rec.bias == pytest.approx(0.0, abs=1e-15)
         assert np.isnan(rec.noise_corr)
 
     def _sglm_result(self, truth, noise_hat):
-        design = design_with_intercept(truth.x, names=("x",))
-        base = evaluate_at(design, gaussian(1.0), [0.0, truth.x_coefs[0]])
         refit_design = design_with_intercept(
             np.column_stack([truth.x, noise_hat]), names=("x", "noise_hat")
         )
         refit = evaluate_at(
             refit_design, gaussian(1.0), [0.0, truth.x_coefs[0], 1.0]
         )
-        return SglmResult(
+        return Estimate(
+            signal_hat=truth.signal[:, 0],
             noise_hat=noise_hat,
-            base_fit=base,
+            mu_hat=refit.mu,
             refit=refit,
             refit_design=refit_design,
-            signal_hat=truth.signal[:, 0],
         )
 
     def test_exact_noise_gives_unit_correlation(self):
@@ -174,7 +172,7 @@ class TestMetrics:
         design = design_with_intercept(short.x, names=("x",))
         fit = evaluate_at(design, gaussian(1.0), [0.0, 1.0])
         with pytest.raises(ValueError):
-            metrics(truth, fit)
+            metrics(truth, Estimate.of_fit(fit, design))
 
     def test_score_is_nan_where_undefined(self):
         signal = np.linspace(0.0, 1.0, 5)
