@@ -10,8 +10,9 @@ The calls run in this process through ``sibglm.cli.main``, imported from
 ``--src``. They cover simulate, fit, residuals, denoise and benchmark over
 the four families, every estimator, residual kind, noise strategy and
 flag, studies with ``--jobs 1`` and ``--jobs 2``, study grids whose cells
-fail, missing-path errors, bad configs, and option values outside their
-choices given by flag or by config. Every path is relative to a
+fail, missing-path errors, bad configs, option values outside their
+choices or of the wrong type given by flag or by config, and settings
+that no panel can have. Every path is relative to a
 work directory (``--workdir``, by default a fresh temporary directory)
 that holds nothing else, so the manifest does not depend on where it
 is. Per call the manifest records the return code, the SHA-256 of each CSV
@@ -63,6 +64,11 @@ FILES = {
     "broken.json": "{",
     "bad.csv": "x_x,y_a\n1,2\n3,oops\n",
     **{f"bad-{dest}.json": json.dumps({dest: value}) for _, dest, value in BAD_CHOICES},
+    "m-float.json": json.dumps({"m": 2.5}),
+    "m-true.json": json.dumps({"m": True}),
+    "step3-no.json": json.dumps({"step3_with_x": "no"}),
+    "sigma-zero.json": json.dumps({"sigma_eps": 0, "seed": 0}),
+    "grid-list.json": json.dumps({"q_grid": [2, 3], "step3_with_x": True}),
 }
 
 
@@ -170,6 +176,24 @@ def cases():
         yield f"{command}-bad-{dest}-config", [*small[command], *config]
     yield "denoise-bad-estimator-config-overridden", [
         *small["denoise"], "--config", "bad-estimator.json", "--estimator", "glm",
+    ]
+
+    # config values that are not strings: each given as the flags it stands for
+    yield "simulate-config-m-float", ["simulate", "--q", "3", "--config", "m-float.json"]
+    yield "simulate-config-m-true", ["simulate", "--q", "3", "--config", "m-true.json"]
+    yield "benchmark-config-step3-no", [*small["benchmark"], "--config", "step3-no.json"]
+    yield "simulate-config-sigma-zero", [
+        "simulate", "--m", "30", "--q", "3", "--config", "sigma-zero.json",
+    ]
+    yield "benchmark-config-grid-list", [
+        "benchmark", "--m", "30", "--replicates", "2", "--config", "grid-list.json",
+    ]
+
+    # settings no panel can have, and a fixed dispersion given another value
+    yield "benchmark-m1", ["benchmark", "--m", "1", "--q-grid", "2"]
+    yield "benchmark-negative-sigma-eps", ["benchmark", "--sigma-eps", "-1", "--q-grid", "2"]
+    yield "simulate-poisson-dispersion5", [
+        "simulate", "--family", "poisson", "--dispersion", "5", "--q", "3",
     ]
 
 

@@ -64,6 +64,12 @@ class Study:
     include_x: bool = False
     strategy: str = sibling.REGRESSION
 
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ValueError("replicates must be >= 1")
+        # reject what each replicate's SimConfig would, before any cell runs
+        SimConfig(self.family, self.m, 2, self.sigma_eps, self.master_seed, self.noise_scheme)
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -242,8 +248,10 @@ def run_study(
     Returns each cell's result and the total time of the shared
     generate-and-fit steps.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     replicates = study.replicates
-    chunks = max(1, min(jobs, replicates))
+    chunks = min(jobs, replicates)
     bounds = [replicates * i // chunks for i in range(chunks + 1)]
     with contextlib.ExitStack() as stack:
         run_all = map

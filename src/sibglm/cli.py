@@ -358,10 +358,8 @@ def cmd_residuals(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_list(value, parse=str) -> list:
-    if isinstance(value, (list, tuple)):
-        return [parse(v) for v in value]
-    return [parse(v.strip()) for v in str(value).split(",") if v.strip()]
+def _parse_list(value: str, parse=str) -> list:
+    return [parse(v.strip()) for v in value.split(",") if v.strip()]
 
 
 def build_cells(args: argparse.Namespace) -> list[bench.CellSpec]:
@@ -389,10 +387,6 @@ def build_cells(args: argparse.Namespace) -> list[bench.CellSpec]:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    if args.replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    if args.jobs < 1:
-        raise ValueError("jobs must be >= 1")
     study = bench.Study(
         _family(args), args.m, args.sigma_eps, args.noise_scheme, args.replicates,
         master_seed=args.seed, include_x=args.step3_with_x, strategy=args.noise_strategy,
@@ -532,30 +526,28 @@ KNOWN_ERRORS = (ValueError, ConvergenceError, GenerationError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()[0]
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # the config file replaces the defaults of the chosen command,
-            # so parsing again lets explicit flags override it
+            # a config file stands for its flags, written before the command
+            # line's, so argparse checks each value as a flag's and a later flag wins
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
             if not isinstance(loaded, dict):
                 raise ValueError("config file must hold a JSON object")
-            settings = _settings(args)
-            for key in loaded:
-                if key not in settings:
+            config_flags = []
+            for key, value in loaded.items():
+                if key not in _settings(args):
                     raise ValueError(f"unknown config key {key!r}")
-            command = commands[args.command]
-            command.set_defaults(**loaded)
-            args = parser.parse_args(argv)
-            # set_defaults skips the choices check a flag gets, so run it here
-            for action in command._actions:
-                if action.dest in loaded:
-                    try:
-                        command._check_value(action, getattr(args, action.dest))
-                    except argparse.ArgumentError as exc:
-                        command.error(str(exc))
+                flag = "--" + key.replace("_", "-")
+                if value is True:
+                    config_flags.append(flag)
+                elif value is not False and value is not None:
+                    value = ",".join(map(str, value)) if isinstance(value, list) else value
+                    config_flags.append(f"{flag}={value}")
+            args = parser.parse_args([argv[0], *config_flags, *argv[1:]])
         paths = [name for name in ("input", "output") if name in vars(args)]
         if not all(getattr(args, name) for name in paths):
             flags = " and ".join(f"--{name}" for name in paths)

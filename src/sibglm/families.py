@@ -231,6 +231,4 @@ def family_from_name(name: str, dispersion: float = 1.0) -> Family:
     kind = name.strip().lower()
     if kind not in FAMILY_KINDS:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_KINDS}")
-    if kind in (POISSON, BERNOULLI):
-        return Family(kind, 1.0)
     return Family(kind, dispersion)

@@ -330,6 +330,14 @@ class TestSimulateCommand:
         assert _run("simulate", "--config", conf, "--output", tmp_path / "p.csv") == 1
         assert "error: ValueError: config file must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["poisson", "bernoulli"])
+    def test_fixed_dispersion_is_not_overridden(self, tmp_path, capsys, family):
+        out = tmp_path / "p.csv"
+        assert _run("simulate", "--family", family, "--dispersion", "5", "--output", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ValueError: {family} family has fixed dispersion 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "benchmark"])
     def test_input_flag_is_rejected(self, tmp_path, command):
         with pytest.raises(SystemExit) as excinfo:
@@ -713,6 +721,32 @@ class TestBenchmarkCommand:
         assert err == "error: ValueError: jobs must be >= 1\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--m", "1"], "need m >= 2 observations"),
+            (["--sigma-eps", "-1"], "sigma_eps must be nonnegative"),
+        ],
+    )
+    def test_bad_panel_settings_error_before_any_cell(self, tmp_path, capsys, flags, message):
+        rc = _run("benchmark", "--q-grid", "2", "--replicates", "1", *flags,
+                  "--output", tmp_path / "x.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_study_checks_its_settings(self):
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            Study(poisson(), m=30, replicates=0)
+        with pytest.raises(ValueError, match="need m >= 2"):
+            Study(poisson(), m=1)
+        with pytest.raises(ValueError, match="sigma_eps must be nonnegative"):
+            Study(poisson(), m=30, sigma_eps=-1.0)
+        with pytest.raises(ValueError, match="unknown noise coefficient scheme"):
+            Study(poisson(), m=30, noise_scheme="half")
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_study(Study(poisson(), m=30, replicates=1), [CellSpec(2, "glm")], jobs=0)
+
     def test_step3_with_x_from_config(self, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"step3_with_x": True}))
@@ -826,9 +860,63 @@ class TestParserContract:
         assert code == 2
         assert f"{command}: error: argument {flag}: invalid choice: {value!r}" in line
         assert not out.exists()
-        # a valid flag overrides the bad config value
-        assert _run(*argv, "--config", conf, flag, default) == 0
-        assert f"# {dest} = {default}" in out.read_text()
+        # the config's flags come first, so a valid flag after them still fails
+        with pytest.raises(SystemExit) as excinfo:
+            _run(*argv, "--config", conf, flag, default)
+        assert (excinfo.value.code, capsys.readouterr().err.splitlines()[-1]) == failures[0]
+        assert not out.exists()
+
+    # (command, config, the flags that give the same error)
+    BAD_VALUES = [
+        ("simulate", {"m": 2.5}, ["--m", "2.5"]),
+        ("simulate", {"m": True}, ["--m"]),
+        ("benchmark", {"step3_with_x": "no"}, ["--step3-with-x=no"]),
+    ]
+
+    @pytest.mark.parametrize("command,config,flags", BAD_VALUES)
+    def test_bad_config_value_fails_as_the_flag_does(
+        self, tmp_path, capsys, command, config, flags
+    ):
+        out = tmp_path / "out.csv"
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        failures = []
+        for given in (flags, ["--config", conf]):
+            with pytest.raises(SystemExit) as excinfo:
+                _run(command, "--output", out, *given)
+            failures.append((excinfo.value.code, capsys.readouterr().err.splitlines()[-1]))
+        assert failures[0] == failures[1]
+        assert failures[0][0] == 2
+        assert f"{command}: error: argument {flags[0].split('=')[0]}: " in failures[0][1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
+
+    # (command, config, the flags it stands for)
+    CONFIG_FLAGS = [
+        ("simulate", {"sigma_eps": 0, "seed": 0}, ["--sigma-eps", "0", "--seed", "0"]),
+        (
+            "benchmark", {"q_grid": [2, 3], "step3_with_x": True},
+            ["--q-grid", "2,3", "--step3-with-x"],
+        ),
+        ("benchmark", {"q_grid": "2", "step3_with_x": False}, ["--q-grid", "2"]),
+        ("fit", {"target": None}, []),
+    ]
+
+    @pytest.mark.parametrize("command,config,flags", CONFIG_FLAGS)
+    def test_config_writes_what_its_flags_write(self, tmp_path, command, config, flags):
+        panel = _simulate(tmp_path, m=30, q=3)
+        extra = {
+            "simulate": ["--m", "30", "--q", "3"],
+            "benchmark": ["--m", "30", "--replicates", "2"],
+            "fit": ["--input", panel],
+        }[command]
+        out = tmp_path / "out.csv"
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        written = []
+        for given in (flags, ["--config", conf]):
+            assert _run(command, *extra, *given, "--output", out) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestRequiredPaths:

@@ -189,3 +189,9 @@ class TestValidation:
         assert family_from_name("gamma", 3.0).dispersion == 3.0
         with pytest.raises(ValueError):
             family_from_name("negbin")
+
+    @pytest.mark.parametrize("name", ["poisson", "bernoulli"])
+    def test_family_from_name_keeps_fixed_dispersion(self, name):
+        assert family_from_name(name, 1.0).dispersion == 1.0
+        with pytest.raises(ValueError, match=f"{name} family has fixed dispersion 1"):
+            family_from_name(name, 5.0)
