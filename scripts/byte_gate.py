@@ -10,15 +10,15 @@ The calls run in this process through ``sibglm.cli.main``, imported from
 ``--src``. They cover simulate, fit, residuals, denoise and benchmark over
 the four families, every estimator, residual kind, noise strategy and
 flag, studies with ``--jobs 1`` and ``--jobs 2``, study grids whose cells
-fail, missing-path errors, bad configs, option values outside their
-choices or of the wrong type given by flag or by config, and settings
-that no panel can have. Every path is relative to a
-work directory (``--workdir``, by default a fresh temporary directory)
-that holds nothing else, so the manifest does not depend on where it
-is. Per call the manifest records the return code, the SHA-256 of each CSV
-file the call wrote, with the file's own path removed, the standard
-output, and the ``error:`` line of standard error (null when there is
-none).
+fail, panels on which IRLS halves its steps or meets a separated series,
+missing-path errors, bad configs, option values outside their choices or
+of the wrong type given by flag or by config, and settings that no panel
+can have. Every path is relative to a work directory (``--workdir``, by
+default a fresh temporary directory) that holds nothing else, so the
+manifest does not depend on where it is. Per call the manifest records
+the return code, the SHA-256 of each CSV file the call wrote, with the
+file's own path removed, the standard output, and the ``error:`` line of
+standard error (null when there is none).
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ import io
 import json
 import sys
 import tempfile
+
+import numpy as np
 
 # Written out rather than imported, so every checkout runs the same grid.
 FAMILIES = (("gaussian", "1.0"), ("poisson", "1.0"), ("bernoulli", "1.0"), ("gamma", "2.0"))
@@ -55,8 +57,42 @@ BAD_CHOICES = (
     ("denoise", "residual", "pearson"),
 )
 
+
+def _panel_csv(x: np.ndarray, ys: np.ndarray) -> str:
+    """A panel file with covariate ``x`` and series ``s00``, ``s01``, ..."""
+    header = ",".join(["x_x", *(f"y_s{j:02d}" for j in range(ys.shape[1]))])
+    rows = (",".join(repr(float(v)) for v in row) for row in np.column_stack([x, ys]))
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _gamma_halving_panel() -> str:
+    """Gamma (shape 2) series whose Newton steps leave the domain and are halved."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1, 1, 60)
+    ys = []
+    for s in (0.3, 1.5, 2.5, 4.5):
+        mu = -2.0 / (-s - 0.05 + s * x)
+        ys.append(rng.gamma(shape=2.0, scale=mu / 2.0))
+    return _panel_csv(x, np.column_stack(ys))
+
+
+def _bernoulli_separated_panel() -> str:
+    """Two noisy Bernoulli series and a third, ``s02``, perfectly separated by x."""
+    x = np.linspace(-1, 1, 40)
+    noisy = (np.random.default_rng(0).random((40, 2)) < 0.5).astype(float)
+    return _panel_csv(x, np.column_stack([noisy, x > 0]))
+
+
+# Panels on which IRLS halves steps or fails: (file, family flags, series)
+HARD_PANELS = (
+    ("gamma-halving", ["--family", "gamma", "--dispersion", "2.0"], 4),
+    ("bernoulli-separated", ["--family", "bernoulli"], 3),
+)
+
 # Files the calls read besides the panels they write themselves.
 FILES = {
+    "gamma-halving.csv": _gamma_halving_panel(),
+    "bernoulli-separated.csv": _bernoulli_separated_panel(),
     "paths.json": json.dumps({"input": "poisson.csv", "output": "config-paths.csv"}),
     "output.json": json.dumps({"output": "config-output.csv", "m": 50, "q": 3}),
     "list.json": json.dumps(["m"]),
@@ -132,6 +168,17 @@ def cases():
             "--replicates", "6", "--seed", "3", "--jobs", jobs,
         ]
 
+    # panels on which IRLS halves steps, or fails on a separated series
+    for name, fam, q in HARD_PANELS:
+        panel = f"{name}.csv"
+        for j in range(q):
+            yield f"{name}-fit-s{j:02d}", ["fit", *fam, "--input", panel, "--target", f"s{j:02d}"]
+        for estimator in ("glm", "sglm"):
+            yield f"{name}-denoise-{estimator}", [
+                "denoise", *fam, "--input", panel, "--estimator", estimator,
+            ]
+        yield f"{name}-residuals", ["residuals", *fam, "--input", panel]
+
     # one larger panel through every command
     yield "large", ["simulate", "--m", "3000", "--q", "20", "--seed", "11"]
     for command in ("fit", "denoise", "residuals"):
@@ -195,6 +242,8 @@ def cases():
     yield "simulate-poisson-dispersion5", [
         "simulate", "--family", "poisson", "--dispersion", "5", "--q", "3",
     ]
+    yield "simulate-negative-seed", ["simulate", "--seed", "-1", "--q", "3"]
+    yield "benchmark-negative-seed", [*small["benchmark"], "--seed", "-1"]
 
 
 def _csv_files() -> dict[str, tuple[int, int]]:

@@ -7,13 +7,16 @@ scored against the ground truth. Replicate seeds are derived from the
 master seed by replicate index only, so runs at different q (or with
 different estimators) see the same draws and comparisons are paired.
 
-``run_estimator`` runs any of the four estimators on a panel from
-scratch; the ``denoise`` command calls it, and so does a study cell of
-a linear estimator. The linear sibling estimators operate on
-log1p-transformed responses for the Poisson and Gamma families (the
-standard count transformation the comparison is about) and on the raw
-responses otherwise; they estimate the denoised series directly, so only
-MSE and the noise correlation are defined for them.
+``_estimate`` is the one place that branches on the estimator, and
+``_fit_shared`` decides which GLM fits and residuals it needs. A study
+cell runs ``_estimate`` on what its replicate shares; ``run_estimator``,
+the library's entry point that the ``denoise`` command calls, runs it on
+what ``_fit_shared`` makes for the one estimator. The linear sibling
+estimators operate on log1p-transformed responses for the Poisson and
+Gamma families (the standard count transformation the comparison is
+about) and on the raw responses otherwise; they estimate the denoised
+series directly, so only MSE and the noise correlation are defined for
+them.
 """
 
 from __future__ import annotations
@@ -27,13 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import GAMMA, POISSON, Family
-from .glm import GlmFit, fit_glm, fit_glms
+from .glm import fit_glm, fit_glms
 from . import residuals as res
 from . import sibling
 from .sibling import Estimate
-from .simulate import (
-    MetricsRecord, SimConfig, SimTruth, generate, metrics, replicate_seed, to_panel,
-)
+from .simulate import MetricsRecord, SimConfig, generate, metrics, replicate_seed, to_panel
 
 GLM_ESTIMATOR = "glm"
 HALF_SIBLING = "half_sibling"
@@ -104,6 +105,46 @@ def working_scale(family: Family, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _fit_shared(panel: sibling.Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
+    """The GLM fits, by series index, and the residual matrices, by kind, that
+    the cells' estimators need on ``panel``: every series' fit and a matrix
+    per kind for ``sglm``, the target's fit for ``glm``, nothing otherwise."""
+    estimators = {c.estimator for c in cells}
+    if SGLM in estimators:
+        fits = fit_glms(panel.design, panel.responses, panel.family)
+        kinds = {c.residual_kind for c in cells if c.estimator == SGLM}
+        residuals = {kind: sibling.residual_matrix(panel, fits, kind) for kind in kinds}
+        return dict(enumerate(fits)), residuals
+    if GLM_ESTIMATOR in estimators:
+        t = panel.target_index
+        return {t: fit_glm(panel.design, panel.responses[:, t], panel.family)}, {}
+    return {}, {}
+
+
+def _estimate(panel, spec, fits, residuals, include_x, strategy) -> Estimate:
+    """Run ``spec``'s estimator on ``panel`` with what ``_fit_shared`` made for
+    it, or for a wider panel whose first ``panel.q`` series are these."""
+    family, t = panel.family, panel.target_index
+    if spec.estimator == SGLM:
+        resid = residuals[spec.residual_kind][:, : panel.q]
+        return sibling.denoise_with_residuals(panel, resid, include_x, strategy)
+    if spec.estimator == GLM_ESTIMATOR:
+        return Estimate.of_fit(fits[t], panel.design)
+
+    ty = working_scale(family, panel.responses)
+    aux = np.delete(ty, t, axis=1)
+    if spec.estimator == HALF_SIBLING:
+        signal_hat = sibling.half_sibling(ty[:, t], aux)
+    elif spec.estimator == THREE_QUARTER:
+        # the design's intercept is constant, so the estimator drops it
+        signal_hat = sibling.three_quarter_sibling(panel.design.x, ty[:, t], aux)
+    else:
+        raise ValueError(f"unknown estimator {spec.estimator!r}")
+    # back from the working scale to the mean
+    mu_hat = np.expm1(signal_hat) if family.kind in (POISSON, GAMMA) else signal_hat
+    return Estimate(signal_hat, ty[:, t] - signal_hat, mu_hat, None, None)
+
+
 def run_estimator(
     panel: sibling.Panel,
     estimator: str,
@@ -115,80 +156,32 @@ def run_estimator(
 
     ``residual_kind``, ``include_x`` and ``strategy`` apply to ``sglm``.
     """
-    family, t = panel.family, panel.target_index
-    if estimator == SGLM:
-        return sibling.sglm_denoise(
-            panel, residual_kind=residual_kind, include_x=include_x, strategy=strategy
-        )
-    if estimator == GLM_ESTIMATOR:
-        return Estimate.of_fit(fit_glm(panel.design, panel.responses[:, t], family), panel.design)
-
-    ty = working_scale(family, panel.responses)
-    aux = np.delete(ty, t, axis=1)
-    if estimator == HALF_SIBLING:
-        signal_hat = sibling.half_sibling(ty[:, t], aux)
-    elif estimator == THREE_QUARTER:
-        # the design's intercept is constant, so the estimator drops it
-        signal_hat = sibling.three_quarter_sibling(panel.design.x, ty[:, t], aux)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    # back from the working scale to the mean
-    mu_hat = np.expm1(signal_hat) if family.kind in (POISSON, GAMMA) else signal_hat
-    return Estimate(signal_hat, ty[:, t] - signal_hat, mu_hat, None, None)
+    spec = CellSpec(panel.q, estimator, residual_kind)
+    return _estimate(panel, spec, *_fit_shared(panel, [spec]), include_x, strategy)
 
 
-@dataclass(frozen=True)
-class Replicate:
-    """One replicate's draws and the work every cell of a study shares.
-
-    ``truth`` and ``panel`` are the widest panel the cells need; a cell
-    of smaller q uses its first q series, which are bitwise the panel
-    ``generate`` gives at that q. ``fits`` holds the GLM fit of each of
-    the panel's first ``len(fits)`` series, or is None when only linear
-    estimators run; ``fits[0]`` is the target's fit, a ``glm`` cell's
-    estimate. ``residuals`` holds one matrix per residual kind of the
-    ``sglm`` cells, computed from ``fits``.
-    """
-
-    truth: SimTruth
-    panel: sibling.Panel
-    fits: list[GlmFit] | None = None
-    residuals: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def _shared_replicate(study: Study, cells: list[CellSpec], index: int) -> Replicate:
+def _shared_replicate(study: Study, cells: list[CellSpec], index: int):
     """Generate replicate ``index`` at the cells' largest q once and fit what they share.
 
-    ``sglm`` cells need every series' fit and residuals, ``glm`` cells
-    only the target's fit; the linear estimators need no fit.
+    Returns ``(truth, panel, fits, residuals)``: the widest panel the cells
+    need, whose first q series are bitwise the panel ``generate`` gives at
+    that q, and ``_fit_shared``'s fits and residuals for it.
     """
     q = max(c.q for c in cells)
     seed = replicate_seed(study.master_seed, index)
     truth = generate(SimConfig(study.family, study.m, q, study.sigma_eps, seed, study.noise_scheme))
     panel = to_panel(truth, study.family)
-    estimators = {c.estimator for c in cells}
-    if not estimators & {GLM_ESTIMATOR, SGLM}:
-        return Replicate(truth, panel)
-    width = panel.q if SGLM in estimators else 1
-    fits = fit_glms(panel.design, panel.responses[:, :width], study.family)
-    kinds = {c.residual_kind for c in cells if c.estimator == SGLM}
-    residuals = {kind: sibling.residual_matrix(panel, fits, kind) for kind in kinds}
-    return Replicate(truth, panel, fits, residuals)
+    return (truth, panel, *_fit_shared(panel, cells))
 
 
-def run_cell(study: Study, spec: CellSpec, replicate: Replicate) -> MetricsRecord:
-    """Score one cell on one replicate, running only what depends on its q."""
-    panel = replicate.panel
+def run_cell(study: Study, spec: CellSpec, shared) -> MetricsRecord:
+    """Score one cell on one replicate, ``_shared_replicate``'s
+    ``(truth, panel, fits, residuals)``, running only what depends on its q."""
+    truth, panel, fits, residuals = shared
     if panel.q != spec.q:
         panel = sibling.Panel(panel.design, panel.responses[:, : spec.q], panel.family)
-    if spec.estimator == GLM_ESTIMATOR:
-        estimate = Estimate.of_fit(replicate.fits[0], panel.design)
-    elif spec.estimator == SGLM:
-        resid = replicate.residuals[spec.residual_kind][:, : spec.q]
-        estimate = sibling.denoise_with_residuals(panel, resid, study.include_x, study.strategy)
-    else:
-        estimate = run_estimator(panel, spec.estimator)
-    return metrics(replicate.truth, estimate)
+    estimate = _estimate(panel, spec, fits, residuals, study.include_x, study.strategy)
+    return metrics(truth, estimate)
 
 
 def run_replicates(

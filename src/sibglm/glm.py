@@ -20,11 +20,10 @@ from .families import GAMMA, DomainError, Family
 
 RANK_RTOL = 1e-10
 
-# IRLS stopping rules: iteration budget, score tolerance per row,
-# relative log-likelihood change, and step halvings per iteration
+# IRLS stopping rules: iteration budget, step halvings per iteration, and
+# the one convergence test, a score inf-norm of at most m * TOL_SCORE
 MAX_ITER = 100
 TOL_SCORE = 1e-8
-TOL_LOGLIK = 1e-10
 MAX_HALVINGS = 30
 
 
@@ -231,8 +230,10 @@ def _irls(x, y, family):
     """Damped Newton iterations for every row of ``y`` (one series each) at once.
 
     Each row step-halves and stops on its own, exactly as it would alone.
-    Returns the final coefficients and log-likelihoods, the iteration
-    counts, the convergence flags and the errors of the rows that failed.
+    A row stops when, at the top of an iteration, its score inf-norm is at
+    most ``m * TOL_SCORE``; its count is the steps taken. Returns the final
+    coefficients and log-likelihoods, the iteration counts and the errors
+    of the rows that failed.
     """
     m, p = x.shape
     xx = (x[:, :, None] * x[:, None, :]).reshape(m, p * p)
@@ -242,7 +243,6 @@ def _irls(x, y, family):
     e = _rows_times(beta, x.T)
     ll = _row_loglik(family, y, e)
     iterations = np.full(k, MAX_ITER)
-    converged = np.zeros(k, dtype=bool)
     errors: dict[int, Exception] = {}
 
     # the series still iterating, and their state (copies, because beta and
@@ -251,7 +251,6 @@ def _irls(x, y, family):
     for it in range(1, MAX_ITER + 1):
         score, xwx, rhs = _newton_system(x, xx, family, y, e)
         done = np.max(np.abs(score), axis=1) <= score_tol
-        converged[live[done]] = True
         iterations[live[done]] = it - 1
         singular = ~done & _rank_deficient(_cholesky_diagonals(xwx))
         for j in live[singular]:
@@ -279,22 +278,11 @@ def _irls(x, y, family):
             halve[rows] = ~(lik_new[rows] >= lik[rows] - 1e-12 * (1.0 + np.abs(lik[rows])))
         # a series whose step-halving is exhausted stops at its last iterate
         iterations[live[halve]] = it
-        live, b_new, e_new, y, lik, lik_new = _keep_rows(
-            ~halve, live, b_new, e_new, y, lik, lik_new
-        )
+        live, b, e, y, lik = _keep_rows(~halve, live, b_new, e_new, y, lik_new)
         if not live.size:
             break
-
-        beta[live], ll[live] = b_new, lik_new
-        small = np.abs(lik_new - lik) <= TOL_LOGLIK * (1.0 + np.abs(lik_new))
-        score = _rows_times(y[small] - family.mean(e_new[small]), x)
-        small[small] = np.max(np.abs(score), axis=1) <= score_tol
-        converged[live[small]] = True
-        iterations[live[small]] = it
-        live, b, e, y, lik = _keep_rows(~small, live, b_new, e_new, y, lik_new)
-        if not live.size:
-            break
-    return beta, ll, iterations, converged, errors
+        beta[live], ll[live] = b, lik
+    return beta, ll, iterations, errors
 
 
 def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
@@ -335,7 +323,7 @@ def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
         raise SingularDesignError("design matrix is rank deficient")
 
     # one row per series
-    beta, ll, iterations, converged, errors = _irls(x, np.ascontiguousarray(ys.T), family)
+    beta, ll, iterations, errors = _irls(x, np.ascontiguousarray(ys.T), family)
     eta = _rows_times(beta, x.T)
     mean = family.mean(eta)
     fisher = family.fisher_info(eta)
@@ -352,7 +340,7 @@ def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
             mu=mean[j],
             fisher_diag=fisher[j],
             loglik=float(ll[j]),
-            converged=bool(converged[j] or score_norms[j] <= m * TOL_SCORE),
+            converged=bool(score_norms[j] <= m * TOL_SCORE),
             iterations=int(iterations[j]),
         )
         if not fit.converged:

@@ -75,8 +75,8 @@ def deviance_residual(fit: GlmFit, y) -> np.ndarray:
     return np.sign(y - fit.mu) * np.sqrt(d)
 
 
-def compute(kind: str, fit: GlmFit, y, design: Design | None = None) -> np.ndarray:
-    """Dispatch on a residual kind name; studentized requires the design."""
+def compute(kind: str, fit: GlmFit, y, design: Design) -> np.ndarray:
+    """Dispatch on a residual kind name; ``design`` is the fit's, for studentized."""
     if kind == RAW:
         return raw(fit, y)
     if kind == FISHER:
@@ -84,7 +84,5 @@ def compute(kind: str, fit: GlmFit, y, design: Design | None = None) -> np.ndarr
     if kind == DEVIANCE:
         return deviance_residual(fit, y)
     if kind == STUDENT:
-        if design is None:
-            raise ValueError("studentized residuals require the design")
         return studentized(fit, design, y)
     raise ValueError(f"unknown residual kind {kind!r}; expected one of {RESIDUAL_KINDS}")

@@ -48,6 +48,8 @@ class SimConfig:
             raise ValueError("need q >= 2 series")
         if self.sigma_eps < 0:
             raise ValueError("sigma_eps must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.noise_coefficient_scheme not in NOISE_COEF_SCHEMES:
             raise ValueError(
                 f"unknown noise coefficient scheme {self.noise_coefficient_scheme!r}"

@@ -294,6 +294,12 @@ class TestDeterminism:
 
 
 class TestSimulateCommand:
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        rc = _run("simulate", "--seed", "-1", "--output", tmp_path / "x.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: ValueError: seed must be >= 0\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_shape_of_output(self, tmp_path, capsys):
         out = _simulate(tmp_path, m=120, q=20, seed=7)
         assert "seed = 7" in capsys.readouterr().out
@@ -726,6 +732,7 @@ class TestBenchmarkCommand:
         [
             (["--m", "1"], "need m >= 2 observations"),
             (["--sigma-eps", "-1"], "sigma_eps must be nonnegative"),
+            (["--seed", "-1"], "seed must be >= 0"),
         ],
     )
     def test_bad_panel_settings_error_before_any_cell(self, tmp_path, capsys, flags, message):

@@ -280,6 +280,28 @@ class TestFitGlms:
             fit_glms(_intercept_design(4), np.ones((3, 2)), poisson())
 
 
+class TestStoppingRule:
+    @pytest.mark.parametrize(
+        "family", [poisson(), gaussian(0.5), bernoulli(), gamma(2.0)], ids=lambda f: f.kind
+    )
+    def test_budget_of_the_steps_taken_is_enough(self, family, monkeypatch):
+        # one test stops a series, so a fit that took n steps converges, bitwise
+        # the same, with a budget of n, and fails with n - 1 at its last iterate
+        truth = generate(SimConfig(family, m=120, q=20, sigma_eps=0.3, seed=6))
+        panel = to_panel(truth, family)
+        for y in panel.responses.T:
+            fit = fit_glm(panel.design, y, family)
+            monkeypatch.setattr(sibglm.glm, "MAX_ITER", fit.iterations)
+            bounded = fit_glm(panel.design, y, family)
+            assert bounded.converged
+            _assert_bitwise_equal(bounded, fit)
+            monkeypatch.setattr(sibglm.glm, "MAX_ITER", fit.iterations - 1)
+            with pytest.raises(ConvergenceError, match="^IRLS did not converge") as excinfo:
+                fit_glm(panel.design, y, family)
+            assert excinfo.value.last_fit.iterations == fit.iterations - 1
+            monkeypatch.undo()
+
+
 class TestPredict:
     def test_gaussian_identity(self):
         design = Design(np.array([[1.0]]), ("x",))

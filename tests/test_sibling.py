@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import sibglm.glm
-from sibglm.families import bernoulli, gaussian, poisson
+from sibglm.benchmark import run_estimator
+from sibglm.families import bernoulli, gamma, gaussian, poisson
 from sibglm.glm import ConvergenceError, SingularDesignError, design_with_intercept, fit_glm
+from sibglm.residuals import RESIDUAL_KINDS
 from sibglm.sibling import (
     MEAN_OF_RESIDUALS,
+    NOISE_STRATEGIES,
     Panel,
     _informative_columns,
     _noise_from_residuals,
@@ -317,6 +320,49 @@ class TestSglmDenoise:
         # the refit solves the chosen series' score equation
         score = out.refit_design.x.T @ (truth.y[:, 2] - out.refit.mu)
         assert np.abs(score).max() < 1e-6
+
+
+def _assert_same_estimate(got, want):
+    for name in ("signal_hat", "noise_hat", "mu_hat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("beta", "eta", "mu", "fisher_diag"):
+        assert getattr(got.refit, name).tobytes() == getattr(want.refit, name).tobytes(), name
+    assert (got.refit.loglik, got.refit.iterations) == (want.refit.loglik, want.refit.iterations)
+    assert got.refit_design.x.tobytes() == want.refit_design.x.tobytes()
+    assert got.refit_design.column_names == want.refit_design.column_names
+
+
+class TestRunEstimator:
+    @pytest.mark.parametrize("target", [0, 2])
+    @pytest.mark.parametrize("family", [poisson(), gamma(2.0)], ids=lambda f: f.kind)
+    def test_sglm_is_bitwise_sglm_denoise(self, family, target):
+        truth = generate(SimConfig(family, m=80, q=5, sigma_eps=0.3, seed=8))
+        panel = to_panel(truth, family, target_index=target)
+        for kind in RESIDUAL_KINDS:
+            for strategy in NOISE_STRATEGIES:
+                for include_x in (False, True):
+                    _assert_same_estimate(
+                        run_estimator(panel, "sglm", kind, include_x, strategy),
+                        sglm_denoise(panel, kind, include_x, strategy),
+                    )
+
+    def test_glm_is_the_targets_fit(self):
+        fam = poisson()
+        panel = to_panel(generate(SimConfig(fam, m=80, q=5, seed=8)), fam, target_index=2)
+        fit = fit_glm(panel.design, panel.responses[:, 2], fam)
+        got = run_estimator(panel, "glm")
+        for name in ("beta", "eta", "mu", "fisher_diag"):
+            assert getattr(got.refit, name).tobytes() == getattr(fit, name).tobytes(), name
+        assert got.signal_hat.tobytes() == fit.eta.tobytes()
+        assert got.mu_hat.tobytes() == fit.mu.tobytes()
+        assert not got.noise_hat.any()
+        assert got.refit_design is panel.design
+
+    def test_unknown_estimator(self):
+        fam = poisson()
+        panel = to_panel(generate(SimConfig(fam, m=40, q=3, seed=8)), fam)
+        with pytest.raises(ValueError, match="^unknown estimator 'ridge'$"):
+            run_estimator(panel, "ridge")
 
 
 class TestPanel:

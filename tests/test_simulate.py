@@ -119,6 +119,8 @@ class TestGenerate:
             SimConfig(poisson(), m=10, q=3, sigma_eps=-0.1)
         with pytest.raises(ValueError):
             SimConfig(poisson(), m=10, q=3, noise_coefficient_scheme="half")
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            SimConfig(poisson(), m=10, q=3, seed=-1)
 
     def test_replicate_seed_deterministic(self):
         assert replicate_seed(5, 3) == replicate_seed(5, 3)
