@@ -8,7 +8,9 @@ For each workload that BENCHMARK.json declares, this runs the benchmark
 command twice, with ``--trace 0`` (end-to-end metrics) and ``--trace 1``
 (per-layer metrics), and writes one JSON file holding both, the status
 of each run, the seed, the run length (BENCHMARK.json's ``run_seconds``)
-and the machine.
+and the machine. It also runs the Tier-1 test suite once and records its
+wall time and outcome counts in a separate ``tier1`` block, a one-shot
+timing that no workload gates.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -30,6 +34,25 @@ def run(command: list[str], workload: str, seed: int, seconds: float, trace: int
     print(" ".join(argv), file=sys.stderr, flush=True)
     done = subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+# ROADMAP's Tier-1 command, run with ``src`` first on PYTHONPATH
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def tier1() -> dict:
+    """One run of the Tier-1 suite on ``src``: wall time and the counts of
+    pytest's summary line (``passed``, ``failed``, ...)."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, *TIER1]
+    print(" ".join(argv), file=sys.stderr, flush=True)
+    started = time.perf_counter()
+    done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True)
+    seconds = time.perf_counter() - started
+    summary = done.stdout.strip().splitlines()[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
+    return {"command": TIER1, "returncode": done.returncode, "wall_s": seconds, "counts": counts}
 
 
 def machine() -> dict:
@@ -66,6 +89,7 @@ def main(argv=None) -> int:
         }
     result = {
         "pr": args.pr,
+        "tier1": tier1(),
         "seed": args.seed,
         "seconds": seconds,
         "command": spec["command"],

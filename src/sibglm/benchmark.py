@@ -3,8 +3,12 @@
 A study runs replicate-major: each replicate draws one panel at the
 largest q of the grid and fits every series' GLM once; each cell then
 takes the first q series and runs only what depends on q before it is
-scored against the ground truth. Replicate seeds are derived from the
-master seed by replicate index only, so runs at different q (or with
+scored against the ground truth. The ``sglm`` cells of a replicate build
+their proxies one by one but refit the target in one IRLS loop over a
+stack of their refit designs, each row bitwise the cell's lone refit; a
+cell whose proxy or refit fails there runs alone, as every cell does
+when its replicate's shared step fails. Replicate seeds are derived from
+the master seed by replicate index only, so runs at different q (or with
 different estimators) see the same draws and comparisons are paired.
 
 ``_estimate`` is the one place that branches on the estimator, and
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import GAMMA, POISSON, Family
-from .glm import fit_glm, fit_glms
+from .glm import _fit_rows, fit_glm, fit_glms
 from . import residuals as res
 from . import sibling
 from .sibling import Estimate
@@ -174,13 +178,59 @@ def _shared_replicate(study: Study, cells: list[CellSpec], index: int):
     return (truth, panel, *_fit_shared(panel, cells))
 
 
-def run_cell(study: Study, spec: CellSpec, shared) -> MetricsRecord:
+def _cell_panel(panel: sibling.Panel, q: int) -> sibling.Panel:
+    """The panel of a replicate's first ``q`` series."""
+    if panel.q == q:
+        return panel
+    return sibling.Panel(panel.design, panel.responses[:, :q], panel.family)
+
+
+def _batched_refits(study: Study, cells: list[CellSpec], shared) -> dict[CellSpec, Estimate]:
+    """The ``sglm`` cells' estimates on one replicate, with every refit in
+    one IRLS loop.
+
+    Each cell's proxy and refit design are built as ``_estimate`` builds
+    them; the refits, one design per cell and all on the same target
+    series, then go through ``glm._fit_rows`` together, so each is bitwise
+    the cell's lone refit. A cell whose proxy or refit fails is left out:
+    ``run_cell`` runs it alone, and it fails there with its own note.
+    """
+    _, panel, _, residuals = shared
+    staged = {}
+    for spec in dict.fromkeys(c for c in cells if c.estimator == SGLM):
+        cell = _cell_panel(panel, spec.q)
+        resid = residuals[spec.residual_kind][:, : spec.q]
+        try:
+            nhat = sibling.noise_proxy(cell, resid, study.include_x, study.strategy)
+            staged[spec] = (cell, nhat, sibling.refit_design(cell, nhat))
+        except Exception:
+            continue
+    if not staged:
+        return {}
+    designs = np.stack([design.x for _, _, design in staged.values()])
+    y = panel.responses[:, panel.target_index]
+    try:
+        refits = _fit_rows(designs, np.tile(y, (len(staged), 1)), panel.family)
+    except Exception:
+        # an error for the whole batch; each cell then runs alone
+        return {}
+    return {
+        spec: sibling.denoised(*parts, refit)
+        for (spec, parts), refit in zip(staged.items(), refits)
+        if not isinstance(refit, Exception)
+    }
+
+
+def run_cell(
+    study: Study, spec: CellSpec, shared, estimate: Estimate | None = None
+) -> MetricsRecord:
     """Score one cell on one replicate, ``_shared_replicate``'s
-    ``(truth, panel, fits, residuals)``, running only what depends on its q."""
+    ``(truth, panel, fits, residuals)``, running only what depends on its q,
+    or only the scoring when ``estimate`` is the cell's, already made."""
     truth, panel, fits, residuals = shared
-    if panel.q != spec.q:
-        panel = sibling.Panel(panel.design, panel.responses[:, : spec.q], panel.family)
-    estimate = _estimate(panel, spec, fits, residuals, study.include_x, study.strategy)
+    if estimate is None:
+        panel = _cell_panel(panel, spec.q)
+        estimate = _estimate(panel, spec, fits, residuals, study.include_x, study.strategy)
     return metrics(truth, estimate)
 
 
@@ -189,11 +239,15 @@ def run_replicates(
 ) -> tuple[list[CellResult], float]:
     """Run replicates ``start`` to ``stop - 1`` of every cell of a study.
 
-    Each replicate is generated and fitted once for all cells. When that
-    shared step fails (a series that cannot be generated or fitted), each
-    cell repeats it for itself alone, on its own q series, so a cell fails
-    exactly when its own series do. A cell stops at its first failure.
-    Returns each cell's results over the range and the shared steps' time.
+    Each replicate is generated and fitted once for all cells, and the
+    ``sglm`` cells' refits are made in one batched IRLS call
+    (``_batched_refits``). When the shared step fails (a series that
+    cannot be generated or fitted), each cell repeats it for itself alone,
+    on its own q series, so a cell fails exactly when its own series do;
+    an ``sglm`` cell whose proxy or refit fails in the batch likewise runs
+    alone. A cell stops at its first failure. Every cell is scored by
+    ``run_cell``. Returns each cell's results over the range and the time
+    of the shared steps, batched refits included.
     """
     results = [
         CellResult(spec, {name: np.empty(stop - start) for name in METRIC_NAMES})
@@ -206,6 +260,8 @@ def run_replicates(
             shared = _shared_replicate(study, cells, index)
         except Exception:
             shared = None
+        live = [result.spec for result in results if result.error is None]
+        batched = _batched_refits(study, live, shared) if shared else {}
         shared_seconds += time.perf_counter() - started
         for result in results:
             if result.error is not None:
@@ -213,7 +269,8 @@ def run_replicates(
             spec = result.spec
             started = time.perf_counter()
             try:
-                rec = run_cell(study, spec, shared or _shared_replicate(study, [spec], index))
+                own = shared or _shared_replicate(study, [spec], index)
+                rec = run_cell(study, spec, own, batched.get(spec))
                 for name in METRIC_NAMES:
                     result.samples[name][index - start] = getattr(rec, name)
             except Exception as exc:

@@ -53,14 +53,17 @@ class Family:
 
     # -- natural-parameter domain -------------------------------------
 
+    def domain_mask(self, theta) -> np.ndarray:
+        """Entrywise: True where ``theta`` is a valid natural parameter."""
+        theta = np.asarray(theta, dtype=float)
+        ok = np.isfinite(theta)
+        if self.kind == GAMMA:
+            ok &= theta < 0.0
+        return ok
+
     def in_domain(self, theta) -> bool:
         """True when every entry of ``theta`` is a valid natural parameter."""
-        theta = np.asarray(theta, dtype=float)
-        if not np.all(np.isfinite(theta)):
-            return False
-        if self.kind == GAMMA:
-            return bool(np.all(theta < 0.0))
-        return True
+        return bool(np.all(self.domain_mask(theta)))
 
     def check_domain(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

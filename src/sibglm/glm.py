@@ -137,16 +137,19 @@ def _factor(x: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
 def _initial_beta(x: np.ndarray, ys: np.ndarray, family: Family) -> np.ndarray:
     """Feasible starting coefficients, one row per response row of ``ys``.
 
+    ``x`` is the design every row shares, or a stack of one design per row.
     Zero works for families whose natural-parameter domain is the whole
     real line. The Gamma domain excludes zero, so its start matches the
     intercept-only maximum likelihood solution when a constant column is
     available, falling back to a least-squares fit on the link scale.
     """
-    p = x.shape[1]
+    p = x.shape[-1]
     k = ys.shape[0]
-    beta = np.zeros((k, p))
     if family.kind != GAMMA:
-        return beta
+        return np.zeros((k, p))
+    if x.ndim == 3:
+        return np.concatenate([_initial_beta(x[j], ys[j : j + 1], family) for j in range(k)])
+    beta = np.zeros((k, p))
     spans = np.ptp(x, axis=0)
     for c in range(p):
         if spans[c] == 0.0 and x[0, c] != 0.0:
@@ -197,10 +200,12 @@ def _rows_times(v, a):
 def _newton_system(x, xx, family, y, eta):
     """Score ``X'(y - mu)``, ``X'WX`` and ``X'Wz`` of one IRLS step per row.
 
-    ``y`` and ``eta`` hold one series per row; ``xx`` holds the per-row
-    outer products of the design, so ``w @ xx`` forms every ``X'WX``.
+    ``y`` and ``eta`` hold one series per row; ``x`` is their shared design
+    or a stack of one design per row, and ``xx`` holds the per-row outer
+    products of the design (or of each row's design), so ``w @ xx`` forms
+    every ``X'WX``.
     """
-    p = x.shape[1]
+    p = x.shape[-1]
     w = family.fisher_info(eta)
     resid = y - family.mean(eta)
     # rows with underflowed information carry no weight; avoid 0/0 in z;
@@ -215,7 +220,7 @@ def _row_loglik(family, y, eta):
     """Log-likelihood of each row; NaN, which no test accepts, outside the domain."""
     if family.in_domain(eta):
         return family.log_pdf(y, eta).sum(axis=1)
-    ok = np.array([family.in_domain(row) for row in eta])
+    ok = family.domain_mask(eta).all(axis=1)
     ll = np.full(len(eta), np.nan)
     ll[ok] = family.log_pdf(y[ok], eta[ok]).sum(axis=1)
     return ll
@@ -229,18 +234,24 @@ def _keep_rows(mask, *arrays):
 def _irls(x, y, family):
     """Damped Newton iterations for every row of ``y`` (one series each) at once.
 
-    Each row step-halves and stops on its own, exactly as it would alone.
-    A row stops when, at the top of an iteration, its score inf-norm is at
-    most ``m * TOL_SCORE``; its count is the steps taken. Returns the final
+    ``x`` is one m x p design that every row shares, or a k x m x p stack
+    with one design per row. A shared design stays one array; a stack
+    keeps only the rows still iterating. Each row step-halves and stops
+    on its own, and every product is formed one row at a time with that
+    row's design, so each row goes exactly as it would alone. A row stops
+    when, at the top of an iteration, its score inf-norm is at most
+    ``m * TOL_SCORE``; its count is the steps taken. Returns the final
     coefficients and log-likelihoods, the iteration counts and the errors
     of the rows that failed.
     """
-    m, p = x.shape
-    xx = (x[:, :, None] * x[:, None, :]).reshape(m, p * p)
+    m, p = x.shape[-2:]
+    per_row = x.ndim == 3
+    xx = (x[..., :, None] * x[..., None, :]).reshape(*x.shape[:-1], p * p)
     score_tol = m * TOL_SCORE
     k = y.shape[0]
     beta = _initial_beta(x, y, family)
-    e = _rows_times(beta, x.T)
+    # swapaxes is x.T, for the one design or for each design of a stack
+    e = _rows_times(beta, x.swapaxes(-1, -2))
     ll = _row_loglik(family, y, e)
     iterations = np.full(k, MAX_ITER)
     errors: dict[int, Exception] = {}
@@ -255,7 +266,10 @@ def _irls(x, y, family):
         singular = ~done & _rank_deficient(_cholesky_diagonals(xwx))
         for j in live[singular]:
             errors[j] = SingularDesignError("weighted design is numerically singular")
-        live, b, e, y, lik, xwx, rhs = _keep_rows(~(done | singular), live, b, e, y, lik, xwx, rhs)
+        going = ~(done | singular)
+        live, b, e, y, lik, xwx, rhs = _keep_rows(going, live, b, e, y, lik, xwx, rhs)
+        if per_row:
+            x, xx = _keep_rows(going, x, xx)
         if not live.size:
             break
         step = np.linalg.solve(xwx, rhs[:, :, None])[:, :, 0] - b
@@ -263,7 +277,7 @@ def _irls(x, y, family):
         # halve the steps of the series whose log-likelihood would fall or
         # whose natural parameters would leave the domain
         b_new = b + step
-        e_new = _rows_times(b_new, x.T)
+        e_new = _rows_times(b_new, x.swapaxes(-1, -2))
         lik_new = _row_loglik(family, y, e_new)
         halve = ~(lik_new >= lik - 1e-12 * (1.0 + np.abs(lik)))
         alpha = 1.0
@@ -273,28 +287,103 @@ def _irls(x, y, family):
             alpha *= 0.5
             rows = np.flatnonzero(halve)
             b_new[rows] = b[rows] + alpha * step[rows]
-            e_new[rows] = _rows_times(b_new[rows], x.T)
+            xt = (x[rows] if per_row else x).swapaxes(-1, -2)
+            e_new[rows] = _rows_times(b_new[rows], xt)
             lik_new[rows] = _row_loglik(family, y[rows], e_new[rows])
             halve[rows] = ~(lik_new[rows] >= lik[rows] - 1e-12 * (1.0 + np.abs(lik[rows])))
         # a series whose step-halving is exhausted stops at its last iterate
         iterations[live[halve]] = it
         live, b, e, y, lik = _keep_rows(~halve, live, b_new, e_new, y, lik_new)
+        if per_row:
+            x, xx = _keep_rows(~halve, x, xx)
         if not live.size:
             break
         beta[live], ll[live] = b, lik
     return beta, ll, iterations, errors
 
 
+def _check_design(x: np.ndarray) -> None:
+    """The fitting checks of one design: enough rows, full column rank."""
+    _check_rows(x)
+    if _rank_deficient(np.diag(scipy.linalg.qr(x, mode="r", pivoting=True)[0])):
+        raise SingularDesignError("design matrix is rank deficient")
+
+
+def _fit_rows(x: np.ndarray, ys: np.ndarray, family: Family) -> list:
+    """One canonical GLM per row of ``ys`` (k x m, inside the family
+    support), fitted in one damped Newton loop (``_irls``).
+
+    ``x`` is one checked m x p design that every row shares, or a
+    k x m x p stack with one design per row, each checked here as
+    ``fit_glm`` checks it. Returns, for each row, its ``GlmFit``, bitwise
+    the one ``fit_glm`` gives for that design and row alone, or the
+    exception ``fit_glm`` raises for them, with the same type and message.
+    A Gamma row with no feasible start (no constant column) raises for
+    the whole call.
+    """
+    k, m = ys.shape
+    results: list = [None] * k
+    rows = range(k)
+    if x.ndim == 3:
+        for j in rows:
+            try:
+                _check_design(x[j])
+            except SingularDesignError as exc:
+                results[j] = exc
+        rows = [j for j in rows if results[j] is None]
+        if not rows:
+            return results
+        if len(rows) < k:
+            x, ys = x[rows], ys[rows]
+
+    beta, ll, iterations, errors = _irls(x, ys, family)
+    eta = _rows_times(beta, x.swapaxes(-1, -2))
+    mean = family.mean(eta)
+    fisher = family.fisher_info(eta)
+    score_norms = np.max(np.abs(_rows_times(ys - mean, x)), axis=1)
+    edges = np.sum(fisher == 0.0, axis=1)
+    for i, j in enumerate(rows):
+        if i in errors:
+            results[j] = errors[i]
+            continue
+        fit = GlmFit(
+            family=family,
+            beta=beta[i],
+            eta=eta[i],
+            mu=mean[i],
+            fisher_diag=fisher[i],
+            loglik=float(ll[i]),
+            converged=bool(score_norms[i] <= m * TOL_SCORE),
+            iterations=int(iterations[i]),
+        )
+        message = None
+        if not fit.converged:
+            message = (
+                f"IRLS did not converge in {fit.iterations} iterations "
+                f"(score inf-norm {score_norms[i]:.3e})"
+            )
+        elif edges[i]:
+            # e.g. a separated Bernoulli series: the likelihood keeps rising
+            # along a direction, so no maximum-likelihood estimate exists
+            message = (
+                f"fitted means reach the edge of the {family.kind} support at {edges[i]} rows "
+                "(zero information); the maximum-likelihood estimate does not exist"
+            )
+        results[j] = fit if message is None else ConvergenceError(message, last_fit=fit)
+    return results
+
+
 def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
     """Maximum-likelihood fits of one canonical GLM per column of ``responses``.
 
     All columns share the design, so one damped Newton loop fits them
-    together: each step forms every column's ``X'W_jX`` from per-row
-    outer products of the design, computed once, and solves all the
-    systems in one batched call. Each column step-halves and stops on
-    its own, and every product is formed one column at a time, so
-    column j's fit is bitwise the one ``fit_glm`` gives for it alone,
-    whatever the other columns are.
+    together (``_fit_rows``): each step forms every column's ``X'W_jX``
+    from per-row outer products of the design, computed once, and solves
+    all the systems in one batched call. Each column step-halves and
+    stops on its own, and every product is formed one column at a time,
+    so column j's fit is bitwise the one ``fit_glm`` gives for it alone,
+    whatever the other columns are. A study's ``sglm`` refits, one design
+    per target, go through the same loop with a stack of designs.
 
     Raises ``SingularDesignError`` for rank-deficient designs,
     ``DomainError`` for responses outside the family support, and
@@ -318,46 +407,12 @@ def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
             except DomainError as exc:
                 raise _for_series(exc, j, k) from None
         raise
-    _check_rows(x)
-    if _rank_deficient(np.diag(scipy.linalg.qr(x, mode="r", pivoting=True)[0])):
-        raise SingularDesignError("design matrix is rank deficient")
-
+    _check_design(x)
     # one row per series
-    beta, ll, iterations, errors = _irls(x, np.ascontiguousarray(ys.T), family)
-    eta = _rows_times(beta, x.T)
-    mean = family.mean(eta)
-    fisher = family.fisher_info(eta)
-    score_norms = np.max(np.abs(_rows_times(ys.T - mean, x)), axis=1)
-    edges = np.sum(fisher == 0.0, axis=1)
-    fits = []
-    for j in range(k):
-        if j in errors:
-            raise _for_series(errors[j], j, k)
-        fit = GlmFit(
-            family=family,
-            beta=beta[j],
-            eta=eta[j],
-            mu=mean[j],
-            fisher_diag=fisher[j],
-            loglik=float(ll[j]),
-            converged=bool(score_norms[j] <= m * TOL_SCORE),
-            iterations=int(iterations[j]),
-        )
-        if not fit.converged:
-            message = (
-                f"IRLS did not converge in {fit.iterations} iterations "
-                f"(score inf-norm {score_norms[j]:.3e})"
-            )
-            raise _for_series(ConvergenceError(message, last_fit=fit), j, k)
-        if edges[j]:
-            # e.g. a separated Bernoulli series: the likelihood keeps rising
-            # along a direction, so no maximum-likelihood estimate exists
-            message = (
-                f"fitted means reach the edge of the {family.kind} support at {edges[j]} rows "
-                "(zero information); the maximum-likelihood estimate does not exist"
-            )
-            raise _for_series(ConvergenceError(message, last_fit=fit), j, k)
-        fits.append(fit)
+    fits = _fit_rows(x, np.ascontiguousarray(ys.T), family)
+    for j, fit in enumerate(fits):
+        if isinstance(fit, Exception):
+            raise _for_series(fit, j, k)
     return fits
 
 

@@ -240,13 +240,13 @@ def sglm_denoise(
     return denoise_with_residuals(panel, resid, include_x, strategy)
 
 
-def denoise_with_residuals(
+def noise_proxy(
     panel: Panel,
     resid: np.ndarray,
     include_x: bool = False,
     strategy: str = REGRESSION,
-) -> Estimate:
-    """The pipeline after the per-series fits: noise proxy, refit, signal.
+) -> np.ndarray:
+    """Step 3: the noise proxy of the panel's target, from its residuals.
 
     ``resid`` holds the panel's residuals of one kind, a column per
     series, computed from one GLM fit per series. The ``regression``
@@ -258,18 +258,44 @@ def denoise_with_residuals(
     zero by construction. The ``mean_of_residuals`` strategy instead
     averages the auxiliary residual columns and centers the result; it
     is only sensible when every series loads on the noise with the same
-    sign. The target is then refit with the proxy as an extra covariate,
-    and the returned ``Estimate`` holds the proxy, that refit and its
-    design, and the covariate-only part of the refit linear predictor.
+    sign.
     """
     if resid.shape != panel.responses.shape:
         raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
-    nhat = _noise_from_residuals(resid, panel.target_index, panel.design.x, include_x, strategy)
+    return _noise_from_residuals(resid, panel.target_index, panel.design.x, include_x, strategy)
 
-    refit_design = Design(
+
+def refit_design(panel: Panel, nhat: np.ndarray) -> Design:
+    """Step 4's design: the panel's design plus the proxy as a last column
+    named ``noise_hat``."""
+    return Design(
         np.column_stack([panel.design.x, nhat]),
         (*panel.design.column_names, "noise_hat"),
     )
-    refit = fit_glm(refit_design, panel.responses[:, panel.target_index], panel.family)
+
+
+def denoised(panel: Panel, nhat: np.ndarray, design: Design, refit: GlmFit) -> Estimate:
+    """Step 4's estimate from the target's ``refit`` on ``design``
+    (``refit_design(panel, nhat)``): the covariate-only part of the refit
+    linear predictor is the denoised signal."""
     signal_hat = panel.design.x @ refit.beta[: panel.design.p]
-    return Estimate(signal_hat, nhat, refit.mu, refit, refit_design)
+    return Estimate(signal_hat, nhat, refit.mu, refit, design)
+
+
+def denoise_with_residuals(
+    panel: Panel,
+    resid: np.ndarray,
+    include_x: bool = False,
+    strategy: str = REGRESSION,
+) -> Estimate:
+    """The pipeline after the per-series fits: noise proxy, refit, signal.
+
+    Builds the proxy from ``resid`` (``noise_proxy``), refits the target
+    with it as an extra covariate (``refit_design``) and returns the
+    ``Estimate`` that holds the proxy, that refit and its design, and the
+    denoised signal (``denoised``).
+    """
+    nhat = noise_proxy(panel, resid, include_x, strategy)
+    design = refit_design(panel, nhat)
+    refit = fit_glm(design, panel.responses[:, panel.target_index], panel.family)
+    return denoised(panel, nhat, design, refit)

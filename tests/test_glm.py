@@ -280,6 +280,64 @@ class TestFitGlms:
             fit_glms(_intercept_design(4), np.ones((3, 2)), poisson())
 
 
+def _fit_or_error(design, y, family):
+    try:
+        return fit_glm(design, y, family)
+    except (ConvergenceError, SingularDesignError) as exc:
+        return exc
+
+
+class TestPerDesignBatch:
+    """``_fit_rows`` on a stack of designs, one per response row, as a
+    study's ``sglm`` refits use it."""
+
+    @pytest.mark.parametrize(
+        "family", [poisson(), gaussian(0.5), bernoulli(), gamma(2.0), "gamma-halving"],
+        ids=lambda f: getattr(f, "kind", f),
+    )
+    def test_each_row_is_bitwise_its_lone_fit(self, family):
+        if family == "gamma-halving":
+            base, ys, family = _gamma_halving_panel()
+        else:
+            truth = generate(SimConfig(family, m=120, q=5, sigma_eps=0.3, seed=7))
+            panel = to_panel(truth, family)
+            base, ys = panel.design, panel.responses
+        m, q = ys.shape
+        rng = np.random.default_rng(2)
+        names = (*base.column_names, "extra")
+        designs = [Design(np.column_stack([base.x, rng.uniform(-1, 1, m)]), names) for _ in range(q)]
+        responses = [ys[:, j] for j in range(q)]
+        # a rank-deficient design: its extra column repeats the covariate
+        designs.insert(1, Design(np.column_stack([base.x, base.x[:, 1]]), names))
+        responses.insert(1, ys[:, 1])
+        if family.kind == "bernoulli":
+            # a series that the covariate separates
+            designs.insert(3, designs[0])
+            responses.insert(3, (base.x[:, 1] > 0).astype(float))
+
+        got = sibglm.glm._fit_rows(np.stack([d.x for d in designs]), np.stack(responses), family)
+        assert len(got) == len(designs)
+        failed = 0
+        for fit, design, y in zip(got, designs, responses):
+            want = _fit_or_error(design, y, family)
+            assert type(fit) is type(want)
+            if isinstance(want, Exception):
+                failed += 1
+                assert str(fit) == str(want)
+                if getattr(want, "last_fit", None) is not None:
+                    _assert_bitwise_equal(fit.last_fit, want.last_fit)
+            else:
+                _assert_bitwise_equal(fit, want)
+        assert failed == (2 if family.kind == "bernoulli" else 1)
+
+    def test_every_design_failing_its_check(self):
+        x = np.column_stack([np.ones(6), np.ones(6)])
+        got = sibglm.glm._fit_rows(np.stack([x, x]), np.ones((2, 6)), poisson())
+        assert [str(e) for e in got] == ["design matrix is rank deficient"] * 2
+        assert all(isinstance(e, SingularDesignError) for e in got)
+        assert got[0] is not got[1]
+
+
 class TestStoppingRule:
     @pytest.mark.parametrize(
         "family", [poisson(), gaussian(0.5), bernoulli(), gamma(2.0)], ids=lambda f: f.kind

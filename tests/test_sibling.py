@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import sibglm.benchmark as bench
 import sibglm.glm
-from sibglm.benchmark import run_estimator
+from sibglm.benchmark import ESTIMATORS, SGLM, CellSpec, Study, run_estimator, run_study
 from sibglm.families import bernoulli, gamma, gaussian, poisson
 from sibglm.glm import ConvergenceError, SingularDesignError, design_with_intercept, fit_glm
 from sibglm.residuals import RESIDUAL_KINDS
@@ -363,6 +364,49 @@ class TestRunEstimator:
         panel = to_panel(generate(SimConfig(fam, m=40, q=3, seed=8)), fam)
         with pytest.raises(ValueError, match="^unknown estimator 'ridge'$"):
             run_estimator(panel, "ridge")
+
+
+class TestBatchedStudy:
+    """A study refits all its ``sglm`` cells of a replicate in one IRLS loop;
+    each cell's results are bitwise those of the cell run alone, by the
+    same batch and by the lone refit it replaces."""
+
+    @staticmethod
+    def _assert_each_cell_as_alone(study, cells, monkeypatch):
+        results, _ = run_study(study, cells)
+        alone = [run_study(study, [spec])[0][0] for spec in cells]
+        with monkeypatch.context() as patched:
+            patched.setattr(bench, "_batched_refits", lambda *args: {})
+            lone = [run_study(study, [spec])[0][0] for spec in cells]
+        for result, *references in zip(results, alone, lone):
+            for reference in references:
+                assert result.spec == reference.spec
+                assert result.error == reference.error
+                assert result.samples.keys() == reference.samples.keys()
+                for name, values in result.samples.items():
+                    assert values.tobytes() == reference.samples[name].tobytes(), name
+        return results
+
+    @pytest.mark.parametrize("family", [poisson(), gamma(2.0)], ids=lambda f: f.kind)
+    def test_sglm_cells_are_bitwise_the_cells_alone(self, family, monkeypatch):
+        study = Study(family, m=120, replicates=4, master_seed=3)
+        cells = [CellSpec(q, SGLM, kind) for q in (2, 6) for kind in RESIDUAL_KINDS]
+        results = self._assert_each_cell_as_alone(study, [*cells, CellSpec(6, "glm")], monkeypatch)
+        assert all(result.error is None for result in results)
+
+    def test_failing_cells_keep_their_notes(self, monkeypatch):
+        # at m=12 some refits fail, so their cells run alone and fail there
+        study = Study(bernoulli(), m=12, replicates=6, master_seed=3)
+        cells = [
+            CellSpec(q, estimator, kind)
+            for q in (2, 4, 8)
+            for estimator in ESTIMATORS
+            for kind in (("fisher", "student") if estimator == SGLM else ("fisher",))
+        ]
+        results = self._assert_each_cell_as_alone(study, cells, monkeypatch)
+        failed = [r for r in results if r.error is not None]
+        assert any(r.spec.estimator == SGLM for r in failed)
+        assert any(r.spec.estimator == SGLM and r.error is None for r in results)
 
 
 class TestPanel:
