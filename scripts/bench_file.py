@@ -50,7 +50,7 @@ def tier1() -> dict:
     started = time.perf_counter()
     done = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True)
     seconds = time.perf_counter() - started
-    summary = done.stdout.strip().splitlines()[-1]
+    summary = (done.stdout.strip().splitlines() or [""])[-1]
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
     return {"command": TIER1, "returncode": done.returncode, "wall_s": seconds, "counts": counts}
 

@@ -197,14 +197,18 @@ def _batched_refits(study: Study, cells: list[CellSpec], shared) -> dict[CellSpe
     """
     _, panel, _, residuals = shared
     staged = {}
-    for spec in dict.fromkeys(c for c in cells if c.estimator == SGLM):
+    for spec in cells:
+        if spec.estimator != SGLM:
+            continue
         cell = _cell_panel(panel, spec.q)
         resid = residuals[spec.residual_kind][:, : spec.q]
+        # whatever fails here fails again on the cell's lone path, which
+        # records it as the cell's note
         try:
             nhat = sibling.noise_proxy(cell, resid, study.include_x, study.strategy)
             staged[spec] = (cell, nhat, sibling.refit_design(cell, nhat))
         except Exception:
-            continue
+            pass
     if not staged:
         return {}
     designs = np.stack([design.x for _, _, design in staged.values()])
@@ -212,7 +216,7 @@ def _batched_refits(study: Study, cells: list[CellSpec], shared) -> dict[CellSpe
     try:
         refits = _fit_rows(designs, np.tile(y, (len(staged), 1)), panel.family)
     except Exception:
-        # an error for the whole batch; each cell then runs alone
+        # an error for the whole batch: each cell runs alone
         return {}
     return {
         spec: sibling.denoised(*parts, refit)
