@@ -11,7 +11,7 @@ The calls run in this process through ``sibglm.cli.main``, imported from
 the four families, every estimator, residual kind, noise strategy and
 flag, studies with ``--jobs 1`` and ``--jobs 2``, study grids whose cells
 fail, panels on which IRLS halves its steps or meets a separated series,
-missing-path errors, bad configs, option values outside their choices or
+a panel whose auxiliaries are exact lines in x, missing-path errors, bad configs, option values outside their choices or
 of the wrong type given by flag or by config, and settings that no panel
 can have. Every path is relative to a work directory (``--workdir``, by
 default a fresh temporary directory) that holds nothing else, so the
@@ -83,6 +83,14 @@ def _bernoulli_separated_panel() -> str:
     return _panel_csv(x, np.column_stack([noisy, x > 0]))
 
 
+def _gaussian_linear_panel() -> str:
+    """A Gaussian target ``1 + 0.5x`` plus noise, and two auxiliaries, ``1 + 2x``
+    and ``2 - x``, that are exact lines in x, so their residuals are rounding error."""
+    x = np.linspace(-1, 1, 30)
+    y = 1 + 0.5 * x + np.random.default_rng(1).normal(0, 0.3, 30)
+    return _panel_csv(x, np.column_stack([y, 1 + 2 * x, 2 - x]))
+
+
 # Panels on which IRLS halves steps or fails: (file, family flags, series)
 HARD_PANELS = (
     ("gamma-halving", ["--family", "gamma", "--dispersion", "2.0"], 4),
@@ -93,6 +101,7 @@ HARD_PANELS = (
 FILES = {
     "gamma-halving.csv": _gamma_halving_panel(),
     "bernoulli-separated.csv": _bernoulli_separated_panel(),
+    "gaussian-linear.csv": _gaussian_linear_panel(),
     "paths.json": json.dumps({"input": "poisson.csv", "output": "config-paths.csv"}),
     "output.json": json.dumps({"output": "config-output.csv", "m": 50, "q": 3}),
     "list.json": json.dumps(["m"]),
@@ -178,6 +187,14 @@ def cases():
                 "denoise", *fam, "--input", panel, "--estimator", estimator,
             ]
         yield f"{name}-residuals", ["residuals", *fam, "--input", panel]
+
+    # auxiliaries with no residual but rounding error: a proxy of rounding
+    # error, or one so small that the refit design is rank deficient
+    for strategy in NOISE_STRATEGIES:
+        yield f"gaussian-linear-denoise-{strategy}", [
+            "denoise", "--family", "gaussian", "--input", "gaussian-linear.csv",
+            "--noise-strategy", strategy,
+        ]
 
     # one larger panel through every command
     yield "large", ["simulate", "--m", "3000", "--q", "20", "--seed", "11"]

@@ -3,13 +3,13 @@
 A study runs replicate-major: each replicate draws one panel at the
 largest q of the grid and fits every series' GLM once; each cell then
 takes the first q series and runs only what depends on q before it is
-scored against the ground truth. The ``sglm`` cells of a replicate build
-their proxies one by one but refit the target in one IRLS loop over a
-stack of their refit designs, each row bitwise the cell's lone refit; a
-cell whose proxy or refit fails there runs alone, as every cell does
-when its replicate's shared step fails. Replicate seeds are derived from
-the master seed by replicate index only, so runs at different q (or with
-different estimators) see the same draws and comparisons are paired.
+scored against the ground truth. The ``sglm`` cells of a replicate go
+through one ``sibling.denoise_all`` call, which refits all their targets
+in one IRLS loop and returns each cell's estimate or error. When a
+replicate's shared step fails, each cell generates and fits its own q
+series instead. Replicate seeds are derived from the master seed by
+replicate index only, so runs at different q (or with different
+estimators) see the same draws and comparisons are paired.
 
 ``_estimate`` is the one place that branches on the estimator, and
 ``_fit_shared`` decides which GLM fits and residuals it needs. A study
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import GAMMA, POISSON, Family
-from .glm import _fit_rows, fit_glm, fit_glms
+from .glm import fit_glm, fit_glms
 from . import residuals as res
 from . import sibling
 from .sibling import Estimate
@@ -131,7 +131,10 @@ def _estimate(panel, spec, fits, residuals, include_x, strategy) -> Estimate:
     family, t = panel.family, panel.target_index
     if spec.estimator == SGLM:
         resid = residuals[spec.residual_kind][:, : panel.q]
-        return sibling.denoise_with_residuals(panel, resid, include_x, strategy)
+        (outcome,) = sibling.denoise_all([(panel, resid)], include_x, strategy)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
     if spec.estimator == GLM_ESTIMATOR:
         return Estimate.of_fit(fits[t], panel.design)
 
@@ -185,46 +188,6 @@ def _cell_panel(panel: sibling.Panel, q: int) -> sibling.Panel:
     return sibling.Panel(panel.design, panel.responses[:, :q], panel.family)
 
 
-def _batched_refits(study: Study, cells: list[CellSpec], shared) -> dict[CellSpec, Estimate]:
-    """The ``sglm`` cells' estimates on one replicate, with every refit in
-    one IRLS loop.
-
-    Each cell's proxy and refit design are built as ``_estimate`` builds
-    them; the refits, one design per cell and all on the same target
-    series, then go through ``glm._fit_rows`` together, so each is bitwise
-    the cell's lone refit. A cell whose proxy or refit fails is left out:
-    ``run_cell`` runs it alone, and it fails there with its own note.
-    """
-    _, panel, _, residuals = shared
-    staged = {}
-    for spec in cells:
-        if spec.estimator != SGLM:
-            continue
-        cell = _cell_panel(panel, spec.q)
-        resid = residuals[spec.residual_kind][:, : spec.q]
-        # whatever fails here fails again on the cell's lone path, which
-        # records it as the cell's note
-        try:
-            nhat = sibling.noise_proxy(cell, resid, study.include_x, study.strategy)
-            staged[spec] = (cell, nhat, sibling.refit_design(cell, nhat))
-        except Exception:
-            pass
-    if not staged:
-        return {}
-    designs = np.stack([design.x for _, _, design in staged.values()])
-    y = panel.responses[:, panel.target_index]
-    try:
-        refits = _fit_rows(designs, np.tile(y, (len(staged), 1)), panel.family)
-    except Exception:
-        # an error for the whole batch: each cell runs alone
-        return {}
-    return {
-        spec: sibling.denoised(*parts, refit)
-        for (spec, parts), refit in zip(staged.items(), refits)
-        if not isinstance(refit, Exception)
-    }
-
-
 def run_cell(
     study: Study, spec: CellSpec, shared, estimate: Estimate | None = None
 ) -> MetricsRecord:
@@ -244,14 +207,14 @@ def run_replicates(
     """Run replicates ``start`` to ``stop - 1`` of every cell of a study.
 
     Each replicate is generated and fitted once for all cells, and the
-    ``sglm`` cells' refits are made in one batched IRLS call
-    (``_batched_refits``). When the shared step fails (a series that
-    cannot be generated or fitted), each cell repeats it for itself alone,
-    on its own q series, so a cell fails exactly when its own series do;
-    an ``sglm`` cell whose proxy or refit fails in the batch likewise runs
-    alone. A cell stops at its first failure. Every cell is scored by
-    ``run_cell``. Returns each cell's results over the range and the time
-    of the shared steps, batched refits included.
+    live ``sglm`` cells' proxies and refits are made in one
+    ``sibling.denoise_all`` call; the error it returns for a cell is that
+    cell's note. When the shared step fails (a series that cannot be
+    generated or fitted), each cell repeats it for itself alone, on its
+    own q series, so a cell fails exactly when its own series do. A cell
+    stops at its first failure. Every cell is scored by ``run_cell``.
+    Returns each cell's results over the range and the time of the shared
+    steps, ``sglm`` refits included.
     """
     results = [
         CellResult(spec, {name: np.empty(stop - start) for name in METRIC_NAMES})
@@ -264,8 +227,12 @@ def run_replicates(
             shared = _shared_replicate(study, cells, index)
         except Exception:
             shared = None
-        live = [result.spec for result in results if result.error is None]
-        batched = _batched_refits(study, live, shared) if shared else {}
+        outcomes = {}
+        if shared:
+            _, panel, _, residuals = shared
+            live = [r.spec for r in results if r.error is None and r.spec.estimator == SGLM]
+            requests = [(_cell_panel(panel, c.q), residuals[c.residual_kind][:, : c.q]) for c in live]
+            outcomes = dict(zip(live, sibling.denoise_all(requests, study.include_x, study.strategy)))
         shared_seconds += time.perf_counter() - started
         for result in results:
             if result.error is not None:
@@ -273,8 +240,11 @@ def run_replicates(
             spec = result.spec
             started = time.perf_counter()
             try:
+                outcome = outcomes.get(spec)
+                if isinstance(outcome, Exception):
+                    raise outcome
                 own = shared or _shared_replicate(study, [spec], index)
-                rec = run_cell(study, spec, own, batched.get(spec))
+                rec = run_cell(study, spec, own, outcome)
                 for name in METRIC_NAMES:
                     result.samples[name][index - start] = getattr(rec, name)
             except Exception as exc:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import Family
-from .glm import Design, GlmFit, fit_glm, fit_glms, ols
+# fit_glm is unused here, but perfbench/tracing.py patches sibling.fit_glm
+from .glm import Design, GlmFit, _fit_rows, fit_glm, fit_glms, ols
 from . import residuals as res
 
 REGRESSION = "regression"
@@ -233,20 +234,23 @@ def sglm_denoise(
 
     Fits one GLM per series on the shared design, computes residuals of
     the chosen kind (``residual_matrix``) and hands them to
-    ``denoise_with_residuals`` for the proxy and the refit.
+    ``denoise_all`` for the proxy and the refit, raising its error.
     """
     fits = fit_glms(panel.design, panel.responses, panel.family)
     resid = residual_matrix(panel, fits, residual_kind)
-    return denoise_with_residuals(panel, resid, include_x, strategy)
+    (outcome,) = denoise_all([(panel, resid)], include_x, strategy)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def noise_proxy(
-    panel: Panel,
-    resid: np.ndarray,
+def denoise_all(
+    requests: list[tuple[Panel, np.ndarray]],
     include_x: bool = False,
     strategy: str = REGRESSION,
-) -> np.ndarray:
-    """Step 3: the noise proxy of the panel's target, from its residuals.
+) -> list[Estimate | Exception]:
+    """Steps 3 and 4 for each ``(panel, resid)`` request: noise proxy,
+    refit, denoised signal.
 
     ``resid`` holds the panel's residuals of one kind, a column per
     series, computed from one GLM fit per series. The ``regression``
@@ -259,43 +263,45 @@ def noise_proxy(
     averages the auxiliary residual columns and centers the result; it
     is only sensible when every series loads on the noise with the same
     sign.
+
+    The target is then refitted on the panel's design plus the proxy as a
+    last column named ``noise_hat``; the covariate-only part of the refit
+    linear predictor is the denoised signal. The panels share one family
+    and one design shape, and each takes its own target. All refits go
+    through one ``glm._fit_rows`` call, so each is bitwise the target's
+    lone ``fit_glm`` on that design. Returns, in request order, each
+    request's ``Estimate`` or the exception its proxy, refit design or
+    refit raised. An error ``_fit_rows`` raises for the whole call (a
+    Gamma design with no constant column) reaches the caller.
     """
-    if resid.shape != panel.responses.shape:
-        raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
-    return _noise_from_residuals(resid, panel.target_index, panel.design.x, include_x, strategy)
-
-
-def refit_design(panel: Panel, nhat: np.ndarray) -> Design:
-    """Step 4's design: the panel's design plus the proxy as a last column
-    named ``noise_hat``."""
-    return Design(
-        np.column_stack([panel.design.x, nhat]),
-        (*panel.design.column_names, "noise_hat"),
+    outcomes: list[Estimate | Exception | None] = [None] * len(requests)
+    staged = []
+    for i, (panel, resid) in enumerate(requests):
+        try:
+            if resid.shape != panel.responses.shape:
+                raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
+            nhat = _noise_from_residuals(
+                resid, panel.target_index, panel.design.x, include_x, strategy
+            )
+            design = Design(
+                np.column_stack([panel.design.x, nhat]),
+                (*panel.design.column_names, "noise_hat"),
+            )
+        except Exception as exc:
+            outcomes[i] = exc
+            continue
+        staged.append((i, panel, nhat, design))
+    if not staged:
+        return outcomes
+    refits = _fit_rows(
+        np.stack([design.x for *_, design in staged]),
+        np.stack([panel.responses[:, panel.target_index] for _, panel, *_ in staged]),
+        staged[0][1].family,
     )
-
-
-def denoised(panel: Panel, nhat: np.ndarray, design: Design, refit: GlmFit) -> Estimate:
-    """Step 4's estimate from the target's ``refit`` on ``design``
-    (``refit_design(panel, nhat)``): the covariate-only part of the refit
-    linear predictor is the denoised signal."""
-    signal_hat = panel.design.x @ refit.beta[: panel.design.p]
-    return Estimate(signal_hat, nhat, refit.mu, refit, design)
-
-
-def denoise_with_residuals(
-    panel: Panel,
-    resid: np.ndarray,
-    include_x: bool = False,
-    strategy: str = REGRESSION,
-) -> Estimate:
-    """The pipeline after the per-series fits: noise proxy, refit, signal.
-
-    Builds the proxy from ``resid`` (``noise_proxy``), refits the target
-    with it as an extra covariate (``refit_design``) and returns the
-    ``Estimate`` that holds the proxy, that refit and its design, and the
-    denoised signal (``denoised``).
-    """
-    nhat = noise_proxy(panel, resid, include_x, strategy)
-    design = refit_design(panel, nhat)
-    refit = fit_glm(design, panel.responses[:, panel.target_index], panel.family)
-    return denoised(panel, nhat, design, refit)
+    for (i, panel, nhat, design), refit in zip(staged, refits):
+        if isinstance(refit, Exception):
+            outcomes[i] = refit
+        else:
+            signal_hat = panel.design.x @ refit.beta[: panel.design.p]
+            outcomes[i] = Estimate(signal_hat, nhat, refit.mu, refit, design)
+    return outcomes

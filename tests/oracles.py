@@ -4,9 +4,9 @@ import numpy as np
 
 from sibglm.cli import PanelData, PanelFormatError, _fmt
 from sibglm.families import Family
-from sibglm.glm import Design, GlmFit
+from sibglm.glm import Design, GlmFit, fit_glm
 from sibglm.inference import SandwichCovariance
-from sibglm.sibling import half_sibling, three_quarter_sibling
+from sibglm.sibling import Estimate, _noise_from_residuals, half_sibling, three_quarter_sibling
 
 
 def _lstsq_fitted(mat, y):
@@ -51,6 +51,24 @@ def residual_form_equivalence(y1, y2, x=None) -> tuple[np.ndarray, np.ndarray]:
     r2 = y2 - _lstsq_fitted(base, y2)
     rhs = y1 - _lstsq_fitted(np.column_stack([ones, r2]), r1)
     return lhs, rhs
+
+
+def lone_sglm(panel, resid, include_x, strategy) -> Estimate:
+    """Steps 3 and 4 of ``sglm`` for one panel, with the target refitted
+    alone by ``fit_glm`` on its design plus the proxy as a last column.
+
+    ``sibling.denoise_all`` must give, for each request, this estimate bit
+    for bit, or the exception this raises, with the same type and message.
+    """
+    if resid.shape != panel.responses.shape:
+        raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
+    nhat = _noise_from_residuals(resid, panel.target_index, panel.design.x, include_x, strategy)
+    design = Design(
+        np.column_stack([panel.design.x, nhat]), (*panel.design.column_names, "noise_hat")
+    )
+    refit = fit_glm(design, panel.responses[:, panel.target_index], panel.family)
+    signal_hat = panel.design.x @ refit.beta[: panel.design.p]
+    return Estimate(signal_hat, nhat, refit.mu, refit, design)
 
 
 def evaluate_at(design: Design, family: Family, beta, y=None) -> GlmFit:

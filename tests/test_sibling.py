@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-import sibglm.benchmark as bench
 import sibglm.glm
+import sibglm.sibling
 from sibglm.benchmark import ESTIMATORS, SGLM, CellSpec, Study, run_estimator, run_study
 from sibglm.families import bernoulli, gamma, gaussian, poisson
-from sibglm.glm import ConvergenceError, SingularDesignError, design_with_intercept, fit_glm
+from sibglm.glm import (
+    ConvergenceError,
+    SingularDesignError,
+    design_with_intercept,
+    fit_glm,
+    fit_glms,
+)
 from sibglm.residuals import RESIDUAL_KINDS
 from sibglm.sibling import (
     MEAN_OF_RESIDUALS,
@@ -15,13 +21,15 @@ from sibglm.sibling import (
     Panel,
     _informative_columns,
     _noise_from_residuals,
+    denoise_all,
     half_sibling,
+    residual_matrix,
     sglm_denoise,
     three_quarter_sibling,
 )
 from sibglm.simulate import SimConfig, generate, replicate_seed, to_panel
 
-from oracles import informative_columns_per_column, residual_form_equivalence
+from oracles import informative_columns_per_column, lone_sglm, residual_form_equivalence
 
 
 def _normal_equation_fitted(mat, y):
@@ -366,17 +374,97 @@ class TestRunEstimator:
             run_estimator(panel, "ridge")
 
 
+def _lone_outcome(panel, resid, include_x, strategy):
+    """``lone_sglm``'s estimate, or the exception it raises."""
+    try:
+        return lone_sglm(panel, resid, include_x, strategy)
+    except Exception as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        want_fit = getattr(want, "last_fit", None)
+        got_fit = getattr(got, "last_fit", None)
+        assert (got_fit is None) == (want_fit is None)
+        if want_fit is not None:
+            for name in ("beta", "eta", "mu", "fisher_diag"):
+                assert getattr(got_fit, name).tobytes() == getattr(want_fit, name).tobytes()
+            assert (got_fit.loglik, got_fit.iterations) == (want_fit.loglik, want_fit.iterations)
+    else:
+        _assert_same_estimate(got, want)
+
+
+class TestDenoiseAll:
+    """One ``denoise_all`` call answers each request, in request order, with
+    the lone refit's estimate bit for bit or with its exception."""
+
+    @staticmethod
+    def _requests():
+        def fisher(panel):
+            return residual_matrix(panel, fit_glms(panel.design, panel.responses, fam), "fisher")
+
+        fam = gaussian(1.0)
+        truth = generate(SimConfig(fam, m=30, q=5, sigma_eps=0.3, seed=4))
+        panel = to_panel(truth, fam)
+        # auxiliaries exactly linear in x: their residuals are rounding error
+        x = truth.x
+        y = 1 + 0.5 * x + np.random.default_rng(1).normal(0, 0.3, len(x))
+        linear = Panel(panel.design, np.column_stack([y, 1 + 2 * x, 2 - x]), fam)
+        return [
+            (panel, fisher(panel)),
+            (panel, fisher(panel)[:, :3]),
+            (linear, fisher(linear)),
+            (to_panel(truth, fam, target_index=2), fisher(panel)),
+        ]
+
+    @pytest.mark.parametrize("include_x", [False, True])
+    @pytest.mark.parametrize(
+        "strategy, failures",
+        [
+            ("regression", [None, ValueError, None, None]),
+            (MEAN_OF_RESIDUALS, [None, ValueError, SingularDesignError, None]),
+            ("ridge", [ValueError] * 4),
+        ],
+    )
+    def test_mixed_batch_is_each_request_alone(self, strategy, failures, include_x):
+        requests = self._requests()
+        got = denoise_all(requests, include_x, strategy)
+        assert len(got) == len(requests)
+        for outcome, failure, (panel, resid) in zip(got, failures, requests):
+            _assert_same_outcome(outcome, _lone_outcome(panel, resid, include_x, strategy))
+            assert type(outcome) is (failure or sibglm.sibling.Estimate)
+        if strategy == MEAN_OF_RESIDUALS:
+            assert str(got[2]) == "design matrix is rank deficient"
+        assert got[1].args[0].startswith("residuals of shape (30, 3)")
+
+    def test_refit_errors_keep_their_last_fit(self, monkeypatch):
+        requests = self._requests()
+        monkeypatch.setattr(sibglm.glm, "MAX_ITER", 0)
+        got = denoise_all(requests)
+        for outcome, (panel, resid) in zip(got, requests):
+            _assert_same_outcome(outcome, _lone_outcome(panel, resid, False, "regression"))
+        assert [type(o) for o in got] == [ConvergenceError, ValueError] + [ConvergenceError] * 2
+        assert all(o.last_fit.iterations == 0 for o in got if isinstance(o, ConvergenceError))
+
+
 class TestBatchedStudy:
     """A study refits all its ``sglm`` cells of a replicate in one IRLS loop;
     each cell's results are bitwise those of the cell run alone, by the
-    same batch and by the lone refit it replaces."""
+    same call and by the lone refit of ``oracles.lone_sglm``."""
 
     @staticmethod
     def _assert_each_cell_as_alone(study, cells, monkeypatch):
         results, _ = run_study(study, cells)
         alone = [run_study(study, [spec])[0][0] for spec in cells]
+
+        def lone_denoise_all(requests, include_x, strategy):
+            return [_lone_outcome(panel, resid, include_x, strategy) for panel, resid in requests]
+
         with monkeypatch.context() as patched:
-            patched.setattr(bench, "_batched_refits", lambda *args: {})
+            patched.setattr(sibglm.sibling, "denoise_all", lone_denoise_all)
             lone = [run_study(study, [spec])[0][0] for spec in cells]
         for result, *references in zip(results, alone, lone):
             for reference in references:
@@ -395,7 +483,7 @@ class TestBatchedStudy:
         assert all(result.error is None for result in results)
 
     def test_failing_cells_keep_their_notes(self, monkeypatch):
-        # at m=12 some refits fail, so their cells run alone and fail there
+        # at m=12 some refits fail, and their cells get the lone refit's note
         study = Study(bernoulli(), m=12, replicates=6, master_seed=3)
         cells = [
             CellSpec(q, estimator, kind)
