@@ -8,9 +8,11 @@ For each workload that BENCHMARK.json declares, this runs the benchmark
 command twice, with ``--trace 0`` (end-to-end metrics) and ``--trace 1``
 (per-layer metrics), and writes one JSON file holding both, the status
 of each run, the seed, the run length (BENCHMARK.json's ``run_seconds``)
-and the machine. It also runs the Tier-1 test suite once and records its
-wall time and outcome counts in a separate ``tier1`` block, a one-shot
-timing that no workload gates.
+and the machine. Two one-shot blocks that no workload gates sit beside
+them: ``tier1``, the wall time and outcome counts of one Tier-1 run, and
+``scale``, the time of each of ``simulate``, ``fit``, ``denoise`` and
+``residuals`` on one Poisson panel at m=50 000, q=20, with the peak RSS
+of the fresh interpreter that ran them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -53,6 +56,55 @@ def tier1() -> dict:
     summary = (done.stdout.strip().splitlines() or [""])[-1]
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
     return {"command": TIER1, "returncode": done.returncode, "wall_s": seconds, "counts": counts}
+
+
+# The scale shape, and one round of its four commands, run in-process by a
+# fresh interpreter (one BLAS thread, glibc's mmap threshold fixed as the
+# benchmark fixes it) so that its peak RSS is that round's alone.
+SCALE = {"family": "poisson", "m": 50_000, "q": 20, "sigma_eps": 0.1}
+SCALE_ROUND = """
+import os, sys
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+import ctypes, json, resource, time
+try:
+    ctypes.CDLL(None).mallopt(-3, 128 * 1024)
+except (OSError, AttributeError):
+    pass
+sys.path.insert(0, "src")
+import sibglm.cli
+
+work, family, m, q, sigma_eps, seed = sys.argv[1:]
+panel = os.path.join(work, "panel.csv")
+fam = ["--family", family]
+calls = {
+    "simulate": ["simulate", *fam, "--m", m, "--q", q, "--sigma-eps", sigma_eps,
+                 "--seed", seed, "--output", panel],
+    "fit": ["fit", *fam, "--input", panel, "--output", os.path.join(work, "fit.csv")],
+    "denoise": ["denoise", *fam, "--input", panel, "--output", os.path.join(work, "den.csv")],
+    "residuals": ["residuals", *fam, "--input", panel, "--proxy-column", "truth_noise",
+                  "--output", os.path.join(work, "res.csv")],
+}
+out = {}
+for name, argv in calls.items():
+    started = time.perf_counter()
+    rc = sibglm.cli.main(argv)
+    out[name + "_s"] = time.perf_counter() - started
+    out[name + "_rc"] = rc
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps(out))
+"""
+
+
+def scale(seed: int) -> dict:
+    """One round of the four commands at the scale shape (``SCALE``): the
+    wall time and return code of each, and the round's peak RSS."""
+    with tempfile.TemporaryDirectory() as work:
+        argv = [sys.executable, "-c", SCALE_ROUND, work,
+                *(str(SCALE[k]) for k in ("family", "m", "q", "sigma_eps")), str(seed)]
+        print(f"scale round: {SCALE}", file=sys.stderr, flush=True)
+        done = subprocess.run(argv, check=True, stdout=subprocess.PIPE, text=True)
+    return {**SCALE, "seed": seed, **json.loads(done.stdout.strip().splitlines()[-1])}
 
 
 def machine() -> dict:
@@ -90,6 +142,7 @@ def main(argv=None) -> int:
     result = {
         "pr": args.pr,
         "tier1": tier1(),
+        "scale": scale(args.seed),
         "seed": args.seed,
         "seconds": seconds,
         "command": spec["command"],

@@ -3,11 +3,13 @@
 A study runs replicate-major: each replicate draws one panel at the
 largest q of the grid and fits every series' GLM once; each cell then
 takes the first q series and runs only what depends on q before it is
-scored against the ground truth. The ``sglm`` cells of a replicate go
-through one ``sibling.denoise_all`` call, which refits all their targets
-in one IRLS loop and returns each cell's estimate or error. When a
-replicate's shared step fails, each cell generates and fits its own q
-series instead. Replicate seeds are derived from the master seed by
+scored against the ground truth. Replicates run in blocks of
+consecutive ones, capped at about 2**14 ``sglm`` cells x m x replicates
+(one replicate per block at m=50 000), and the ``sglm`` cells of every
+replicate of a block go through one ``sibling.denoise_all`` call, which
+refits all their targets in one IRLS loop and returns each cell's
+estimate or error. When a replicate's shared step fails, each cell
+generates and fits its own q series instead. Replicate seeds are derived from the master seed by
 replicate index only, so runs at different q (or with different
 estimators) see the same draws and comparisons are paired.
 
@@ -201,55 +203,79 @@ def run_cell(
     return metrics(truth, estimate)
 
 
+# Cap on the sglm cells x m x replicates of one block of replicates. A
+# block makes one refit call, so the cap bounds that call's design stack
+# and the replicates held at once; at m=50 000 a block is one replicate.
+_BLOCK_ROWS = 2**14
+
+
+def _block_size(study: Study, cells: list[CellSpec]) -> int:
+    """Replicates per block: as many as the cap allows, at least one."""
+    rows = sum(c.estimator == SGLM for c in cells) * study.m
+    return max(1, _BLOCK_ROWS // rows) if rows else 1
+
+
 def run_replicates(
     study: Study, cells: list[CellSpec], start: int, stop: int
 ) -> tuple[list[CellResult], float]:
     """Run replicates ``start`` to ``stop - 1`` of every cell of a study.
 
-    Each replicate is generated and fitted once for all cells, and the
-    live ``sglm`` cells' proxies and refits are made in one
-    ``sibling.denoise_all`` call; the error it returns for a cell is that
-    cell's note. When the shared step fails (a series that cannot be
-    generated or fitted), each cell repeats it for itself alone, on its
-    own q series, so a cell fails exactly when its own series do. A cell
-    stops at its first failure. Every cell is scored by ``run_cell``.
-    Returns each cell's results over the range and the time of the shared
-    steps, ``sglm`` refits included.
+    Each replicate is generated and fitted once for all cells. The range
+    runs in blocks of consecutive replicates (``_block_size``), and the
+    proxies and refits of every live ``sglm`` cell on every replicate of
+    a block are made in one ``sibling.denoise_all`` call; the error it
+    returns for a cell is that cell's note. A cell that failed before the
+    block is left out of the call. When a replicate's shared step fails
+    (a series that cannot be generated or fitted), each cell repeats it
+    for itself alone, on its own q series, so a cell fails exactly when
+    its own series do. Cells are scored replicate by replicate, in cell
+    order, by ``run_cell``, and a cell stops at its first failure, so the
+    outcomes of its later replicates in the block are dropped. Returns
+    each cell's results over the range and the time of the shared steps,
+    ``sglm`` refits included.
     """
     results = [
         CellResult(spec, {name: np.empty(stop - start) for name in METRIC_NAMES})
         for spec in cells
     ]
     shared_seconds = 0.0
-    for index in range(start, stop):
+    block = _block_size(study, cells)
+    for first in range(start, stop, block):
+        indices = range(first, min(first + block, stop))
         started = time.perf_counter()
-        try:
-            shared = _shared_replicate(study, cells, index)
-        except Exception:
-            shared = None
-        outcomes = {}
-        if shared:
-            _, panel, _, residuals = shared
-            live = [r.spec for r in results if r.error is None and r.spec.estimator == SGLM]
-            requests = [(_cell_panel(panel, c.q), residuals[c.residual_kind][:, : c.q]) for c in live]
-            outcomes = dict(zip(live, sibling.denoise_all(requests, study.include_x, study.strategy)))
-        shared_seconds += time.perf_counter() - started
-        for result in results:
-            if result.error is not None:
-                continue
-            spec = result.spec
-            started = time.perf_counter()
+        shared = {}
+        for index in indices:
             try:
-                outcome = outcomes.get(spec)
-                if isinstance(outcome, Exception):
-                    raise outcome
-                own = shared or _shared_replicate(study, [spec], index)
-                rec = run_cell(study, spec, own, outcome)
-                for name in METRIC_NAMES:
-                    result.samples[name][index - start] = getattr(rec, name)
-            except Exception as exc:
-                result.samples, result.error = {}, f"{type(exc).__name__}: {exc}"
-            result.seconds += time.perf_counter() - started
+                shared[index] = _shared_replicate(study, cells, index)
+            except Exception:
+                shared[index] = None
+        live = [r.spec for r in results if r.error is None and r.spec.estimator == SGLM]
+        keys, requests = [], []
+        for index in indices:
+            if shared[index]:
+                _, panel, _, residuals = shared[index]
+                for c in live:
+                    keys.append((index, c))
+                    requests.append((_cell_panel(panel, c.q), residuals[c.residual_kind][:, : c.q]))
+        outcomes = dict(zip(keys, sibling.denoise_all(requests, study.include_x, study.strategy)))
+        shared_seconds += time.perf_counter() - started
+        for index in indices:
+            for result in results:
+                if result.error is not None:
+                    continue
+                spec = result.spec
+                started = time.perf_counter()
+                try:
+                    outcome = outcomes.get((index, spec))
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    own = shared[index] or _shared_replicate(study, [spec], index)
+                    rec = run_cell(study, spec, own, outcome)
+                    for name in METRIC_NAMES:
+                        result.samples[name][index - start] = getattr(rec, name)
+                except Exception as exc:
+                    result.samples, result.error = {}, f"{type(exc).__name__}: {exc}"
+                result.seconds += time.perf_counter() - started
     return results, shared_seconds
 
 

@@ -102,26 +102,11 @@ class Family:
 
     def mean(self, theta):
         """A'(theta), the expected response at a natural parameter."""
-        theta = self.check_domain(theta)
-        if self.kind == GAUSSIAN:
-            return theta + 0.0
-        if self.kind == POISSON:
-            return np.exp(theta)
-        if self.kind == BERNOULLI:
-            return expit(theta)
-        return -self.dispersion / theta
+        return self._mean(self.check_domain(theta))
 
     def fisher_info(self, theta):
         """A''(theta), the per-observation Fisher information (> 0)."""
-        theta = self.check_domain(theta)
-        if self.kind == GAUSSIAN:
-            return np.ones_like(theta)
-        if self.kind == POISSON:
-            return np.exp(theta)
-        if self.kind == BERNOULLI:
-            p = expit(theta)
-            return p * (1.0 - p)
-        return self.dispersion / theta**2
+        return self._fisher_info(self.check_domain(theta))
 
     def response_variance(self, theta):
         """Var(Y) at a natural parameter.
@@ -132,7 +117,7 @@ class Family:
         theta = self.check_domain(theta)
         if self.kind == GAUSSIAN:
             return np.full_like(theta, self.dispersion)
-        return self.fisher_info(theta)
+        return self._fisher_info(theta)
 
     def theta_from_mean(self, mu):
         """Canonical link: the natural parameter with mean ``mu``."""
@@ -179,15 +164,54 @@ class Family:
         """Per-observation log density / log mass at natural parameter theta."""
         theta = self.check_domain(theta)
         y = self.check_support(y)
+        return self._log_pdf(y, theta, self._support_term(y))
+
+    # -- unchecked kernels ---------------------------------------------
+    #
+    # The formulas behind the public methods, for arrays already checked:
+    # IRLS checks the responses once per fit and keeps its own domain
+    # rule, so it calls these on every step instead.
+
+    def _mean(self, theta):
+        if self.kind == GAUSSIAN:
+            return theta + 0.0
+        if self.kind == POISSON:
+            return np.exp(theta)
+        if self.kind == BERNOULLI:
+            return expit(theta)
+        return -self.dispersion / theta
+
+    def _fisher_info(self, theta):
+        if self.kind == GAUSSIAN:
+            return np.ones_like(theta)
+        if self.kind == POISSON:
+            return np.exp(theta)
+        if self.kind == BERNOULLI:
+            p = expit(theta)
+            return p * (1.0 - p)
+        return self.dispersion / theta**2
+
+    def _support_term(self, y):
+        """The part of the log density that depends on the response alone:
+        log(y!) for Poisson, (k - 1) log y for Gamma. The other families
+        have none, and get an empty row per leading index of ``y``."""
+        if self.kind == POISSON:
+            return gammaln(y + 1.0)
+        if self.kind == GAMMA:
+            return (self.dispersion - 1.0) * np.log(y)
+        return np.empty(np.shape(y)[:1] + (0,))
+
+    def _log_pdf(self, y, theta, c):
+        """``log_pdf`` with ``c = _support_term(y)``."""
         if self.kind == GAUSSIAN:
             s2 = self.dispersion
             return -0.5 * (y - theta) ** 2 / s2 - 0.5 * np.log(2.0 * np.pi * s2)
         if self.kind == POISSON:
-            return y * theta - np.exp(theta) - gammaln(y + 1.0)
+            return y * theta - np.exp(theta) - c
         if self.kind == BERNOULLI:
             return y * theta - np.logaddexp(0.0, theta)
         k = self.dispersion
-        return y * theta + k * np.log(-theta) + (k - 1.0) * np.log(y) - gammaln(k)
+        return y * theta + k * np.log(-theta) + c - gammaln(k)
 
     # -- sampling -------------------------------------------------------
 

@@ -206,8 +206,8 @@ def _newton_system(x, xx, family, y, eta):
     every ``X'WX``.
     """
     p = x.shape[-1]
-    w = family.fisher_info(eta)
-    resid = y - family.mean(eta)
+    w = family._fisher_info(eta)
+    resid = y - family._mean(eta)
     # rows with underflowed information carry no weight; avoid 0/0 in z;
     # in place, since each array is as large as the panel
     wz = resid / np.maximum(w, 1e-300)
@@ -216,13 +216,14 @@ def _newton_system(x, xx, family, y, eta):
     return _rows_times(resid, x), _rows_times(w, xx).reshape(-1, p, p), _rows_times(wz, x)
 
 
-def _row_loglik(family, y, eta):
-    """Log-likelihood of each row; NaN, which no test accepts, outside the domain."""
+def _row_loglik(family, y, c, eta):
+    """Log-likelihood of each row, ``c`` holding ``y``'s support term; NaN,
+    which no test accepts, outside the domain."""
     if family.in_domain(eta):
-        return family.log_pdf(y, eta).sum(axis=1)
+        return family._log_pdf(y, eta, c).sum(axis=1)
     ok = family.domain_mask(eta).all(axis=1)
     ll = np.full(len(eta), np.nan)
-    ll[ok] = family.log_pdf(y[ok], eta[ok]).sum(axis=1)
+    ll[ok] = family._log_pdf(y[ok], eta[ok], c[ok]).sum(axis=1)
     return ll
 
 
@@ -243,6 +244,11 @@ def _irls(x, y, family):
     ``m * TOL_SCORE``; its count is the steps taken. Returns the final
     coefficients and log-likelihoods, the iteration counts and the errors
     of the rows that failed.
+
+    The responses are checked before the loop, and the loop keeps its own
+    domain rule (``_row_loglik``), so it calls the family's unchecked
+    kernels, with the response-only term of the log density computed
+    once and sliced with the rows.
     """
     m, p = x.shape[-2:]
     per_row = x.ndim == 3
@@ -252,7 +258,8 @@ def _irls(x, y, family):
     beta = _initial_beta(x, y, family)
     # swapaxes is x.T, for the one design or for each design of a stack
     e = _rows_times(beta, x.swapaxes(-1, -2))
-    ll = _row_loglik(family, y, e)
+    c = family._support_term(y)
+    ll = _row_loglik(family, y, c, e)
     iterations = np.full(k, MAX_ITER)
     errors: dict[int, Exception] = {}
 
@@ -267,7 +274,7 @@ def _irls(x, y, family):
         for j in live[singular]:
             errors[j] = SingularDesignError("weighted design is numerically singular")
         going = ~(done | singular)
-        live, b, e, y, lik, xwx, rhs = _keep_rows(going, live, b, e, y, lik, xwx, rhs)
+        live, b, e, y, c, lik, xwx, rhs = _keep_rows(going, live, b, e, y, c, lik, xwx, rhs)
         if per_row:
             x, xx = _keep_rows(going, x, xx)
         if not live.size:
@@ -278,7 +285,7 @@ def _irls(x, y, family):
         # whose natural parameters would leave the domain
         b_new = b + step
         e_new = _rows_times(b_new, x.swapaxes(-1, -2))
-        lik_new = _row_loglik(family, y, e_new)
+        lik_new = _row_loglik(family, y, c, e_new)
         halve = ~(lik_new >= lik - 1e-12 * (1.0 + np.abs(lik)))
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
@@ -289,11 +296,11 @@ def _irls(x, y, family):
             b_new[rows] = b[rows] + alpha * step[rows]
             xt = (x[rows] if per_row else x).swapaxes(-1, -2)
             e_new[rows] = _rows_times(b_new[rows], xt)
-            lik_new[rows] = _row_loglik(family, y[rows], e_new[rows])
+            lik_new[rows] = _row_loglik(family, y[rows], c[rows], e_new[rows])
             halve[rows] = ~(lik_new[rows] >= lik[rows] - 1e-12 * (1.0 + np.abs(lik[rows])))
         # a series whose step-halving is exhausted stops at its last iterate
         iterations[live[halve]] = it
-        live, b, e, y, lik = _keep_rows(~halve, live, b_new, e_new, y, lik_new)
+        live, b, e, y, c, lik = _keep_rows(~halve, live, b_new, e_new, y, c, lik_new)
         if per_row:
             x, xx = _keep_rows(~halve, x, xx)
         if not live.size:

@@ -202,8 +202,20 @@ def _shared_component(aux: np.ndarray) -> np.ndarray:
 
 
 def _noise_from_residuals(
-    resid: np.ndarray, target: int, x: np.ndarray, include_x: bool, strategy: str
+    resid: np.ndarray,
+    target: int,
+    x: np.ndarray,
+    include_x: bool,
+    strategy: str,
+    baselines: dict | None = None,
 ) -> np.ndarray:
+    """The ``strategy``'s noise proxy from the residual matrix ``resid``.
+
+    The baseline fit depends only on the target's residual column and the
+    design ``x``; ``baselines``, when given, keeps it for later calls that
+    read the same column (the same memory, as when they slice one wider
+    residual matrix) with the same design array.
+    """
     m = resid.shape[0]
     r1 = resid[:, target]
     aux = np.delete(resid, target, axis=1)
@@ -220,8 +232,12 @@ def _noise_from_residuals(
     xc = _nonconstant_columns(x) if include_x else np.empty((m, 0))
     shared = _shared_component(aux)[:, None]
     joint = np.column_stack([ones, shared, xc])
-    baseline = np.column_stack([ones, xc])
-    return _fitted(joint, r1) - _fitted(baseline, r1)
+    if baselines is None:
+        baselines = {}
+    key = (r1.__array_interface__["data"][0], r1.strides, id(x))
+    if key not in baselines:
+        baselines[key] = _fitted(np.column_stack([ones, xc]), r1)
+    return _fitted(joint, r1) - baselines[key]
 
 
 def sglm_denoise(
@@ -269,19 +285,22 @@ def denoise_all(
     linear predictor is the denoised signal. The panels share one family
     and one design shape, and each takes its own target. All refits go
     through one ``glm._fit_rows`` call, so each is bitwise the target's
-    lone ``fit_glm`` on that design. Returns, in request order, each
+    lone ``fit_glm`` on that design. Requests whose target residual column
+    is one column of one residual matrix, and whose panels share a design,
+    share one baseline fit. Returns, in request order, each
     request's ``Estimate`` or the exception its proxy, refit design or
     refit raised. An error ``_fit_rows`` raises for the whole call (a
     Gamma design with no constant column) reaches the caller.
     """
     outcomes: list[Estimate | Exception | None] = [None] * len(requests)
     staged = []
+    baselines: dict = {}
     for i, (panel, resid) in enumerate(requests):
         try:
             if resid.shape != panel.responses.shape:
                 raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
             nhat = _noise_from_residuals(
-                resid, panel.target_index, panel.design.x, include_x, strategy
+                resid, panel.target_index, panel.design.x, include_x, strategy, baselines
             )
             design = Design(
                 np.column_stack([panel.design.x, nhat]),

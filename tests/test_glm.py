@@ -226,6 +226,21 @@ class TestFitGlms:
         assert any(rejected)  # some Newton steps left the domain and were halved
         assert len({fit.iterations for fit in fits}) > 1
 
+    @pytest.mark.parametrize("case", ["gamma-halving", "poisson"])
+    def test_loglik_is_the_checked_log_pdf_of_each_row(self, case):
+        # IRLS slices the support term with the rows as they finish; each
+        # row's log-likelihood is still the public log_pdf of its own fit
+        if case == "gamma-halving":
+            design, ys, family = _gamma_halving_panel()
+        else:
+            family = poisson()
+            panel = to_panel(generate(SimConfig(family, m=120, q=21, seed=5)), family)
+            design, ys = panel.design, panel.responses
+        fits = fit_glms(design, ys, family)
+        assert len({fit.iterations for fit in fits}) > 1
+        for j, fit in enumerate(fits):
+            assert fit.loglik == float(family.log_pdf(ys[:, j], fit.eta).sum())
+
     def test_separated_series_is_named_with_last_fit(self):
         # series 2 is perfectly separated by x
         x = np.linspace(-1, 1, 40)
@@ -243,14 +258,14 @@ class TestFitGlms:
     def test_rank_deficient_design_fails_before_any_fit(self, monkeypatch):
         design = Design(np.column_stack([np.ones(6), np.ones(6)]), ("a", "b"))
         calls = []
-        monkeypatch.setattr(Family, "log_pdf", lambda *args: calls.append(args))
+        monkeypatch.setattr(Family, "_log_pdf", lambda *args: calls.append(args))
         with pytest.raises(SingularDesignError, match="^design matrix is rank deficient"):
             fit_glms(design, np.ones((6, 3)), poisson())
         assert calls == []
 
     def test_singular_weighted_design_is_named(self, monkeypatch):
         # zero information on every row makes each X'WX singular at the first step
-        monkeypatch.setattr(Family, "fisher_info", lambda self, eta: np.zeros_like(eta))
+        monkeypatch.setattr(Family, "_fisher_info", lambda self, eta: np.zeros_like(eta))
         design = design_with_intercept(np.linspace(-1.0, 1.0, 8))
         with pytest.raises(SingularDesignError, match="^weighted design is numerically singular$"):
             fit_glm(design, np.arange(8.0), poisson())

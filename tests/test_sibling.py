@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sibglm.benchmark
 import sibglm.glm
 import sibglm.sibling
 from sibglm.benchmark import ESTIMATORS, SGLM, CellSpec, Study, run_estimator, run_study
@@ -495,6 +496,60 @@ class TestBatchedStudy:
         failed = [r for r in results if r.error is not None]
         assert any(r.spec.estimator == SGLM for r in failed)
         assert any(r.spec.estimator == SGLM and r.error is None for r in results)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("grid", ["gamma-failing", "bernoulli-separated"])
+    def test_results_do_not_depend_on_the_block_size(self, grid, jobs, monkeypatch):
+        # one replicate per block, the default cap, and the whole range in one block
+        if grid == "gamma-failing":
+            # the shared step fails, so cells regenerate their own series
+            study = Study(gamma(2.0), m=40, sigma_eps=0.7, replicates=8, master_seed=1)
+            estimators, kinds = ("glm", SGLM, "half_sibling"), ("fisher",)
+            note = "GenerationError: series 8"
+        else:
+            study = Study(bernoulli(), m=12, replicates=6, master_seed=3)
+            estimators, kinds = ESTIMATORS, ("fisher", "student")
+            note = "edge of the bernoulli support"
+        cells = [
+            CellSpec(q, estimator, kind)
+            for q in (2, 6, 11, 21)
+            for estimator in estimators
+            for kind in (kinds if estimator == SGLM else kinds[:1])
+        ]
+        runs = []
+        for cap in (1, sibglm.benchmark._BLOCK_ROWS, 2**60):
+            monkeypatch.setattr(sibglm.benchmark, "_BLOCK_ROWS", cap)
+            runs.append(run_study(study, cells, jobs)[0])
+        errors = [r.error for r in runs[0] if r.error is not None]
+        assert any(r.spec.estimator == SGLM and r.error is None for r in runs[0])
+        assert any(note in e for e in errors)
+        for results in runs[1:]:
+            for result, reference in zip(results, runs[0]):
+                assert result.error == reference.error
+                assert result.samples.keys() == reference.samples.keys()
+                for name, values in result.samples.items():
+                    assert values.tobytes() == reference.samples[name].tobytes(), name
+
+    def test_baseline_fit_is_shared_by_every_q_of_a_kind(self, monkeypatch):
+        # the gamma study of the benchmark: 5 replicates x 4 kinds baselines,
+        # 80 joint fits, and 2 (half sibling) + 3 (three quarter) per q and replicate
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return sibglm.glm.ols(x, y)
+
+        monkeypatch.setattr(sibglm.sibling, "ols", counting)
+        study = Study(gamma(2.0), m=400, replicates=5, master_seed=1)
+        cells = [
+            CellSpec(q, estimator, kind)
+            for q in (2, 6, 11, 21)
+            for estimator in ESTIMATORS
+            for kind in (RESIDUAL_KINDS if estimator == SGLM else RESIDUAL_KINDS[:1])
+        ]
+        results, _ = run_study(study, cells)
+        assert all(r.error is None for r in results)
+        assert len(calls) == 200
 
 
 class TestPanel:
