@@ -106,7 +106,7 @@ class Family:
 
     def fisher_info(self, theta):
         """A''(theta), the per-observation Fisher information (> 0)."""
-        return self._fisher_info(self.check_domain(theta))
+        return self._mean_and_info(self.check_domain(theta))[1]
 
     def response_variance(self, theta):
         """Var(Y) at a natural parameter.
@@ -117,7 +117,7 @@ class Family:
         theta = self.check_domain(theta)
         if self.kind == GAUSSIAN:
             return np.full_like(theta, self.dispersion)
-        return self._fisher_info(theta)
+        return self._mean_and_info(theta)[1]
 
     def theta_from_mean(self, mu):
         """Canonical link: the natural parameter with mean ``mu``."""
@@ -181,15 +181,16 @@ class Family:
             return expit(theta)
         return -self.dispersion / theta
 
-    def _fisher_info(self, theta):
+    def _mean_and_info(self, theta):
+        """A'(theta) and A''(theta); Poisson and Bernoulli take the exponential once."""
+        mean = self._mean(theta)
         if self.kind == GAUSSIAN:
-            return np.ones_like(theta)
+            return mean, np.ones_like(theta)
         if self.kind == POISSON:
-            return np.exp(theta)
+            return mean, mean
         if self.kind == BERNOULLI:
-            p = expit(theta)
-            return p * (1.0 - p)
-        return self.dispersion / theta**2
+            return mean, mean * (1.0 - mean)
+        return mean, self.dispersion / theta**2
 
     def _support_term(self, y):
         """The part of the log density that depends on the response alone:

@@ -121,9 +121,10 @@ def _rank_deficient(d: np.ndarray):
     return d.shape[-1] == 0 or d.min(axis=-1) <= RANK_RTOL * np.maximum(d.max(axis=-1), 1e-300)
 
 
-def _check_rows(x: np.ndarray) -> None:
-    if x.shape[0] < x.shape[1]:
-        raise SingularDesignError(f"need at least as many rows as columns, got {x.shape}")
+def _check_rows(shape: tuple[int, int]) -> None:
+    """The row check of a design of this shape: at least as many rows as columns."""
+    if shape[0] < shape[1]:
+        raise SingularDesignError(f"need at least as many rows as columns, got {shape}")
 
 
 def _factor(x: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +207,8 @@ def _newton_system(x, xx, family, y, eta):
     every ``X'WX``.
     """
     p = x.shape[-1]
-    w = family._fisher_info(eta)
-    resid = y - family._mean(eta)
+    mean, w = family._mean_and_info(eta)
+    resid = y - mean
     # rows with underflowed information carry no weight; avoid 0/0 in z;
     # in place, since each array is as large as the panel
     wz = resid / np.maximum(w, 1e-300)
@@ -311,7 +312,7 @@ def _irls(x, y, family):
 
 def _check_design(x: np.ndarray) -> None:
     """The fitting checks of one design: enough rows, full column rank."""
-    _check_rows(x)
+    _check_rows(x.shape)
     if _rank_deficient(np.diag(scipy.linalg.qr(x, mode="r", pivoting=True)[0])):
         raise SingularDesignError("design matrix is rank deficient")
 
@@ -457,7 +458,7 @@ def ols(x, y) -> np.ndarray:
     raise ``SingularDesignError``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    _check_rows(x)
+    _check_rows(x.shape)
     q, r = _factor(x, "design matrix is rank deficient")
     # a contiguous right-hand side keeps the product on one BLAS path, so
     # the bytes do not depend on whether ``y`` is a strided view

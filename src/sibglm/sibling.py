@@ -31,7 +31,8 @@ import numpy as np
 
 from .families import Family
 # fit_glm is unused here, but perfbench/tracing.py patches sibling.fit_glm
-from .glm import Design, GlmFit, _fit_rows, fit_glm, fit_glms, ols
+from .glm import Design, GlmFit, SingularDesignError, _fit_rows, fit_glm, fit_glms, ols
+from .glm import _check_rows, _rank_deficient
 from . import residuals as res
 
 REGRESSION = "regression"
@@ -202,19 +203,16 @@ def _shared_component(aux: np.ndarray) -> np.ndarray:
 
 
 def _noise_from_residuals(
-    resid: np.ndarray,
-    target: int,
-    x: np.ndarray,
-    include_x: bool,
-    strategy: str,
-    baselines: dict | None = None,
+    resid: np.ndarray, target: int, x: np.ndarray, include_x: bool, strategy: str
 ) -> np.ndarray:
     """The ``strategy``'s noise proxy from the residual matrix ``resid``.
 
-    The baseline fit depends only on the target's residual column and the
-    design ``x``; ``baselines``, when given, keeps it for later calls that
-    read the same column (the same memory, as when they slice one wider
-    residual matrix) with the same design array.
+    For ``regression``, the target residuals' fit on ``[base, shared]``
+    minus their fit on ``base`` (the intercept, plus the non-constant
+    covariates when ``include_x``) is, by the Frisch-Waugh-Lovell theorem,
+    their projection on the shared component, both residualised on
+    ``base``. The checks of ``[base, shared]`` keep their order: ``base``'s
+    (in ``ols``), rows, rank.
     """
     m = resid.shape[0]
     r1 = resid[:, target]
@@ -228,16 +226,15 @@ def _noise_from_residuals(
             f"unknown noise strategy {strategy!r}; expected one of {NOISE_STRATEGIES}"
         )
 
-    ones = np.ones(m)[:, None]
     xc = _nonconstant_columns(x) if include_x else np.empty((m, 0))
-    shared = _shared_component(aux)[:, None]
-    joint = np.column_stack([ones, shared, xc])
-    if baselines is None:
-        baselines = {}
-    key = (r1.__array_interface__["data"][0], r1.strides, id(x))
-    if key not in baselines:
-        baselines[key] = _fitted(np.column_stack([ones, xc]), r1)
-    return _fitted(joint, r1) - baselines[key]
+    base = np.column_stack([np.ones(m), xc])
+    both = np.column_stack([_shared_component(aux), r1])
+    shared, r = (both - _fitted(base, both)).T
+    _check_rows((m, base.shape[1] + 1))
+    # bounds on the diagonal of the QR factor of [base, shared]; the last is exact
+    if _rank_deficient(np.append(np.linalg.norm(base, axis=0), np.linalg.norm(shared))):
+        raise SingularDesignError("design matrix is rank deficient")
+    return shared * ((shared @ r) / (shared @ shared))
 
 
 def sglm_denoise(
@@ -275,32 +272,31 @@ def denoise_all(
     just its centered residual), regresses the target residuals on it
     (plus covariates when ``include_x``), and takes the difference
     between that fit and the baseline fit as the proxy, which is mean
-    zero by construction. The ``mean_of_residuals`` strategy instead
-    averages the auxiliary residual columns and centers the result; it
-    is only sensible when every series loads on the noise with the same
-    sign.
+    zero by construction. By the Frisch-Waugh-Lovell theorem that
+    difference is one projection, from one least-squares fit per request
+    (see ``_noise_from_residuals``). The ``mean_of_residuals`` strategy
+    instead averages the auxiliary residual columns and centers the
+    result; it is only sensible when every series loads on the noise with
+    the same sign.
 
     The target is then refitted on the panel's design plus the proxy as a
     last column named ``noise_hat``; the covariate-only part of the refit
     linear predictor is the denoised signal. The panels share one family
     and one design shape, and each takes its own target. All refits go
     through one ``glm._fit_rows`` call, so each is bitwise the target's
-    lone ``fit_glm`` on that design. Requests whose target residual column
-    is one column of one residual matrix, and whose panels share a design,
-    share one baseline fit. Returns, in request order, each
+    lone ``fit_glm`` on that design. Returns, in request order, each
     request's ``Estimate`` or the exception its proxy, refit design or
     refit raised. An error ``_fit_rows`` raises for the whole call (a
     Gamma design with no constant column) reaches the caller.
     """
     outcomes: list[Estimate | Exception | None] = [None] * len(requests)
     staged = []
-    baselines: dict = {}
     for i, (panel, resid) in enumerate(requests):
         try:
             if resid.shape != panel.responses.shape:
                 raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
             nhat = _noise_from_residuals(
-                resid, panel.target_index, panel.design.x, include_x, strategy, baselines
+                resid, panel.target_index, panel.design.x, include_x, strategy
             )
             design = Design(
                 np.column_stack([panel.design.x, nhat]),

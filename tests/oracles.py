@@ -4,9 +4,15 @@ import numpy as np
 
 from sibglm.cli import PanelData, PanelFormatError, _fmt
 from sibglm.families import Family
-from sibglm.glm import Design, GlmFit, fit_glm
+from sibglm.glm import Design, GlmFit, fit_glm, ols
 from sibglm.inference import SandwichCovariance
-from sibglm.sibling import Estimate, _noise_from_residuals, half_sibling, three_quarter_sibling
+from sibglm.sibling import (
+    Estimate,
+    _noise_from_residuals,
+    _shared_component,
+    half_sibling,
+    three_quarter_sibling,
+)
 
 
 def _lstsq_fitted(mat, y):
@@ -51,6 +57,27 @@ def residual_form_equivalence(y1, y2, x=None) -> tuple[np.ndarray, np.ndarray]:
     r2 = y2 - _lstsq_fitted(base, y2)
     rhs = y1 - _lstsq_fitted(np.column_stack([ones, r2]), r1)
     return lhs, rhs
+
+
+def qr_noise_proxy(resid, target, x, include_x) -> np.ndarray:
+    """The ``regression`` noise proxy as two QR least-squares fits.
+
+    The target's residuals are fitted on the joint design ``[1, shared, x]``
+    and on the baseline ``[1, x]`` (``x`` only when ``include_x``, without
+    its constant columns), each by ``glm.ols``, and the proxy is the
+    difference. The baseline is fitted first, so a design's row and rank
+    errors come in that order. ``sibling._noise_from_residuals`` must agree
+    to rounding, and raise the same errors.
+    """
+    m = resid.shape[0]
+    r1 = resid[:, target]
+    shared = _shared_component(np.delete(resid, target, axis=1))
+    ones = np.ones((m, 1))
+    xc = x[:, np.ptp(x, axis=0) > 0.0] if include_x else np.empty((m, 0))
+    baseline = np.column_stack([ones, xc])
+    baseline_fit = baseline @ ols(baseline, r1)
+    joint = np.column_stack([ones, shared, xc])
+    return joint @ ols(joint, r1) - baseline_fit
 
 
 def lone_sglm(panel, resid, include_x, strategy) -> Estimate:

@@ -9,11 +9,11 @@ import pytest
 import sibglm.benchmark as bench
 from sibglm.benchmark import ESTIMATORS, CellSpec, Study, run_estimator, run_study
 import sibglm.cli
-from sibglm.cli import _BLOCK_ROWS, PanelFormatError, _write_table, main, read_panel
+from sibglm.cli import _BLOCK_ROWS, PanelFormatError, _fmt, _write_table, main, read_panel
 from sibglm.families import bernoulli, family_from_name, gamma, gaussian, poisson
 from sibglm.glm import design_with_intercept, fit_glm
 from sibglm.residuals import fisher_scaled, raw
-from sibglm.simulate import SimConfig, generate, replicate_seed, to_panel
+from sibglm.simulate import SimConfig, correlation, generate, replicate_seed, to_panel
 
 from oracles import read_panel_per_cell, write_table_per_row
 
@@ -530,6 +530,23 @@ class TestResidualsCommand:
         )
         assert rc == 1
         assert "error: ConvergenceError: series 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["x_x", "y_s01"])
+    def test_proxy_from_a_covariate_or_a_series(self, tmp_path, column):
+        path = _simulate(tmp_path, seed=8)
+        out = tmp_path / "r.csv"
+        assert _run(
+            "residuals", "--family", "poisson", "--input", path,
+            "--output", out, "--proxy-column", column,
+        ) == 0
+        panel = read_panel(str(path))
+        proxy = panel.x[:, 0] if column == "x_x" else panel.y[:, 1]
+        table = read_csv_columns(out)
+        text = out.read_text()
+        for name in panel.y_names:
+            for kind in ("fisher", "raw", "student", "deviance"):
+                corr = correlation(table[f"{kind}_{name}"], proxy)
+                assert f"# corr_{kind}_{name} = {_fmt(corr)}\n" in text
 
     def test_unknown_proxy_errors(self, tmp_path):
         panel = _simulate(tmp_path, seed=8)

@@ -81,6 +81,13 @@ class TestMeanAndInformation:
         theta = _random_theta(family, rng, 50)
         assert np.all(family.fisher_info(theta) > 0)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_mean_and_information_are_bitwise_the_checked_ones(self, family):
+        theta = _random_theta(family, np.random.default_rng(5), (3, 200))
+        mean, info = family._mean_and_info(theta)
+        assert mean.tobytes() == family.mean(theta).tobytes()
+        assert info.tobytes() == family.fisher_info(theta).tobytes()
+
     def test_canonical_link_roundtrip(self):
         for family in ALL_FAMILIES:
             rng = np.random.default_rng(3)

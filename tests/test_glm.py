@@ -112,6 +112,26 @@ class TestFitGlm:
         assert np.all(fit.eta < 0)
         assert np.allclose(fit.beta, [-3.0, 0.8], atol=0.15)
 
+    def test_gamma_start_without_a_constant_column(self):
+        # the start is the least-squares fit of the link-scale responses, which
+        # is feasible for a covariate of one sign
+        rng = np.random.default_rng(6)
+        fam = gamma(2.0)
+        x = rng.uniform(1.0, 2.0, (200, 1))
+        y = fam.sample(-1.5 * x[:, 0], rng)
+        start = sibglm.glm._initial_beta(x, y[None, :], fam)
+        assert np.array_equal(start[0], ols(x, fam.theta_from_mean(y)))
+        fit = fit_glm(Design(x, ("x",)), y, fam)
+        assert fit.converged and abs(fit.beta[0] + 1.5) < 0.2
+        # a covariate of both signs: no coefficient keeps every theta < 0
+        signed = Design(np.linspace(-1.0, 1.0, 20)[:, None], ("x",))
+        message = "no feasible gamma starting point; add an intercept column$"
+        with pytest.raises(ConvergenceError, match=f"^{message}") as excinfo:
+            fit_glm(signed, np.ones(20), fam)
+        assert excinfo.value.last_fit is None
+        with pytest.raises(ConvergenceError, match=f"^series 0: {message}"):
+            fit_glms(signed, np.ones((20, 2)), fam)
+
     def test_rank_deficient_design_raises(self):
         x = np.column_stack([np.ones(5), np.ones(5)])
         with pytest.raises(ValueError):
@@ -255,6 +275,13 @@ class TestFitGlms:
             sglm_denoise(panel)
         assert excinfo.value.last_fit is not None
 
+    @pytest.mark.parametrize("family", [poisson(), bernoulli()], ids=lambda f: f.kind)
+    def test_means_and_information_are_separate_arrays(self, family):
+        # IRLS reuses the mean for the information; a fit keeps its own copies
+        truth = generate(SimConfig(family, m=80, q=3, seed=4))
+        for fit in fit_glms(to_panel(truth, family).design, truth.y, family):
+            assert not np.shares_memory(fit.mu, fit.fisher_diag)
+
     def test_rank_deficient_design_fails_before_any_fit(self, monkeypatch):
         design = Design(np.column_stack([np.ones(6), np.ones(6)]), ("a", "b"))
         calls = []
@@ -265,7 +292,9 @@ class TestFitGlms:
 
     def test_singular_weighted_design_is_named(self, monkeypatch):
         # zero information on every row makes each X'WX singular at the first step
-        monkeypatch.setattr(Family, "_fisher_info", lambda self, eta: np.zeros_like(eta))
+        monkeypatch.setattr(
+            Family, "_mean_and_info", lambda self, eta: (self._mean(eta), np.zeros_like(eta))
+        )
         design = design_with_intercept(np.linspace(-1.0, 1.0, 8))
         with pytest.raises(SingularDesignError, match="^weighted design is numerically singular$"):
             fit_glm(design, np.arange(8.0), poisson())

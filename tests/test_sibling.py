@@ -30,7 +30,12 @@ from sibglm.sibling import (
 )
 from sibglm.simulate import SimConfig, generate, replicate_seed, to_panel
 
-from oracles import informative_columns_per_column, lone_sglm, residual_form_equivalence
+from oracles import (
+    informative_columns_per_column,
+    lone_sglm,
+    qr_noise_proxy,
+    residual_form_equivalence,
+)
 
 
 def _normal_equation_fitted(mat, y):
@@ -241,6 +246,65 @@ class TestEstimateNoise:
         assert np.corrcoef(with_x, truth.noise)[0, 1] > 0.8
 
 
+class TestRegressionProxy:
+    """The ``regression`` proxy is one projection: the target residuals on
+    the shared component, both residualised on the baseline columns. It
+    agrees with the two-fit QR form (``oracles.qr_noise_proxy``) to
+    rounding, and raises that form's errors in the same order."""
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return exc
+
+    def _assert_same_error(self, resid, x, include_x):
+        got = self._outcome(_noise_from_residuals, resid, 0, x, include_x, "regression")
+        want = self._outcome(qr_noise_proxy, resid, 0, x, include_x)
+        assert type(got) is type(want) is SingularDesignError
+        assert str(got) == str(want)
+        return str(got)
+
+    @pytest.mark.parametrize("include_x", [False, True])
+    @pytest.mark.parametrize(
+        "family", [gaussian(1.0), poisson(), bernoulli(), gamma(2.0)], ids=lambda f: f.kind
+    )
+    def test_matches_the_qr_form(self, family, include_x):
+        truth = generate(SimConfig(family, m=120, q=6, sigma_eps=0.3, seed=5))
+        panel = to_panel(truth, family)
+        fits = fit_glms(panel.design, panel.responses, family)
+        # a constant column (dropped) and two covariates
+        x = np.column_stack([panel.design.x, truth.x**2])
+        base = x if include_x else x[:, :1]
+        for kind in RESIDUAL_KINDS:
+            resid = residual_matrix(panel, fits, kind)
+            for target in (0, 3):
+                for q in (2, 6):
+                    args = (resid[:, :q], target % q, x, include_x)
+                    got = _noise_from_residuals(*args, "regression")
+                    want = qr_noise_proxy(*args)
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                    # the proxy is orthogonal to the baseline columns
+                    scale = np.linalg.norm(base, axis=0) * np.linalg.norm(got)
+                    assert np.all(np.abs(base.T @ got) <= 1e-12 * scale)
+
+    def test_rows_are_checked_before_rank(self):
+        # two rows: [1, x] passes, [1, x, shared] has more columns than rows
+        resid = np.array([[0.3, -1.0, 0.5], [-0.2, 2.0, 0.1]])
+        x = np.array([[1.0, 0.0], [1.0, 1.0]])
+        message = self._assert_same_error(resid, x, True)
+        assert message == "need at least as many rows as columns, got (2, 3)"
+
+    @pytest.mark.parametrize("include_x", [False, True])
+    def test_zero_auxiliary_residual_is_rank_deficient(self, include_x):
+        rng = np.random.default_rng(2)
+        resid = np.column_stack([rng.normal(size=20), np.zeros(20)])
+        x = np.column_stack([np.ones(20), rng.uniform(-1, 1, 20)])
+        message = self._assert_same_error(resid, x, include_x)
+        assert message == "design matrix is rank deficient"
+
+
 class TestSglmDenoise:
     def test_zero_noise_leaves_coefficients_alone(self):
         fam = poisson()
@@ -367,6 +431,25 @@ class TestRunEstimator:
         assert got.mu_hat.tobytes() == fit.mu.tobytes()
         assert not got.noise_hat.any()
         assert got.refit_design is panel.design
+
+    @pytest.mark.parametrize(
+        "strategy, error, message",
+        [
+            ("ridge", ValueError, "unknown noise strategy 'ridge'"),
+            # the averaged proxy of two exact lines is rounding error
+            (MEAN_OF_RESIDUALS, SingularDesignError, "design matrix is rank deficient$"),
+        ],
+    )
+    def test_sglm_raises_the_error_of_its_request(self, strategy, error, message):
+        x = np.linspace(-1.0, 1.0, 30)
+        y = 1 + 0.5 * x + np.random.default_rng(1).normal(0, 0.3, 30)
+        panel = Panel(
+            design_with_intercept(x, names=("x",)),
+            np.column_stack([y, 1 + 2 * x, 2 - x]),
+            gaussian(1.0),
+        )
+        with pytest.raises(error, match=f"^{message}"):
+            run_estimator(panel, "sglm", strategy=strategy)
 
     def test_unknown_estimator(self):
         fam = poisson()
@@ -530,9 +613,9 @@ class TestBatchedStudy:
                 for name, values in result.samples.items():
                     assert values.tobytes() == reference.samples[name].tobytes(), name
 
-    def test_baseline_fit_is_shared_by_every_q_of_a_kind(self, monkeypatch):
-        # the gamma study of the benchmark: 5 replicates x 4 kinds baselines,
-        # 80 joint fits, and 2 (half sibling) + 3 (three quarter) per q and replicate
+    def test_one_least_squares_fit_per_proxy(self, monkeypatch):
+        # the gamma study of the benchmark: 4 q x 4 kinds x 5 replicates proxies,
+        # one fit each, and 2 (half sibling) + 3 (three quarter) per q and replicate
         calls = []
 
         def counting(x, y):
@@ -549,7 +632,7 @@ class TestBatchedStudy:
         ]
         results, _ = run_study(study, cells)
         assert all(r.error is None for r in results)
-        assert len(calls) == 200
+        assert len(calls) == 80 + 100
 
 
 class TestPanel:
