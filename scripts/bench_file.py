@@ -12,7 +12,8 @@ and the machine. Two one-shot blocks that no workload gates sit beside
 them: ``tier1``, the wall time and outcome counts of one Tier-1 run, and
 ``scale``, the time of each of ``simulate``, ``fit``, ``denoise`` and
 ``residuals`` on one Poisson panel at m=50 000, q=20, with the peak RSS
-of the fresh interpreter that ran them.
+of the fresh interpreter that ran them and the time its ``import
+sibglm.cli`` took (``import_s``, numpy's import included).
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ try:
 except (OSError, AttributeError):
     pass
 sys.path.insert(0, "src")
+started = time.perf_counter()
 import sibglm.cli
+out = {"import_s": time.perf_counter() - started}
 
 work, family, m, q, sigma_eps, seed = sys.argv[1:]
 panel = os.path.join(work, "panel.csv")
@@ -85,7 +88,6 @@ calls = {
     "residuals": ["residuals", *fam, "--input", panel, "--proxy-column", "truth_noise",
                   "--output", os.path.join(work, "res.csv")],
 }
-out = {}
 for name, argv in calls.items():
     started = time.perf_counter()
     rc = sibglm.cli.main(argv)
@@ -98,7 +100,8 @@ print(json.dumps(out))
 
 def scale(seed: int) -> dict:
     """One round of the four commands at the scale shape (``SCALE``): the
-    wall time and return code of each, and the round's peak RSS."""
+    time of the interpreter's ``import sibglm.cli``, the wall time and
+    return code of each command, and the round's peak RSS."""
     with tempfile.TemporaryDirectory() as work:
         argv = [sys.executable, "-c", SCALE_ROUND, work,
                 *(str(SCALE[k]) for k in ("family", "m", "q", "sigma_eps")), str(seed)]

@@ -10,10 +10,12 @@ and uses the convention ``theta = -k / mu`` so that ``A'(theta) = mu``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
-from scipy.special import expit, gammaln, xlogy
 
 GAUSSIAN = "gaussian"
 POISSON = "poisson"
@@ -21,6 +23,10 @@ BERNOULLI = "bernoulli"
 GAMMA = "gamma"
 
 FAMILY_KINDS = (GAUSSIAN, POISSON, BERNOULLI, GAMMA)
+
+# log(n!) for the counts n = 0..1023, each the logarithm of the exact integer
+# n! (math.lgamma is an ulp off even at small integers: lgamma(3) != log 2)
+_LOG_FACTORIALS = np.array([0.0] + [math.log(f) for f in accumulate(range(1, 1024), mul)])
 
 
 class DomainError(ValueError):
@@ -153,9 +159,9 @@ class Family:
         if self.kind == GAUSSIAN:
             d = (y - mu) ** 2 / self.dispersion
         elif self.kind == POISSON:
-            d = 2.0 * (xlogy(y, y / mu) - (y - mu))
+            d = 2.0 * (_xlogy(y, y / mu) - (y - mu))
         elif self.kind == BERNOULLI:
-            d = 2.0 * (xlogy(y, y / mu) + xlogy(1.0 - y, (1.0 - y) / (1.0 - mu)))
+            d = 2.0 * (_xlogy(y, y / mu) + _xlogy(1.0 - y, (1.0 - y) / (1.0 - mu)))
         else:
             d = 2.0 * self.dispersion * ((y - mu) / mu - np.log(y / mu))
         return np.maximum(d, 0.0)
@@ -178,7 +184,10 @@ class Family:
         if self.kind == POISSON:
             return np.exp(theta)
         if self.kind == BERNOULLI:
-            return expit(theta)
+            # the logistic function; exp(-theta) overflows to inf below
+            # theta = -709, where the mean is 0 as it should be
+            with np.errstate(over="ignore"):
+                return 1.0 / (1.0 + np.exp(-theta))
         return -self.dispersion / theta
 
     def _mean_and_info(self, theta):
@@ -197,7 +206,7 @@ class Family:
         log(y!) for Poisson, (k - 1) log y for Gamma. The other families
         have none, and get an empty row per leading index of ``y``."""
         if self.kind == POISSON:
-            return gammaln(y + 1.0)
+            return _log_factorial(y)
         if self.kind == GAMMA:
             return (self.dispersion - 1.0) * np.log(y)
         return np.empty(np.shape(y)[:1] + (0,))
@@ -212,7 +221,7 @@ class Family:
         if self.kind == BERNOULLI:
             return y * theta - np.logaddexp(0.0, theta)
         k = self.dispersion
-        return y * theta + k * np.log(-theta) + c - gammaln(k)
+        return y * theta + k * np.log(-theta) + c - math.lgamma(k)
 
     # -- sampling -------------------------------------------------------
 
@@ -228,10 +237,31 @@ class Family:
         if self.kind == POISSON:
             return np.asarray(rng.poisson(lam=np.exp(theta)), dtype=float)
         if self.kind == BERNOULLI:
-            return (rng.random(size=np.shape(theta)) < expit(theta)).astype(float)
+            return (rng.random(size=np.shape(theta)) < self._mean(theta)).astype(float)
         k = self.dispersion
         mu = -k / theta
         return rng.gamma(shape=k, scale=mu / k)
+
+
+def _log_factorial(y):
+    """log(y!) = log Gamma(y + 1) entrywise, for responses y >= 0: from the
+    table for the counts it holds, from ``math.lgamma`` over the distinct
+    other values (counts past the table, or non-integer responses)."""
+    y = np.asarray(y, dtype=float)
+    counts = (y < _LOG_FACTORIALS.size) & (y == np.floor(y))
+    if counts.all():
+        return _LOG_FACTORIALS[y.astype(np.intp)]
+    out = np.empty_like(y)
+    out[counts] = _LOG_FACTORIALS[y[counts].astype(np.intp)]
+    values, inverse = np.unique(y[~counts], return_inverse=True)
+    out[~counts] = np.array([math.lgamma(v + 1.0) for v in values.tolist()])[inverse]
+    return out
+
+
+def _xlogy(x, y):
+    """x * log(y) entrywise, and 0 where x is 0 (so 0 log 0 = 0)."""
+    log_y = np.log(y, out=np.zeros(np.broadcast(x, y).shape), where=x != 0.0)
+    return x * log_y
 
 
 def gaussian(variance: float = 1.0) -> Family:

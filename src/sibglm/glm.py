@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .families import GAMMA, DomainError, Family
 
 RANK_RTOL = 1e-10
+_RANK_DEFICIENT = "design matrix is rank deficient"
 
 # IRLS stopping rules: iteration budget, step halvings per iteration, and
 # the one convergence test, a score inf-norm of at most m * TOL_SCORE
@@ -310,11 +310,13 @@ def _irls(x, y, family):
     return beta, ll, iterations, errors
 
 
-def _check_design(x: np.ndarray) -> None:
-    """The fitting checks of one design: enough rows, full column rank."""
-    _check_rows(x.shape)
-    if _rank_deficient(np.diag(scipy.linalg.qr(x, mode="r", pivoting=True)[0])):
-        raise SingularDesignError("design matrix is rank deficient")
+def _deficient_designs(x: np.ndarray):
+    """The fitting checks of one design, or of each design of a stack (which
+    share a shape): ``_check_rows`` raises when there are fewer rows than
+    columns, and the result is the rank test on the diagonal of the QR
+    factor R, True where a design is rank deficient."""
+    _check_rows(x.shape[-2:])
+    return _rank_deficient(np.diagonal(np.linalg.qr(x, mode="r"), axis1=-2, axis2=-1))
 
 
 def _fit_rows(x: np.ndarray, ys: np.ndarray, family: Family) -> list:
@@ -333,11 +335,12 @@ def _fit_rows(x: np.ndarray, ys: np.ndarray, family: Family) -> list:
     results: list = [None] * k
     rows = range(k)
     if x.ndim == 3:
-        for j in rows:
-            try:
-                _check_design(x[j])
-            except SingularDesignError as exc:
-                results[j] = exc
+        try:
+            deficient = _deficient_designs(x)
+        except SingularDesignError as exc:
+            return [SingularDesignError(*exc.args) for _ in rows]
+        for j in np.flatnonzero(deficient):
+            results[j] = SingularDesignError(_RANK_DEFICIENT)
         rows = [j for j in rows if results[j] is None]
         if not rows:
             return results
@@ -416,7 +419,8 @@ def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
             except DomainError as exc:
                 raise _for_series(exc, j, k) from None
         raise
-    _check_design(x)
+    if _deficient_designs(x):
+        raise SingularDesignError(_RANK_DEFICIENT)
     # one row per series
     fits = _fit_rows(x, np.ascontiguousarray(ys.T), family)
     for j, fit in enumerate(fits):
@@ -459,7 +463,7 @@ def ols(x, y) -> np.ndarray:
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     _check_rows(x.shape)
-    q, r = _factor(x, "design matrix is rank deficient")
+    q, r = _factor(x, _RANK_DEFICIENT)
     # a contiguous right-hand side keeps the product on one BLAS path, so
     # the bytes do not depend on whether ``y`` is a strided view
-    return scipy.linalg.solve_triangular(r, q.T @ np.ascontiguousarray(y, dtype=float))
+    return np.linalg.solve(r, q.T @ np.ascontiguousarray(y, dtype=float))

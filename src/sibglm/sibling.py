@@ -32,7 +32,7 @@ import numpy as np
 from .families import Family
 # fit_glm is unused here, but perfbench/tracing.py patches sibling.fit_glm
 from .glm import Design, GlmFit, SingularDesignError, _fit_rows, fit_glm, fit_glms, ols
-from .glm import _check_rows, _rank_deficient
+from .glm import _RANK_DEFICIENT, _check_rows, _rank_deficient
 from . import residuals as res
 
 REGRESSION = "regression"
@@ -233,7 +233,7 @@ def _noise_from_residuals(
     _check_rows((m, base.shape[1] + 1))
     # bounds on the diagonal of the QR factor of [base, shared]; the last is exact
     if _rank_deficient(np.append(np.linalg.norm(base, axis=0), np.linalg.norm(shared))):
-        raise SingularDesignError("design matrix is rank deficient")
+        raise SingularDesignError(_RANK_DEFICIENT)
     return shared * ((shared @ r) / (shared @ shared))
 
 

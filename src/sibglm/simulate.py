@@ -78,9 +78,13 @@ class SimTruth:
 
 
 def correlation(a, b) -> float:
-    """Pearson correlation of ``a`` and ``b``; NaN when either is constant."""
-    if np.std(a) > 0.0 and np.std(b) > 0.0:
-        return float(np.corrcoef(a, b)[0, 1])
+    """Pearson correlation of ``a`` and ``b``, clipped to [-1, 1]; NaN when
+    either is constant."""
+    a = np.asarray(a, dtype=float) - np.mean(a)
+    b = np.asarray(b, dtype=float) - np.mean(b)
+    aa, bb = a @ a, b @ b
+    if aa > 0.0 and bb > 0.0:
+        return float(np.clip((a @ b) / np.sqrt(aa * bb), -1.0, 1.0))
     return float("nan")
 
 

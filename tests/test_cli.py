@@ -1,6 +1,9 @@
 """Command-line interface: panel format, round trips, determinism, commands."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -601,6 +604,37 @@ class TestFitCommand:
         assert lines[0] == "coefficient,estimate,stderr"
         assert lines[1].startswith("intercept,")
         assert lines[2].startswith("x,")
+
+
+# A fresh interpreter runs one round of the commands and lists the scipy
+# modules it has loaded; sibglm needs numpy alone, and importing scipy
+# would roughly double the start-up every call pays.
+NO_SCIPY_ROUND = """
+import sys
+from sibglm.cli import main
+
+work = sys.argv[1]
+calls = [
+    ["simulate", "--m", "30", "--q", "3", "--seed", "5", "--output", f"{work}/panel.csv"],
+    ["fit", "--input", f"{work}/panel.csv", "--output", f"{work}/fit.csv"],
+    ["denoise", "--input", f"{work}/panel.csv", "--output", f"{work}/den.csv"],
+    ["residuals", "--input", f"{work}/panel.csv", "--output", f"{work}/res.csv"],
+    ["benchmark", "--m", "30", "--q-grid", "2", "--replicates", "1", "--output", f"{work}/bm.csv"],
+]
+print([main(argv) for argv in calls])
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_a_round_of_commands_loads_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(sibglm.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_ROUND, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
 
 
 class TestBenchmarkCommand:

@@ -1,13 +1,19 @@
 """Exponential-family kernel: pinned values, derivative identities, sampling."""
 
 import decimal
+import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 
 from sibglm.families import (
     DomainError,
     Family,
+    _log_factorial,
+    _xlogy,
     bernoulli,
     family_from_name,
     gamma,
@@ -135,6 +141,59 @@ class TestUnitDeviance:
             poisson().unit_deviance(1.0, -0.5)
         with pytest.raises(DomainError):
             bernoulli().unit_deviance(1.0, 1.0)
+
+
+def _ulps(got, want, scale):
+    """|got - want| in units of the spacing of ``scale`` (elementwise)."""
+    return np.abs(got - want) / np.spacing(np.abs(scale))
+
+
+class TestKernelsAgainstScipy:
+    """The numpy and ``math`` kernels against the scipy functions they
+    replace, which the package no longer imports."""
+
+    def test_logistic_mean(self):
+        theta = np.array([0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 800.0, -800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bernoulli().mean(theta)
+        assert np.array_equal(got, scipy.special.expit(theta))
+
+    def test_log_factorial_of_counts(self):
+        y = np.arange(100_001.0)
+        got, want = _log_factorial(y), scipy.special.gammaln(y + 1.0)
+        assert got[0] == got[1] == 0.0
+        assert got[2] == math.log(2.0) != math.lgamma(3.0)
+        assert np.max(_ulps(got[2:], want[2:], want[2:])) <= 4.0
+        # counts all inside the table, and a block of counts, give the same values
+        assert np.array_equal(_log_factorial(y[:1000].reshape(10, 100)).ravel(), got[:1000])
+        assert np.array_equal(_log_factorial(y[::997].reshape(-1, 1))[:, 0], got[::997])
+
+    def test_log_factorial_of_non_integer_responses(self):
+        y = np.array([2.5, 1e-3, 1e7 + 0.5, 1e-3, 3.0])
+        want = scipy.special.gammaln(y + 1.0)
+        # in ulps of max(1, |value|): near the zero of log Gamma at 1 neither
+        # function is good to an ulp of its tiny result (log Gamma(1.001))
+        assert np.max(_ulps(_log_factorial(y), want, np.maximum(1.0, np.abs(want)))) <= 4.0
+
+    def test_xlogy_with_zeros(self):
+        x = np.array([0.0, 1.0, 2.5, 3.0])
+        y = np.array([0.0, 1.0, 0.5, 7.0])
+        with np.errstate(divide="ignore"):
+            got = _xlogy(x, y[:, None])
+        assert np.array_equal(got, scipy.special.xlogy(x, y[:, None]))
+        # 0 log 0 is 0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_xlogy(np.zeros(3), np.array([0.0, 1.0, 2.0])), np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [0.5, 2.0, 7.3])
+    def test_gamma_log_density(self, shape):
+        mu = np.array([0.2, 1.0, 4.5])
+        y = np.array([0.05, 1.3, 9.0])
+        got = gamma(shape).log_pdf(y, -shape / mu)
+        want = scipy.stats.gamma.logpdf(y, a=shape, scale=mu / shape)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestSampling:

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import poisson as poisson_dist
 
 import sibglm.glm
@@ -381,6 +382,12 @@ class TestPerDesignBatch:
         assert all(isinstance(e, SingularDesignError) for e in got)
         assert got[0] is not got[1]
 
+    def test_every_design_with_too_few_rows(self):
+        got = sibglm.glm._fit_rows(np.ones((2, 2, 3)), np.ones((2, 2)), poisson())
+        assert [str(e) for e in got] == ["need at least as many rows as columns, got (2, 3)"] * 2
+        assert all(isinstance(e, SingularDesignError) for e in got)
+        assert got[0] is not got[1]
+
 
 class TestStoppingRule:
     @pytest.mark.parametrize(
@@ -560,6 +567,15 @@ class TestOls:
             assert not view.flags.c_contiguous
             assert ols(x, view).tobytes() == ols(x, copy).tobytes()
 
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    def test_matches_a_triangular_solve(self, k):
+        rng = np.random.default_rng(9)
+        x = np.column_stack([np.ones(60), rng.normal(size=(60, 3))])
+        y = rng.normal(size=60 if k is None else (60, k))
+        q, r = np.linalg.qr(x)
+        oracle = scipy.linalg.solve_triangular(r, q.T @ y)
+        assert np.max(np.abs(ols(x, y) - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+
     def test_matrix_response_matches_lstsq_per_column(self):
         rng = np.random.default_rng(8)
         x = np.column_stack([np.ones(80), rng.normal(size=(80, 3))])
@@ -569,6 +585,44 @@ class TestOls:
         for j in range(ys.shape[1]):
             oracle = np.linalg.lstsq(x, ys[:, j], rcond=None)[0]
             assert np.max(np.abs(beta[:, j] - oracle)) <= 1e-12
+
+
+def _pivoted_rank_deficient(x):
+    """The rank test on the diagonal of scipy's column-pivoted QR factor."""
+    return bool(sibglm.glm._rank_deficient(np.diag(scipy.linalg.qr(x, mode="r", pivoting=True)[0])))
+
+
+class TestRankDecision:
+    """The rank test on numpy's unpivoted QR factor decides as it does on
+    scipy's pivoted one."""
+
+    @staticmethod
+    def _designs():
+        rng = np.random.default_rng(6)
+        yield from (TestOls._deficient(kind) for kind in
+                    ("duplicate", "zero", "first", "first_combination", "last"))
+        yield np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
+        yield rng.normal(size=(50, 3))
+        yield np.array([[1.0, 0.0], [1.0, 1.0]])
+        yield np.column_stack([np.ones(10), np.ones(10)])
+        for m in (12, 120, 400):
+            x = np.linspace(-1.0, 1.0, m)
+            u = np.random.default_rng(m).uniform(-1.0, 1.0, m)
+            for e in range(6, 13):
+                yield np.column_stack([np.ones(m), x, x + 10.0**-e * u])
+
+    def test_each_decision_matches_the_pivoted_check(self):
+        decisions = [(_pivoted_rank_deficient(x), bool(sibglm.glm._deficient_designs(x)))
+                     for x in self._designs()]
+        assert [want for want, _ in decisions] == [got for _, got in decisions]
+        # both sides of the threshold are reached
+        assert {want for want, _ in decisions} == {False, True}
+
+    def test_a_stack_decides_as_its_designs_one_by_one(self):
+        stack = np.stack([x for x in self._designs() if x.shape == (120, 3)])
+        assert list(sibglm.glm._deficient_designs(stack)) == [
+            bool(sibglm.glm._deficient_designs(x)) for x in stack
+        ]
 
 
 class TestDesign:

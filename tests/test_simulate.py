@@ -11,6 +11,7 @@ from sibglm.simulate import (
     GenerationError,
     MetricsRecord,
     SimConfig,
+    correlation,
     generate,
     metrics,
     replicate_seed,
@@ -182,6 +183,19 @@ class TestMetrics:
         assert np.isnan(rec.mse) and np.isnan(rec.bias) and np.isnan(rec.noise_corr)
         rec = MetricsRecord.score(signal + 0.5, -signal, 1.5, signal, signal, 1.0)
         assert (rec.mse, rec.bias, rec.noise_corr) == pytest.approx((0.25, 0.5, -1.0))
+
+    def test_correlation_matches_corrcoef(self):
+        rng = np.random.default_rng(12)
+        for m in (2, 3, 120, 10_000):
+            a = rng.normal(size=m)
+            for b in (rng.normal(size=m), 3.0 * a + 1.0, 1e-8 * rng.normal(size=m) - a):
+                assert abs(correlation(a, b) - np.corrcoef(a, b)[0, 1]) <= 1e-12
+        a = np.linspace(0.0, 1.0, 7)
+        assert -1.0 <= correlation(a, -a) <= 1.0 and correlation(a, 2.0 * a) <= 1.0
+        # NaN when either input is constant, as np.std sees it: the mean of
+        # seven 0.1s is not 0.1, so that input is not
+        for c in (np.zeros(7), np.full(7, 0.5), np.full(7, 0.1)):
+            assert np.isnan(correlation(a, c)) == np.isnan(correlation(c, a)) == (np.std(c) == 0.0)
 
     def test_record_fields(self):
         rec = MetricsRecord(mse=1.0, bias=0.5, noise_corr=float("nan"))
