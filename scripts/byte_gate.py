@@ -10,7 +10,8 @@ The calls run in this process through ``sibglm.cli.main``, imported from
 ``--src``. They cover simulate, fit, residuals, denoise and benchmark over
 the four families, every estimator, residual kind, noise strategy and
 flag, studies with ``--jobs 1`` and ``--jobs 2``, study grids whose cells
-fail, panels on which IRLS halves its steps or meets a separated series,
+fail, among them grids whose replicates have a series with no first fit
+or residual, panels on which IRLS halves its steps or meets a separated series,
 a panel whose auxiliaries are exact lines in x, missing-path errors, bad configs, option values outside their choices or
 of the wrong type given by flag or by config, and settings that no panel
 can have. Every path is relative to a work directory (``--workdir``, by
@@ -176,6 +177,17 @@ def cases():
             "--estimator", ",".join(ESTIMATORS), "--residual", "fisher,student",
             "--replicates", "6", "--seed", "3", "--jobs", jobs,
         ]
+    # grids that straddle a series whose first fit or residual fails: with seed 42
+    # at m=6, series 4 has no first fit on replicate 1 and series 6 no student
+    # residual on replicate 0; with seed 7 at m=12, series 6 has no first fit on
+    # replicate 2
+    for m, seed in (("6", "42"), ("12", "7")):
+        for jobs in ("1", "2"):
+            yield f"bernoulli-partway-m{m}-jobs{jobs}", [
+                "benchmark", "--family", "bernoulli", "--m", m, "--q-grid", "2,4,7,8",
+                "--estimator", ",".join(ESTIMATORS), "--residual", "fisher,student",
+                "--replicates", "4", "--seed", seed, "--jobs", jobs,
+            ]
 
     # panels on which IRLS halves steps, or fails on a separated series
     for name, fam, q in HARD_PANELS:

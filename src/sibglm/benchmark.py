@@ -8,16 +8,18 @@ consecutive ones, capped at about 2**14 ``sglm`` cells x m x replicates
 (one replicate per block at m=50 000), and the ``sglm`` cells of every
 replicate of a block go through one ``sibling.denoise_all`` call, which
 refits all their targets in one IRLS loop and returns each cell's
-estimate or error. When a replicate's shared step fails, each cell
-generates and fits its own q series instead. Replicate seeds are derived from the master seed by
+estimate or error. The shared step keeps its outcome per series, so a
+series that cannot be generated, fitted or turned into residuals fails
+only the cells that use it, with the note a run of that cell alone gives
+(``_failure``). Replicate seeds are derived from the master seed by
 replicate index only, so runs at different q (or with different
 estimators) see the same draws and comparisons are paired.
 
 ``_estimate`` is the one place that branches on the estimator, and
-``_fit_shared`` decides which GLM fits and residuals it needs. A study
-cell runs ``_estimate`` on what its replicate shares; ``run_estimator``,
-the library's entry point that the ``denoise`` command calls, runs it on
-what ``_fit_shared`` makes for the one estimator. The linear sibling
+``_fit_step`` decides which GLM fits and residuals it needs. A study
+cell runs ``_estimate`` on its replicate's step; ``run_estimator``, the
+library's entry point that the ``denoise`` command calls, runs it on
+the step of its one panel and estimator. The linear sibling
 estimators operate on log1p-transformed responses for the Poisson and
 Gamma families (the standard count transformation the comparison is
 about) and on the raw responses otherwise; they estimate the denoised
@@ -27,8 +29,8 @@ them.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -36,11 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import GAMMA, POISSON, Family
-from .glm import fit_glm, fit_glms
+from .glm import _RANK_DEFICIENT, GlmFit, SingularDesignError, _deficient_designs, _fit_rows
+from .glm import _for_series, fit_glm  # fit_glm unused; perfbench/tracing.py patches it here
 from . import residuals as res
 from . import sibling
 from .sibling import Estimate
-from .simulate import MetricsRecord, SimConfig, generate, metrics, replicate_seed, to_panel
+from .simulate import GenerationError, MetricsRecord, SimConfig, generate, metrics
+from .simulate import replicate_seed, to_panel
 
 GLM_ESTIMATOR = "glm"
 HALF_SIBLING = "half_sibling"
@@ -111,35 +115,78 @@ def working_scale(family: Family, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _fit_shared(panel: sibling.Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
-    """The GLM fits, by series index, and the residual matrices, by kind, that
-    the cells' estimators need on ``panel``: every series' fit and a matrix
-    per kind for ``sglm``, the target's fit for ``glm``, nothing otherwise."""
-    estimators = {c.estimator for c in cells}
+def _needed(estimators: set[str], q: int, target: int) -> range:
+    """The series among the first q whose first fits ``estimators`` need."""
     if SGLM in estimators:
-        fits = fit_glms(panel.design, panel.responses, panel.family)
-        kinds = {c.residual_kind for c in cells if c.estimator == SGLM}
-        residuals = {kind: sibling.residual_matrix(panel, fits, kind) for kind in kinds}
-        return dict(enumerate(fits)), residuals
-    if GLM_ESTIMATOR in estimators:
-        t = panel.target_index
-        return {t: fit_glm(panel.design, panel.responses[:, t], panel.family)}, {}
-    return {}, {}
+        return range(q)
+    return range(target, target + 1) if GLM_ESTIMATOR in estimators else range(0)
 
 
-def _estimate(panel, spec, fits, residuals, include_x, strategy) -> Estimate:
-    """Run ``spec``'s estimator on ``panel`` with what ``_fit_shared`` made for
-    it, or for a wider panel whose first ``panel.q`` series are these."""
-    family, t = panel.family, panel.target_index
-    if spec.estimator == SGLM:
-        resid = residuals[spec.residual_kind][:, : panel.q]
-        (outcome,) = sibling.denoise_all([(panel, resid)], include_x, strategy)
-        if isinstance(outcome, Exception):
-            raise outcome
+def _fit_step(panel: sibling.Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
+    """The first fits and residuals the cells need on ``panel``, per series:
+    after ``fit_glms``' design check, one ``_fit_rows`` call gives each series
+    ``_needed`` names, by index, a ``GlmFit`` or an exception, and each
+    ``sglm`` residual kind a matrix of the leading fitted series' columns
+    and the exception of the next one, if it raised."""
+    rows = _needed({c.estimator for c in cells}, panel.q, panel.target_index)
+    if rows and _deficient_designs(panel.design.x):
+        raise SingularDesignError(_RANK_DEFICIENT)
+    ys = np.ascontiguousarray(panel.responses.T[rows.start : rows.stop])
+    fits = dict(zip(rows, _fit_rows(panel.design.x, ys, panel.family))) if rows else {}
+    residuals = {}
+    for kind in {c.residual_kind for c in cells if c.estimator == SGLM}:
+        columns, error = [np.empty((panel.m, 0))], None  # stacks to m x 0 with no column
+        for j, fit in fits.items():
+            if not isinstance(fit, GlmFit):
+                break
+            try:
+                columns.append(res.compute(kind, fit, panel.responses[:, j], design=panel.design))
+            except ValueError as exc:
+                error = exc
+                break
+        residuals[kind] = np.column_stack(columns), error
+    return fits, residuals
+
+
+def _failure(spec: CellSpec, step) -> Exception | None:
+    """What fails ``spec`` on a step ``(truth, panel, fits, residuals, error)``,
+    in the order its own pipeline meets it: one of its q series not generated
+    (``error``), a fit its estimator needs, named as ``fit_glms`` names it (on
+    a copy, since one exception serves several cells), a residual of its kind."""
+    _, panel, fits, residuals, error = step
+    if panel is None or panel.q < spec.q:
+        return error
+    needed = _needed({spec.estimator}, spec.q, panel.target_index)
+    for j in needed:
+        if isinstance(fits[j], Exception):
+            return _for_series(copy.copy(fits[j]), j, len(needed))
+    if spec.estimator == SGLM and residuals[spec.residual_kind][0].shape[1] < spec.q:
+        return residuals[spec.residual_kind][1]
+    return None
+
+
+def _request(spec: CellSpec, step):
+    """The ``denoise_all`` request of an ``sglm`` cell: its q series and their residuals."""
+    _, panel, _, residuals, _ = step
+    return _cell_panel(panel, spec.q), residuals[spec.residual_kind][0][:, : spec.q]
+
+
+def _estimate(spec: CellSpec, step, include_x: bool, strategy: str) -> Estimate:
+    """Run ``spec``'s estimator on the first q series of a step, raising its
+    ``_failure`` if it has one."""
+    outcome = _failure(spec, step)
+    if outcome is None and spec.estimator == SGLM:
+        (outcome,) = sibling.denoise_all([_request(spec, step)], include_x, strategy)
+    if isinstance(outcome, Exception):
+        raise outcome
+    if outcome is not None:
         return outcome
+    _, panel, fits, _, _ = step
+    family, t = panel.family, panel.target_index
     if spec.estimator == GLM_ESTIMATOR:
         return Estimate.of_fit(fits[t], panel.design)
 
+    panel = _cell_panel(panel, spec.q)
     ty = working_scale(family, panel.responses)
     aux = np.delete(ty, t, axis=1)
     if spec.estimator == HALF_SIBLING:
@@ -166,21 +213,27 @@ def run_estimator(
     ``residual_kind``, ``include_x`` and ``strategy`` apply to ``sglm``.
     """
     spec = CellSpec(panel.q, estimator, residual_kind)
-    return _estimate(panel, spec, *_fit_shared(panel, [spec]), include_x, strategy)
+    return _estimate(spec, (None, panel, *_fit_step(panel, [spec]), None), include_x, strategy)
 
 
 def _shared_replicate(study: Study, cells: list[CellSpec], index: int):
     """Generate replicate ``index`` at the cells' largest q once and fit what they share.
 
-    Returns ``(truth, panel, fits, residuals)``: the widest panel the cells
-    need, whose first q series are bitwise the panel ``generate`` gives at
-    that q, and ``_fit_shared``'s fits and residuals for it.
-    """
+    Returns the step ``(truth, panel, fits, residuals, error)``: the series
+    made before ``error``, the ``GenerationError`` if one cut them short, as
+    a panel (None for fewer than two) whose first q series are bitwise those
+    ``generate`` gives at that q, and ``_fit_step``'s fits and residuals."""
     q = max(c.q for c in cells)
     seed = replicate_seed(study.master_seed, index)
-    truth = generate(SimConfig(study.family, study.m, q, study.sigma_eps, seed, study.noise_scheme))
+    config = SimConfig(study.family, study.m, q, study.sigma_eps, seed, study.noise_scheme)
+    try:
+        truth, error = generate(config), None
+    except GenerationError as exc:
+        truth, error = exc.truth, exc
+    if truth.y.shape[1] < 2:
+        return truth, None, {}, {}, error
     panel = to_panel(truth, study.family)
-    return (truth, panel, *_fit_shared(panel, cells))
+    return (truth, panel, *_fit_step(panel, cells), error)
 
 
 def _cell_panel(panel: sibling.Panel, q: int) -> sibling.Panel:
@@ -193,14 +246,12 @@ def _cell_panel(panel: sibling.Panel, q: int) -> sibling.Panel:
 def run_cell(
     study: Study, spec: CellSpec, shared, estimate: Estimate | None = None
 ) -> MetricsRecord:
-    """Score one cell on one replicate, ``_shared_replicate``'s
-    ``(truth, panel, fits, residuals)``, running only what depends on its q,
-    or only the scoring when ``estimate`` is the cell's, already made."""
-    truth, panel, fits, residuals = shared
+    """Score one cell on one replicate's step (``_shared_replicate``), running
+    only what depends on its q, or only the scoring when ``estimate`` is the
+    cell's, already made."""
     if estimate is None:
-        panel = _cell_panel(panel, spec.q)
-        estimate = _estimate(panel, spec, fits, residuals, study.include_x, study.strategy)
-    return metrics(truth, estimate)
+        estimate = _estimate(spec, shared, study.include_x, study.strategy)
+    return metrics(shared[0], estimate)
 
 
 # Cap on the sglm cells x m x replicates of one block of replicates. A
@@ -220,19 +271,18 @@ def run_replicates(
 ) -> tuple[list[CellResult], float]:
     """Run replicates ``start`` to ``stop - 1`` of every cell of a study.
 
-    Each replicate is generated and fitted once for all cells. The range
+    Each replicate is generated, fitted and turned into residuals once
+    for all cells, by ``_shared_replicate``, and ``_failure`` gives each
+    cell's failure on it, whose message becomes the cell's note. The range
     runs in blocks of consecutive replicates (``_block_size``), and the
-    proxies and refits of every live ``sglm`` cell on every replicate of
-    a block are made in one ``sibling.denoise_all`` call; the error it
-    returns for a cell is that cell's note. A cell that failed before the
-    block is left out of the call. When a replicate's shared step fails
-    (a series that cannot be generated or fitted), each cell repeats it
-    for itself alone, on its own q series, so a cell fails exactly when
-    its own series do. Cells are scored replicate by replicate, in cell
-    order, by ``run_cell``, and a cell stops at its first failure, so the
-    outcomes of its later replicates in the block are dropped. Returns
-    each cell's results over the range and the time of the shared steps,
-    ``sglm`` refits included.
+    proxies and refits of every live ``sglm`` cell that has not failed on
+    a replicate of a block are made in one ``sibling.denoise_all`` call;
+    the error it returns for a cell is that cell's note. A cell that
+    failed before the block is left out of the call. Cells are scored
+    replicate by replicate, in cell order, by ``run_cell``, and a cell
+    stops at its first failure, so the outcomes of its later replicates
+    in the block are dropped. Returns each cell's results over the range
+    and the time of the shared steps, ``sglm`` refits included.
     """
     results = [
         CellResult(spec, {name: np.empty(stop - start) for name in METRIC_NAMES})
@@ -243,21 +293,13 @@ def run_replicates(
     for first in range(start, stop, block):
         indices = range(first, min(first + block, stop))
         started = time.perf_counter()
-        shared = {}
-        for index in indices:
-            try:
-                shared[index] = _shared_replicate(study, cells, index)
-            except Exception:
-                shared[index] = None
+        shared = {index: _shared_replicate(study, cells, index) for index in indices}
         live = [r.spec for r in results if r.error is None and r.spec.estimator == SGLM]
-        keys, requests = [], []
-        for index in indices:
-            if shared[index]:
-                _, panel, _, residuals = shared[index]
-                for c in live:
-                    keys.append((index, c))
-                    requests.append((_cell_panel(panel, c.q), residuals[c.residual_kind][:, : c.q]))
-        outcomes = dict(zip(keys, sibling.denoise_all(requests, study.include_x, study.strategy)))
+        # each live sglm cell's failure on each replicate, else its estimate
+        outcomes = {(i, c): _failure(c, shared[i]) for i in indices for c in live}
+        keys = [key for key, failure in outcomes.items() if failure is None]
+        requests = [_request(c, shared[i]) for i, c in keys]
+        outcomes.update(zip(keys, sibling.denoise_all(requests, study.include_x, study.strategy)))
         shared_seconds += time.perf_counter() - started
         for index in indices:
             for result in results:
@@ -269,8 +311,7 @@ def run_replicates(
                     outcome = outcomes.get((index, spec))
                     if isinstance(outcome, Exception):
                         raise outcome
-                    own = shared[index] or _shared_replicate(study, [spec], index)
-                    rec = run_cell(study, spec, own, outcome)
+                    rec = run_cell(study, spec, shared[index], outcome)
                     for name in METRIC_NAMES:
                         result.samples[name][index - start] = getattr(rec, name)
                 except Exception as exc:
@@ -306,6 +347,7 @@ def run_study(
     with contextlib.ExitStack() as stack:
         run_all = map
         if chunks > 1:
+            import concurrent.futures
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=chunks)
             run_all = stack.enter_context(pool).map
         parts = list(

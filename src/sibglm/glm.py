@@ -173,19 +173,22 @@ def _for_series(exc: Exception, j: int, k: int) -> Exception:
     return exc
 
 
-def _cholesky_diagonals(a: np.ndarray) -> np.ndarray:
-    """Diagonals of the Cholesky factors of a stack of symmetric matrices.
+def _solve_checked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky diagonals and solutions of a stack of symmetric systems ``a x = b``.
 
     For ``a = X'WX`` the diagonal is that of the QR factor ``R`` of
-    ``sqrt(W) X`` up to sign. A matrix that is not numerically positive
-    definite gets a zero diagonal.
+    ``sqrt(W) X`` up to sign. A system that is not numerically positive
+    definite, or that LAPACK's solve finds exactly singular (which the rank
+    test on the diagonal can pass), gets a zero diagonal.
     """
     try:
-        return np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)
+        diagonals = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)
+        return diagonals, np.linalg.solve(a, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         if len(a) == 1:
-            return np.zeros((1, a.shape[1]))
-        return np.concatenate([_cholesky_diagonals(a[i : i + 1]) for i in range(len(a))])
+            return np.zeros((1, a.shape[1])), np.zeros(b.shape)
+        parts = [_solve_checked(a[i : i + 1], b[i : i + 1]) for i in range(len(a))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _rows_times(v, a):
@@ -271,16 +274,17 @@ def _irls(x, y, family):
         score, xwx, rhs = _newton_system(x, xx, family, y, e)
         done = np.max(np.abs(score), axis=1) <= score_tol
         iterations[live[done]] = it - 1
-        singular = ~done & _rank_deficient(_cholesky_diagonals(xwx))
+        diagonals, solution = _solve_checked(xwx, rhs)
+        singular = ~done & _rank_deficient(diagonals)
         for j in live[singular]:
             errors[j] = SingularDesignError("weighted design is numerically singular")
         going = ~(done | singular)
-        live, b, e, y, c, lik, xwx, rhs = _keep_rows(going, live, b, e, y, c, lik, xwx, rhs)
+        live, b, e, y, c, lik, solution = _keep_rows(going, live, b, e, y, c, lik, solution)
         if per_row:
             x, xx = _keep_rows(going, x, xx)
         if not live.size:
             break
-        step = np.linalg.solve(xwx, rhs[:, :, None])[:, :, 0] - b
+        step = solution - b
 
         # halve the steps of the series whose log-likelihood would fall or
         # whose natural parameters would leave the domain

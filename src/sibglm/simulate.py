@@ -29,7 +29,12 @@ NOISE_COEF_SCHEMES = ("uniform", "zero", "one")
 
 
 class GenerationError(RuntimeError):
-    """The generated natural parameters left the family domain."""
+    """The generated natural parameters left the family domain; ``truth``
+    holds the series drawn before the failing one."""
+
+    def __init__(self, message, truth=None):
+        super().__init__(message)
+        self.truth = truth
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,9 @@ def replicate_seed(master_seed: int, index: int) -> int:
 
 
 def generate(config: SimConfig) -> SimTruth:
-    """Draw one panel. Bit-identical for identical configs."""
+    """Draw one panel. Bit-identical for identical configs. A series that
+    leaves the domain raises ``GenerationError`` with the series before it,
+    bitwise the panel at that q, since each series has its own streams."""
     m, q = config.m, config.q
     family = config.family
 
@@ -142,6 +149,14 @@ def generate(config: SimConfig) -> SimTruth:
     eps = np.empty((m, q))
     theta = np.empty((m, q))
     y = np.empty((m, q))
+
+    def first(n: int) -> SimTruth:
+        return SimTruth(
+            x=x, noise=noise, x_coefs=x_coefs[:n], noise_coefs=noise_coefs[:n],
+            eps=eps[:, :n], signal=x_coefs[None, :n] * x[:, None], theta=theta[:, :n],
+            y=y[:, :n], theta_shift=shift,
+        )
+
     for j in range(q):
         rng = _stream(config.seed, 2, j)
         x_coefs[j] = rng.uniform(W_X_LOW, W_X_HIGH)
@@ -157,21 +172,11 @@ def generate(config: SimConfig) -> SimTruth:
             bad = int(np.argmax(~(theta[:, j] < 0.0)))
             raise GenerationError(
                 f"series {j}, row {bad}: natural parameter "
-                f"{theta[bad, j]:.4f} outside the {family.kind} domain"
+                f"{theta[bad, j]:.4f} outside the {family.kind} domain",
+                first(j),
             )
         y[:, j] = family.sample(theta[:, j], rng)
-
-    return SimTruth(
-        x=x,
-        noise=noise,
-        x_coefs=x_coefs,
-        noise_coefs=noise_coefs,
-        eps=eps,
-        signal=x_coefs[None, :] * x[:, None],
-        theta=theta,
-        y=y,
-        theta_shift=shift,
-    )
+    return first(q)
 
 
 def to_panel(truth: SimTruth, family: Family, target_index: int = 0) -> Panel:

@@ -606,14 +606,16 @@ class TestFitCommand:
         assert lines[2].startswith("x,")
 
 
-# A fresh interpreter runs one round of the commands and lists the scipy
-# modules it has loaded; sibglm needs numpy alone, and importing scipy
-# would roughly double the start-up every call pays.
-NO_SCIPY_ROUND = """
+# A fresh interpreter runs one round of the commands and lists the modules
+# it has loaded from one package. sibglm needs numpy alone, and importing
+# scipy would roughly double the start-up every call pays; a single-job
+# study needs no process pool, and concurrent.futures, with the logging
+# module it loads, adds about 8 ms to every call.
+ROUND = """
 import sys
 from sibglm.cli import main
 
-work = sys.argv[1]
+work, package = sys.argv[1:]
 calls = [
     ["simulate", "--m", "30", "--q", "3", "--seed", "5", "--output", f"{work}/panel.csv"],
     ["fit", "--input", f"{work}/panel.csv", "--output", f"{work}/fit.csv"],
@@ -622,19 +624,29 @@ calls = [
     ["benchmark", "--m", "30", "--q-grid", "2", "--replicates", "1", "--output", f"{work}/bm.csv"],
 ]
 print([main(argv) for argv in calls])
-print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+print(sorted(name for name in sys.modules if name == package or name.startswith(package + ".")))
 """
 
 
-def test_a_round_of_commands_loads_no_scipy(tmp_path):
+def _loaded_in_a_round(tmp_path, package: str) -> str:
     src = os.path.dirname(os.path.dirname(sibglm.cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_ROUND, str(tmp_path)],
+        [sys.executable, "-c", ROUND, str(tmp_path), package],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
+    codes, loaded = done.stdout.splitlines()[-2:]
+    assert codes == "[0, 0, 0, 0, 0]"
+    return loaded
+
+
+def test_a_round_of_commands_loads_no_scipy(tmp_path):
+    assert _loaded_in_a_round(tmp_path, "scipy") == "[]"
+
+
+def test_a_round_of_commands_loads_no_process_pool(tmp_path):
+    assert _loaded_in_a_round(tmp_path, "concurrent.futures") == "[]"
 
 
 class TestBenchmarkCommand:

@@ -305,6 +305,47 @@ class TestRegressionProxy:
         assert message == "design matrix is rank deficient"
 
 
+def _relative_gap(got, want) -> float:
+    """Largest gap between two outputs, relative to max|want|."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestMetamorphicRelations:
+    """Relations the model implies and the ``regression`` proxy keeps, each on
+    eight fixed-seed panels (m=200, q=6) per family and residual kind. Each
+    tolerance, relative to max|output|, is about ten times the largest gap
+    seen on these panels: 1.6e-13 for the auxiliary order, and 1.1e-12 for
+    the row order (the Gamma outputs and refit coefficients)."""
+
+    FAMILIES = [gaussian(1.0), poisson(), bernoulli(), gamma(2.0)]
+
+    @staticmethod
+    def _panels(family):
+        for seed in range(8):
+            truth = generate(SimConfig(family, m=200, q=6, seed=seed))
+            yield seed, truth, to_panel(truth, family)
+
+    @pytest.mark.parametrize("kind", RESIDUAL_KINDS)
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+    def test_reversed_auxiliaries_leave_the_proxy_unchanged(self, family, kind):
+        for _, _, panel in self._panels(family):
+            want = sglm_denoise(panel, kind).noise_hat
+            flipped = Panel(panel.design, panel.responses[:, [0, 5, 4, 3, 2, 1]], family)
+            assert _relative_gap(sglm_denoise(flipped, kind).noise_hat, want) <= 2e-12
+
+    @pytest.mark.parametrize("kind", RESIDUAL_KINDS)
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+    def test_permuted_rows_permute_the_outputs(self, family, kind):
+        for seed, truth, panel in self._panels(family):
+            want = sglm_denoise(panel, kind)
+            rows = np.random.default_rng(seed).permutation(panel.m)
+            design = design_with_intercept(truth.x[rows], names=("x",))
+            got = sglm_denoise(Panel(design, panel.responses[rows], family), kind)
+            for name in ("signal_hat", "noise_hat", "mu_hat"):
+                assert _relative_gap(getattr(got, name), getattr(want, name)[rows]) <= 1e-11, name
+            assert _relative_gap(got.refit.beta, want.refit.beta) <= 1e-11
+
+
 class TestSglmDenoise:
     def test_zero_noise_leaves_coefficients_alone(self):
         fam = poisson()
@@ -376,6 +417,25 @@ class TestSglmDenoise:
         with pytest.raises(ConvergenceError, match="^series 0: ") as excinfo:
             sglm_denoise(panel)
         assert excinfo.value.last_fit is not None
+
+    def test_exactly_singular_refit_is_a_typed_error(self):
+        # LAPACK finds this refit's weighted system exactly singular although
+        # its Cholesky diagonals pass the rank test; a batch keeps the others
+        fam = bernoulli()
+        bad, good = (
+            to_panel(generate(SimConfig(fam, m=6, q=2, seed=replicate_seed(7, i))), fam)
+            for i in (0, 1)
+        )
+        with pytest.raises(SingularDesignError, match="^weighted design is numerically singular$"):
+            sglm_denoise(bad)
+        requests = [(p, residual_matrix(p, fit_glms(p.design, p.responses, fam), "fisher"))
+                    for p in (bad, good)]
+        bad_outcome, good_outcome = denoise_all(requests)
+        assert isinstance(bad_outcome, SingularDesignError)
+        _assert_same_estimate(good_outcome, sglm_denoise(good))
+        # in a study, the cell fails with that note instead of the study raising
+        (result,), _ = run_study(Study(fam, m=6, replicates=2, master_seed=7), [CellSpec(2, SGLM)])
+        assert result.error == "SingularDesignError: weighted design is numerically singular"
 
     def test_non_default_target(self):
         fam = poisson()
@@ -450,6 +510,39 @@ class TestRunEstimator:
         )
         with pytest.raises(error, match=f"^{message}"):
             run_estimator(panel, "sglm", strategy=strategy)
+
+    @pytest.mark.parametrize("target", [0, 2])
+    def test_errors_are_the_lone_fits_errors(self, target):
+        # s02 is separated by x: its fit fails, the others fit
+        x = np.linspace(-1, 1, 40)
+        noisy = (np.random.default_rng(0).random((40, 2)) < 0.5).astype(float)
+        ys = np.column_stack([noisy, x > 0])
+        panel = Panel(design_with_intercept(x, names=("x",)), ys, bernoulli(), target)
+        with pytest.raises(ConvergenceError) as lone:
+            fit_glms(panel.design, ys, bernoulli())
+        with pytest.raises(ConvergenceError) as got:
+            run_estimator(panel, "sglm")
+        assert str(got.value) == str(lone.value)
+        assert str(got.value).startswith("series 2: ")
+        assert got.value.last_fit.beta.tobytes() == lone.value.last_fit.beta.tobytes()
+        if target == 0:
+            assert run_estimator(panel, "glm").refit.converged
+        else:
+            with pytest.raises(ConvergenceError) as lone:
+                fit_glm(panel.design, ys[:, 2], bernoulli())
+            with pytest.raises(ConvergenceError) as got:
+                run_estimator(panel, "glm")
+            assert str(got.value) == str(lone.value)
+            assert not str(got.value).startswith("series")
+
+    def test_rank_deficient_design_fails_the_fitted_estimators(self):
+        x = np.ones(20)
+        ys = np.random.default_rng(3).poisson(2.0, (20, 3)).astype(float)
+        panel = Panel(design_with_intercept(x, names=("x",)), ys, poisson())
+        for estimator in ("glm", "sglm"):
+            with pytest.raises(SingularDesignError, match="^design matrix is rank deficient$"):
+                run_estimator(panel, estimator)
+        assert run_estimator(panel, "half_sibling").refit is None
 
     def test_unknown_estimator(self):
         fam = poisson()
@@ -541,7 +634,17 @@ class TestBatchedStudy:
 
     @staticmethod
     def _assert_each_cell_as_alone(study, cells, monkeypatch):
-        results, _ = run_study(study, cells)
+        # one shared step, and one draw, per replicate, whatever fails on it
+        steps, draws = [], []
+        shared_replicate = sibglm.benchmark._shared_replicate
+        with monkeypatch.context() as patched:
+            patched.setattr(sibglm.benchmark, "_shared_replicate",
+                            lambda *args: steps.append(args[2]) or shared_replicate(*args))
+            patched.setattr(sibglm.benchmark, "generate",
+                            lambda config: draws.append(config.q) or generate(config))
+            results, _ = run_study(study, cells)
+        assert steps == list(range(study.replicates))
+        assert draws == [max(c.q for c in cells)] * study.replicates
         alone = [run_study(study, [spec])[0][0] for spec in cells]
 
         def lone_denoise_all(requests, include_x, strategy):
@@ -580,12 +683,52 @@ class TestBatchedStudy:
         assert any(r.spec.estimator == SGLM for r in failed)
         assert any(r.spec.estimator == SGLM and r.error is None for r in results)
 
+    def test_cells_beyond_a_failed_draw_fail_alone(self, monkeypatch):
+        # the byte gate's gamma-failing study, plus q=9: on replicate 7 series 8
+        # leaves the domain, so the cells at q > 8 fail there, and those at
+        # q <= 8 use the series drawn before it (on the byte gate's grid the
+        # parent drew 20 panels, one per replicate and one per live cell on
+        # replicate 7)
+        study = Study(gamma(2.0), m=40, sigma_eps=0.7, replicates=8, master_seed=1)
+        cells = [CellSpec(q, e) for q in (2, 4, 8, 9, 16) for e in ("glm", SGLM, "half_sibling")]
+        results = self._assert_each_cell_as_alone(study, cells, monkeypatch)
+        assert [r.spec.q for r in results if r.error is not None] == [9] * 3 + [16] * 3
+        assert all(r.error.startswith("GenerationError: series 8, ") for r in results if r.error)
+
+    @pytest.mark.parametrize(
+        "m, seed, note",
+        [
+            # series 6 has no first fit on replicate 2
+            (12, 7, "ConvergenceError: series 6: fitted means reach the edge"),
+            # series 4 has no first fit, and a student residual fails beyond q=4
+            (6, 42, "LeverageError: leverage of 1 encountered"),
+        ],
+    )
+    def test_cells_beyond_a_failed_fit_or_residual_fail_alone(self, m, seed, note, monkeypatch):
+        # the byte gate's bernoulli-partway studies; at q=7 the cells need
+        # exactly the series before the failing one and that one
+        study = Study(bernoulli(), m=m, replicates=4, master_seed=seed)
+        cells = [
+            CellSpec(q, estimator, kind)
+            for q in (2, 4, 7, 8)
+            for estimator in ESTIMATORS
+            for kind in (("fisher", "student") if estimator == SGLM else ("fisher",))
+        ]
+        results = {r.spec: r for r in self._assert_each_cell_as_alone(study, cells, monkeypatch)}
+        assert results[CellSpec(7, SGLM, "student")].error.startswith(note)
+        assert results[CellSpec(8, SGLM, "student")].error.startswith(note)
+        # at q=4 the cell uses only series that fit and have residuals
+        assert results[CellSpec(4, SGLM, "student")].error is None
+        # a plain fit of the target is not failed by another series
+        assert results[CellSpec(8, "glm")].error is None
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("grid", ["gamma-failing", "bernoulli-separated"])
     def test_results_do_not_depend_on_the_block_size(self, grid, jobs, monkeypatch):
         # one replicate per block, the default cap, and the whole range in one block
         if grid == "gamma-failing":
-            # the shared step fails, so cells regenerate their own series
+            # series 8 leaves the domain on replicate 7: the cells beyond it
+            # fail, and the others use the series drawn before it
             study = Study(gamma(2.0), m=40, sigma_eps=0.7, replicates=8, master_seed=1)
             estimators, kinds = ("glm", SGLM, "half_sibling"), ("fisher",)
             note = "GenerationError: series 8"

@@ -1,5 +1,7 @@
 """Synthetic panel generator: distributions, determinism, pairing, scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,18 @@ class TestGenerate:
     def test_gamma_domain_violation_raises(self):
         with pytest.raises(GenerationError):
             generate(SimConfig(gamma(2.0), m=2000, q=3, sigma_eps=5.0, seed=1))
+
+    def test_domain_violation_keeps_the_series_drawn_before_it(self):
+        # replicate 7 of the byte gate's gamma-failing study leaves the domain at series 8
+        config = SimConfig(gamma(2.0), m=40, q=21, sigma_eps=0.7, seed=replicate_seed(1, 7))
+        with pytest.raises(GenerationError, match="^series 8, ") as excinfo:
+            generate(config)
+        got = excinfo.value.truth
+        want = generate(dataclasses.replace(config, q=8))
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert np.shape(a) == np.shape(b), field.name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
     def test_column_means_match_family_means(self):
         truth = generate(SimConfig(poisson(), m=50_000, q=3, seed=21))
