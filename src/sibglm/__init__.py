@@ -41,6 +41,7 @@ from .sibling import (
     Estimate,
     Panel,
     half_sibling,
+    run_estimator,
     sglm_denoise,
     three_quarter_sibling,
 )
@@ -54,7 +55,6 @@ from .simulate import (
     replicate_seed,
     to_panel,
 )
-from .benchmark import run_estimator
 
 __version__ = "0.1.0"
 

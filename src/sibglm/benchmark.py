@@ -5,53 +5,32 @@ largest q of the grid and fits every series' GLM once; each cell then
 takes the first q series and runs only what depends on q before it is
 scored against the ground truth. Replicates run in blocks of
 consecutive ones, capped at about 2**14 ``sglm`` cells x m x replicates
-(one replicate per block at m=50 000), and the ``sglm`` cells of every
-replicate of a block go through one ``sibling.denoise_all`` call, which
-refits all their targets in one IRLS loop and returns each cell's
-estimate or error. The shared step keeps its outcome per series, so a
-series that cannot be generated, fitted or turned into residuals fails
-only the cells that use it, with the note a run of that cell alone gives
-(``_failure``). Replicate seeds are derived from the master seed by
-replicate index only, so runs at different q (or with different
-estimators) see the same draws and comparisons are paired.
-
-``_estimate`` is the one place that branches on the estimator, and
-``_fit_step`` decides which GLM fits and residuals it needs. A study
-cell runs ``_estimate`` on its replicate's step; ``run_estimator``, the
-library's entry point that the ``denoise`` command calls, runs it on
-the step of its one panel and estimator. The linear sibling
-estimators operate on log1p-transformed responses for the Poisson and
-Gamma families (the standard count transformation the comparison is
-about) and on the raw responses otherwise; they estimate the denoised
-series directly, so only MSE and the noise correlation are defined for
-them.
+(one replicate per block at m=50 000), and every cell of every replicate
+of a block gets its estimate or error from one ``sibling.estimates``
+call, which refits all the ``sglm`` targets in one IRLS loop. The shared
+step keeps its outcome per series, so a series that cannot be generated,
+fitted or turned into residuals fails only the cells that use it, with
+the note a run of that cell alone gives. Replicate seeds are derived
+from the master seed by replicate index only, so runs at different q
+(or with different estimators) see the same draws and comparisons are
+paired.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import GAMMA, POISSON, Family
-from .glm import _RANK_DEFICIENT, GlmFit, SingularDesignError, _deficient_designs, _fit_rows
-from .glm import _for_series, fit_glm  # fit_glm unused; perfbench/tracing.py patches it here
-from . import residuals as res
+from .families import Family
+from .glm import fit_glm  # unused; perfbench/tracing.py patches it here
 from . import sibling
-from .sibling import Estimate
-from .simulate import GenerationError, MetricsRecord, SimConfig, generate, metrics
+from .sibling import SGLM, CellSpec, Estimate
+from .simulate import GenerationError, MetricsRecord, SimConfig, SimTruth, generate, metrics
 from .simulate import replicate_seed, to_panel
-
-GLM_ESTIMATOR = "glm"
-HALF_SIBLING = "half_sibling"
-THREE_QUARTER = "three_quarter"
-SGLM = "sglm"
-
-ESTIMATORS = (GLM_ESTIMATOR, HALF_SIBLING, THREE_QUARTER, SGLM)
 
 METRIC_NAMES = ("bias", "mse", "noise_corr")
 
@@ -78,17 +57,10 @@ class Study:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        # reject what each replicate's SimConfig would, before any cell runs
+        # reject what each replicate's SimConfig and each sglm cell would,
+        # before any cell runs
         SimConfig(self.family, self.m, 2, self.sigma_eps, self.master_seed, self.noise_scheme)
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One benchmark cell: a (q, estimator, residual kind) combination."""
-
-    q: int
-    estimator: str
-    residual_kind: str = res.FISHER
+        sibling._check_strategy(self.strategy)
 
 
 @dataclass
@@ -108,121 +80,14 @@ class CellResult:
         return float(np.std(v, ddof=1) / math.sqrt(len(v)))
 
 
-def working_scale(family: Family, y: np.ndarray) -> np.ndarray:
-    """Observation scale the linear sibling estimators operate on."""
-    if family.kind in (POISSON, GAMMA):
-        return np.log1p(y)
-    return y
-
-
-def _needed(estimators: set[str], q: int, target: int) -> range:
-    """The series among the first q whose first fits ``estimators`` need."""
-    if SGLM in estimators:
-        return range(q)
-    return range(target, target + 1) if GLM_ESTIMATOR in estimators else range(0)
-
-
-def _fit_step(panel: sibling.Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
-    """The first fits and residuals the cells need on ``panel``, per series:
-    after ``fit_glms``' design check, one ``_fit_rows`` call gives each series
-    ``_needed`` names, by index, a ``GlmFit`` or an exception, and each
-    ``sglm`` residual kind a matrix of the leading fitted series' columns
-    and the exception of the next one, if it raised."""
-    rows = _needed({c.estimator for c in cells}, panel.q, panel.target_index)
-    if rows and _deficient_designs(panel.design.x):
-        raise SingularDesignError(_RANK_DEFICIENT)
-    ys = np.ascontiguousarray(panel.responses.T[rows.start : rows.stop])
-    fits = dict(zip(rows, _fit_rows(panel.design.x, ys, panel.family))) if rows else {}
-    residuals = {}
-    for kind in {c.residual_kind for c in cells if c.estimator == SGLM}:
-        columns, error = [np.empty((panel.m, 0))], None  # stacks to m x 0 with no column
-        for j, fit in fits.items():
-            if not isinstance(fit, GlmFit):
-                break
-            try:
-                columns.append(res.compute(kind, fit, panel.responses[:, j], design=panel.design))
-            except ValueError as exc:
-                error = exc
-                break
-        residuals[kind] = np.column_stack(columns), error
-    return fits, residuals
-
-
-def _failure(spec: CellSpec, step) -> Exception | None:
-    """What fails ``spec`` on a step ``(truth, panel, fits, residuals, error)``,
-    in the order its own pipeline meets it: one of its q series not generated
-    (``error``), a fit its estimator needs, named as ``fit_glms`` names it (on
-    a copy, since one exception serves several cells), a residual of its kind."""
-    _, panel, fits, residuals, error = step
-    if panel is None or panel.q < spec.q:
-        return error
-    needed = _needed({spec.estimator}, spec.q, panel.target_index)
-    for j in needed:
-        if isinstance(fits[j], Exception):
-            return _for_series(copy.copy(fits[j]), j, len(needed))
-    if spec.estimator == SGLM and residuals[spec.residual_kind][0].shape[1] < spec.q:
-        return residuals[spec.residual_kind][1]
-    return None
-
-
-def _request(spec: CellSpec, step):
-    """The ``denoise_all`` request of an ``sglm`` cell: its q series and their residuals."""
-    _, panel, _, residuals, _ = step
-    return _cell_panel(panel, spec.q), residuals[spec.residual_kind][0][:, : spec.q]
-
-
-def _estimate(spec: CellSpec, step, include_x: bool, strategy: str) -> Estimate:
-    """Run ``spec``'s estimator on the first q series of a step, raising its
-    ``_failure`` if it has one."""
-    outcome = _failure(spec, step)
-    if outcome is None and spec.estimator == SGLM:
-        (outcome,) = sibling.denoise_all([_request(spec, step)], include_x, strategy)
-    if isinstance(outcome, Exception):
-        raise outcome
-    if outcome is not None:
-        return outcome
-    _, panel, fits, _, _ = step
-    family, t = panel.family, panel.target_index
-    if spec.estimator == GLM_ESTIMATOR:
-        return Estimate.of_fit(fits[t], panel.design)
-
-    panel = _cell_panel(panel, spec.q)
-    ty = working_scale(family, panel.responses)
-    aux = np.delete(ty, t, axis=1)
-    if spec.estimator == HALF_SIBLING:
-        signal_hat = sibling.half_sibling(ty[:, t], aux)
-    elif spec.estimator == THREE_QUARTER:
-        # the design's intercept is constant, so the estimator drops it
-        signal_hat = sibling.three_quarter_sibling(panel.design.x, ty[:, t], aux)
-    else:
-        raise ValueError(f"unknown estimator {spec.estimator!r}")
-    # back from the working scale to the mean
-    mu_hat = np.expm1(signal_hat) if family.kind in (POISSON, GAMMA) else signal_hat
-    return Estimate(signal_hat, ty[:, t] - signal_hat, mu_hat, None, None)
-
-
-def run_estimator(
-    panel: sibling.Panel,
-    estimator: str,
-    residual_kind: str = res.FISHER,
-    include_x: bool = False,
-    strategy: str = sibling.REGRESSION,
-) -> Estimate:
-    """Denoise the panel's target series with one of ``ESTIMATORS``.
-
-    ``residual_kind``, ``include_x`` and ``strategy`` apply to ``sglm``.
-    """
-    spec = CellSpec(panel.q, estimator, residual_kind)
-    return _estimate(spec, (None, panel, *_fit_step(panel, [spec]), None), include_x, strategy)
-
-
 def _shared_replicate(study: Study, cells: list[CellSpec], index: int):
     """Generate replicate ``index`` at the cells' largest q once and fit what they share.
 
-    Returns the step ``(truth, panel, fits, residuals, error)``: the series
-    made before ``error``, the ``GenerationError`` if one cut them short, as
-    a panel (None for fewer than two) whose first q series are bitwise those
-    ``generate`` gives at that q, and ``_fit_step``'s fits and residuals."""
+    Returns its truth and its step ``(panel, fits, residuals, error)``: the
+    series made before ``error``, the ``GenerationError`` if one cut them
+    short, as a panel (None for fewer than two) whose first q series are
+    bitwise those ``generate`` gives at that q, and ``sibling._fit_step``'s
+    fits and residuals."""
     q = max(c.q for c in cells)
     seed = replicate_seed(study.master_seed, index)
     config = SimConfig(study.family, study.m, q, study.sigma_eps, seed, study.noise_scheme)
@@ -231,27 +96,14 @@ def _shared_replicate(study: Study, cells: list[CellSpec], index: int):
     except GenerationError as exc:
         truth, error = exc.truth, exc
     if truth.y.shape[1] < 2:
-        return truth, None, {}, {}, error
+        return truth, (None, {}, {}, error)
     panel = to_panel(truth, study.family)
-    return (truth, panel, *_fit_step(panel, cells), error)
+    return truth, (panel, *sibling._fit_step(panel, cells), error)
 
 
-def _cell_panel(panel: sibling.Panel, q: int) -> sibling.Panel:
-    """The panel of a replicate's first ``q`` series."""
-    if panel.q == q:
-        return panel
-    return sibling.Panel(panel.design, panel.responses[:, :q], panel.family)
-
-
-def run_cell(
-    study: Study, spec: CellSpec, shared, estimate: Estimate | None = None
-) -> MetricsRecord:
-    """Score one cell on one replicate's step (``_shared_replicate``), running
-    only what depends on its q, or only the scoring when ``estimate`` is the
-    cell's, already made."""
-    if estimate is None:
-        estimate = _estimate(spec, shared, study.include_x, study.strategy)
-    return metrics(shared[0], estimate)
+def run_cell(truth: SimTruth, estimate: Estimate) -> MetricsRecord:
+    """Score one cell's estimate on one replicate against its truth."""
+    return metrics(truth, estimate)
 
 
 # Cap on the sglm cells x m x replicates of one block of replicates. A
@@ -266,57 +118,56 @@ def _block_size(study: Study, cells: list[CellSpec]) -> int:
     return max(1, _BLOCK_ROWS // rows) if rows else 1
 
 
+def _run_block(study: Study, results: list[CellResult], indices: range, start: int) -> float:
+    """Run replicates ``indices`` of every cell not yet failed: one
+    ``_shared_replicate`` each, then one ``sibling.estimates`` call for all
+    their cells, whose time it returns. The steps and outcomes are freed
+    on return, before the next block makes its own."""
+    started = time.perf_counter()
+    cells = [r.spec for r in results]
+    shared = [_shared_replicate(study, cells, index) for index in indices]
+    live = [r for r in results if r.error is None]
+    pairs = [(r.spec, step) for _, step in shared for r in live]
+    outcomes = iter(sibling.estimates(pairs, study.include_x, study.strategy))
+    seconds = time.perf_counter() - started
+    for index, (truth, _) in zip(indices, shared):
+        for result, outcome in zip(live, outcomes):
+            if result.error is not None:
+                continue
+            started = time.perf_counter()
+            try:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                rec = run_cell(truth, outcome)
+                for name in METRIC_NAMES:
+                    result.samples[name][index - start] = getattr(rec, name)
+            except Exception as exc:
+                result.samples, result.error = {}, f"{type(exc).__name__}: {exc}"
+            result.seconds += time.perf_counter() - started
+    return seconds
+
+
 def run_replicates(
     study: Study, cells: list[CellSpec], start: int, stop: int
 ) -> tuple[list[CellResult], float]:
     """Run replicates ``start`` to ``stop - 1`` of every cell of a study.
 
-    Each replicate is generated, fitted and turned into residuals once
-    for all cells, by ``_shared_replicate``, and ``_failure`` gives each
-    cell's failure on it, whose message becomes the cell's note. The range
-    runs in blocks of consecutive replicates (``_block_size``), and the
-    proxies and refits of every live ``sglm`` cell that has not failed on
-    a replicate of a block are made in one ``sibling.denoise_all`` call;
-    the error it returns for a cell is that cell's note. A cell that
-    failed before the block is left out of the call. Cells are scored
-    replicate by replicate, in cell order, by ``run_cell``, and a cell
-    stops at its first failure, so the outcomes of its later replicates
-    in the block are dropped. Returns each cell's results over the range
-    and the time of the shared steps, ``sglm`` refits included.
+    The range runs in blocks of consecutive replicates (``_block_size``,
+    ``_run_block``). Cells are scored replicate by replicate, in cell
+    order, by ``run_cell``, and a cell stops at its first failure, whose
+    message is its note, so the outcomes of its later replicates are
+    dropped. Returns each cell's results over the range, timed by their
+    scoring, and the time of the shared steps, estimates included.
     """
     results = [
         CellResult(spec, {name: np.empty(stop - start) for name in METRIC_NAMES})
         for spec in cells
     ]
-    shared_seconds = 0.0
     block = _block_size(study, cells)
-    for first in range(start, stop, block):
-        indices = range(first, min(first + block, stop))
-        started = time.perf_counter()
-        shared = {index: _shared_replicate(study, cells, index) for index in indices}
-        live = [r.spec for r in results if r.error is None and r.spec.estimator == SGLM]
-        # each live sglm cell's failure on each replicate, else its estimate
-        outcomes = {(i, c): _failure(c, shared[i]) for i in indices for c in live}
-        keys = [key for key, failure in outcomes.items() if failure is None]
-        requests = [_request(c, shared[i]) for i, c in keys]
-        outcomes.update(zip(keys, sibling.denoise_all(requests, study.include_x, study.strategy)))
-        shared_seconds += time.perf_counter() - started
-        for index in indices:
-            for result in results:
-                if result.error is not None:
-                    continue
-                spec = result.spec
-                started = time.perf_counter()
-                try:
-                    outcome = outcomes.get((index, spec))
-                    if isinstance(outcome, Exception):
-                        raise outcome
-                    rec = run_cell(study, spec, shared[index], outcome)
-                    for name in METRIC_NAMES:
-                        result.samples[name][index - start] = getattr(rec, name)
-                except Exception as exc:
-                    result.samples, result.error = {}, f"{type(exc).__name__}: {exc}"
-                result.seconds += time.perf_counter() - started
+    shared_seconds = sum(
+        _run_block(study, results, range(first, min(first + block, stop)), start)
+        for first in range(start, stop, block)
+    )
     return results, shared_seconds
 
 

@@ -292,7 +292,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     panel = read_panel(args.input)
     p = sibling.Panel(_design_from_file(panel), panel.y, family, _target_index(panel, args.target))
     target = panel.y_names[p.target_index]
-    est = bench.run_estimator(
+    est = sibling.run_estimator(
         p, args.estimator, args.residual, args.step3_with_x, args.noise_strategy
     )
 
@@ -362,7 +362,7 @@ def _parse_list(value: str, parse=str) -> list:
     return [parse(v.strip()) for v in value.split(",") if v.strip()]
 
 
-def build_cells(args: argparse.Namespace) -> list[bench.CellSpec]:
+def build_cells(args: argparse.Namespace) -> list[sibling.CellSpec]:
     q_grid = _parse_list(args.q_grid, int)
     estimators = _parse_list(args.estimator)
     kinds = _parse_list(args.residual)
@@ -372,7 +372,7 @@ def build_cells(args: argparse.Namespace) -> list[bench.CellSpec]:
     if any(q < 2 for q in q_grid):
         raise ValueError("q_grid entries must be >= 2 (target plus auxiliaries)")
     for e in estimators:
-        if e not in bench.ESTIMATORS:
+        if e not in sibling.ESTIMATORS:
             raise ValueError(f"unknown estimator {e!r}")
     for k in kinds:
         if k not in res.RESIDUAL_KINDS:
@@ -381,8 +381,8 @@ def build_cells(args: argparse.Namespace) -> list[bench.CellSpec]:
     cells = []
     for q in q_grid:
         for estimator in estimators:
-            cell_kinds = kinds if estimator == bench.SGLM else [kinds[0]]
-            cells.extend(bench.CellSpec(q, estimator, kind) for kind in cell_kinds)
+            cell_kinds = kinds if estimator == sibling.SGLM else [kinds[0]]
+            cells.extend(sibling.CellSpec(q, estimator, kind) for kind in cell_kinds)
     return cells
 
 
@@ -413,7 +413,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         prefix = [
             study.family.kind, str(study.m), _fmt(study.sigma_eps), str(cell.q),
             cell.estimator,
-            cell.residual_kind if cell.estimator == bench.SGLM else "-",
+            cell.residual_kind if cell.estimator == sibling.SGLM else "-",
         ]
         if result.error is not None:
             lines.append(prefix + ["", "", "", str(study.replicates), "failed", result.error])
@@ -494,7 +494,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sp = sub.add_parser("denoise", help="estimate the denoised series for a target")
     _add_common(sp, "input", "target", "proxy")
-    sp.add_argument("--estimator", choices=bench.ESTIMATORS, default=bench.SGLM)
+    sp.add_argument("--estimator", choices=sibling.ESTIMATORS, default=sibling.SGLM)
     sp.add_argument("--residual", choices=res.RESIDUAL_KINDS, default=res.FISHER)
     sp.set_defaults(func=cmd_denoise)
 

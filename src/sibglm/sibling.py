@@ -21,24 +21,42 @@ shared component of the auxiliaries' residuals to build a noise proxy,
 and refit the target GLM with that proxy as an extra covariate. The
 covariate-only part of the refit linear predictor is the denoised
 natural-parameter estimate.
+
+``estimates`` is the one place that branches on the estimator, and
+``_fit_step`` decides which GLM fits and residuals it needs. The
+``denoise`` command's ``run_estimator`` makes one ``(spec, step)`` pair of
+it; a study makes one call for every cell and replicate of a block. The
+linear sibling estimators operate on log1p-transformed responses for the
+Poisson and Gamma families (the standard count transformation the
+comparison is about) and on the raw responses otherwise; they estimate
+the denoised series directly, so only MSE and the noise correlation are
+defined for them.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .families import Family
+from .families import GAMMA, POISSON, Family
 # fit_glm is unused here, but perfbench/tracing.py patches sibling.fit_glm
-from .glm import Design, GlmFit, SingularDesignError, _fit_rows, fit_glm, fit_glms, ols
-from .glm import _RANK_DEFICIENT, _check_rows, _rank_deficient
+from .glm import Design, GlmFit, SingularDesignError, _fit_rows, fit_glm, ols
+from .glm import _RANK_DEFICIENT, _check_rows, _deficient_designs, _for_series, _rank_deficient
 from . import residuals as res
 
 REGRESSION = "regression"
 MEAN_OF_RESIDUALS = "mean_of_residuals"
 
 NOISE_STRATEGIES = (REGRESSION, MEAN_OF_RESIDUALS)
+
+GLM_ESTIMATOR = "glm"
+HALF_SIBLING = "half_sibling"
+THREE_QUARTER = "three_quarter"
+SGLM = "sglm"
+
+ESTIMATORS = (GLM_ESTIMATOR, HALF_SIBLING, THREE_QUARTER, SGLM)
 
 
 @dataclass(frozen=True)
@@ -158,20 +176,6 @@ def three_quarter_sibling(x, y1, y2) -> np.ndarray:
     return y1 - _fitted(full, y1) + _fitted(base, y1)
 
 
-def residual_matrix(panel: Panel, fits: list[GlmFit], kind: str) -> np.ndarray:
-    """Residuals of one kind, a column per series, from one fit per series.
-
-    Each column depends only on its own series and fit, so the first q
-    columns of a wider panel's matrix are bitwise the matrix of its
-    first q series.
-    """
-    cols = [
-        res.compute(kind, fits[j], panel.responses[:, j], design=panel.design)
-        for j in range(panel.q)
-    ]
-    return np.column_stack(cols)
-
-
 def _shared_component(aux: np.ndarray) -> np.ndarray:
     """Combine centered auxiliary residuals along their shared direction.
 
@@ -202,6 +206,13 @@ def _shared_component(aux: np.ndarray) -> np.ndarray:
     return centered @ weights
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in NOISE_STRATEGIES:
+        raise ValueError(
+            f"unknown noise strategy {strategy!r}; expected one of {NOISE_STRATEGIES}"
+        )
+
+
 def _noise_from_residuals(
     resid: np.ndarray, target: int, x: np.ndarray, include_x: bool, strategy: str
 ) -> np.ndarray:
@@ -218,13 +229,10 @@ def _noise_from_residuals(
     r1 = resid[:, target]
     aux = np.delete(resid, target, axis=1)
 
+    _check_strategy(strategy)
     if strategy == MEAN_OF_RESIDUALS:
         nhat = aux.mean(axis=1)
         return nhat - nhat.mean()
-    if strategy != REGRESSION:
-        raise ValueError(
-            f"unknown noise strategy {strategy!r}; expected one of {NOISE_STRATEGIES}"
-        )
 
     xc = _nonconstant_columns(x) if include_x else np.empty((m, 0))
     base = np.column_stack([np.ones(m), xc])
@@ -235,26 +243,6 @@ def _noise_from_residuals(
     if _rank_deficient(np.append(np.linalg.norm(base, axis=0), np.linalg.norm(shared))):
         raise SingularDesignError(_RANK_DEFICIENT)
     return shared * ((shared @ r) / (shared @ shared))
-
-
-def sglm_denoise(
-    panel: Panel,
-    residual_kind: str = res.FISHER,
-    include_x: bool = False,
-    strategy: str = REGRESSION,
-) -> Estimate:
-    """Full staged pipeline: noise proxy, refit, denoised signal.
-
-    Fits one GLM per series on the shared design, computes residuals of
-    the chosen kind (``residual_matrix``) and hands them to
-    ``denoise_all`` for the proxy and the refit, raising its error.
-    """
-    fits = fit_glms(panel.design, panel.responses, panel.family)
-    resid = residual_matrix(panel, fits, residual_kind)
-    (outcome,) = denoise_all([(panel, resid)], include_x, strategy)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def denoise_all(
@@ -320,3 +308,151 @@ def denoise_all(
             signal_hat = panel.design.x @ refit.beta[: panel.design.p]
             outcomes[i] = Estimate(signal_hat, nhat, refit.mu, refit, design)
     return outcomes
+
+
+@dataclass(frozen=True)
+class CellSpec:
+    """One estimator run, and one study cell: a (q, estimator, residual kind)
+    combination on the first q series of a panel."""
+
+    q: int
+    estimator: str
+    residual_kind: str = res.FISHER
+
+
+def _needed(estimators: set[str], q: int, target: int) -> range:
+    """The series among the first q whose first fits ``estimators`` need."""
+    if SGLM in estimators:
+        return range(q)
+    return range(target, target + 1) if GLM_ESTIMATOR in estimators else range(0)
+
+
+def _fit_step(panel: Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
+    """The first fits and residuals the cells need on ``panel``, per series:
+    after ``fit_glms``' design check, one ``_fit_rows`` call gives each series
+    ``_needed`` names, by index, a ``GlmFit`` or an exception, and each
+    ``sglm`` residual kind a matrix of the leading fitted series' columns
+    and the exception of the next one, if it raised."""
+    rows = _needed({c.estimator for c in cells}, panel.q, panel.target_index)
+    if rows and _deficient_designs(panel.design.x):
+        raise SingularDesignError(_RANK_DEFICIENT)
+    ys = np.ascontiguousarray(panel.responses.T[rows.start : rows.stop])
+    fits = dict(zip(rows, _fit_rows(panel.design.x, ys, panel.family))) if rows else {}
+    residuals = {}
+    for kind in {c.residual_kind for c in cells if c.estimator == SGLM}:
+        columns, error = [np.empty((panel.m, 0))], None  # stacks to m x 0 with no column
+        for j, fit in fits.items():
+            if not isinstance(fit, GlmFit):
+                break
+            try:
+                columns.append(res.compute(kind, fit, panel.responses[:, j], design=panel.design))
+            except ValueError as exc:
+                error = exc
+                break
+        residuals[kind] = np.column_stack(columns), error
+    return fits, residuals
+
+
+def _failure(spec: CellSpec, step) -> Exception | None:
+    """What fails ``spec`` on a step ``(panel, fits, residuals, error)``, in
+    the order its own pipeline meets it: one of its q series not made
+    (``error``), a fit its estimator needs, named as ``fit_glms`` names it (on
+    a copy, since one exception serves several specs), a residual of its kind."""
+    panel, fits, residuals, error = step
+    if panel is None or panel.q < spec.q:
+        return error
+    needed = _needed({spec.estimator}, spec.q, panel.target_index)
+    for j in needed:
+        if isinstance(fits[j], Exception):
+            return _for_series(copy.copy(fits[j]), j, len(needed))
+    if spec.estimator == SGLM and residuals[spec.residual_kind][0].shape[1] < spec.q:
+        return residuals[spec.residual_kind][1]
+    return None
+
+
+def _cell_panel(panel: Panel, q: int) -> Panel:
+    """The panel of the first ``q`` series."""
+    if panel.q == q:
+        return panel
+    return Panel(panel.design, panel.responses[:, :q], panel.family)
+
+
+def _request(spec: CellSpec, step):
+    """The ``denoise_all`` request of an ``sglm`` spec: its q series and their residuals."""
+    panel, _, residuals, _ = step
+    return _cell_panel(panel, spec.q), residuals[spec.residual_kind][0][:, : spec.q]
+
+
+def _unbatched(spec: CellSpec, step) -> Estimate:
+    """The ``glm`` or linear estimate of ``spec`` on a step it has no ``_failure`` on."""
+    panel, fits, _, _ = step
+    t = panel.target_index
+    if spec.estimator == GLM_ESTIMATOR:
+        return Estimate.of_fit(fits[t], panel.design)
+    panel = _cell_panel(panel, spec.q)
+    logged = panel.family.kind in (POISSON, GAMMA)
+    ty = np.log1p(panel.responses) if logged else panel.responses
+    aux = np.delete(ty, t, axis=1)
+    if spec.estimator == HALF_SIBLING:
+        signal_hat = half_sibling(ty[:, t], aux)
+    elif spec.estimator == THREE_QUARTER:
+        # the design's intercept is constant, so the estimator drops it
+        signal_hat = three_quarter_sibling(panel.design.x, ty[:, t], aux)
+    else:
+        raise ValueError(f"unknown estimator {spec.estimator!r}")
+    mu_hat = np.expm1(signal_hat) if logged else signal_hat
+    return Estimate(signal_hat, ty[:, t] - signal_hat, mu_hat, None, None)
+
+
+def estimates(
+    pairs: list[tuple[CellSpec, tuple]], include_x: bool = False, strategy: str = REGRESSION
+) -> list[Estimate | Exception]:
+    """Each ``(spec, step)`` pair's ``Estimate``, or the exception that fails it.
+
+    A step ``(panel, fits, residuals, error)`` holds a panel, the
+    ``_fit_step`` of its specs on it, and the error that cut its series
+    short, if any. A pair with a ``_failure`` gets it; the other ``sglm``
+    pairs go through one ``denoise_all`` call, and every other pair runs
+    its estimator alone.
+    """
+    outcomes = [_failure(spec, step) for spec, step in pairs]
+    batched = [
+        i for i, (spec, _) in enumerate(pairs) if outcomes[i] is None and spec.estimator == SGLM
+    ]
+    refits = denoise_all([_request(*pairs[i]) for i in batched], include_x, strategy)
+    for i, refit in zip(batched, refits):
+        outcomes[i] = refit
+    for i, (spec, step) in enumerate(pairs):
+        if outcomes[i] is None:
+            try:
+                outcomes[i] = _unbatched(spec, step)
+            except Exception as exc:
+                outcomes[i] = exc
+    return outcomes
+
+
+def run_estimator(
+    panel: Panel,
+    estimator: str,
+    residual_kind: str = res.FISHER,
+    include_x: bool = False,
+    strategy: str = REGRESSION,
+) -> Estimate:
+    """Denoise the panel's target series with one of ``ESTIMATORS``, raising
+    the exception that fails it; ``residual_kind``, ``include_x`` and
+    ``strategy`` apply to ``sglm``."""
+    spec = CellSpec(panel.q, estimator, residual_kind)
+    (outcome,) = estimates([(spec, (panel, *_fit_step(panel, [spec]), None))], include_x, strategy)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def sglm_denoise(
+    panel: Panel,
+    residual_kind: str = res.FISHER,
+    include_x: bool = False,
+    strategy: str = REGRESSION,
+) -> Estimate:
+    """The staged pipeline, steps 1 to 4: ``run_estimator`` with ``SGLM``."""
+    return run_estimator(panel, SGLM, residual_kind, include_x, strategy)

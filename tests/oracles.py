@@ -6,6 +6,7 @@ from sibglm.cli import PanelData, PanelFormatError, _fmt
 from sibglm.families import Family
 from sibglm.glm import Design, GlmFit, fit_glm, ols
 from sibglm.inference import SandwichCovariance
+from sibglm.residuals import compute
 from sibglm.sibling import (
     Estimate,
     _noise_from_residuals,
@@ -78,6 +79,14 @@ def qr_noise_proxy(resid, target, x, include_x) -> np.ndarray:
     baseline_fit = baseline @ ols(baseline, r1)
     joint = np.column_stack([ones, shared, xc])
     return joint @ ols(joint, r1) - baseline_fit
+
+
+def residual_matrix(panel, fits, kind) -> np.ndarray:
+    """Residuals of one kind, a column per series, from one fit per series,
+    each column computed on its own."""
+    cols = [compute(kind, fits[j], panel.responses[:, j], design=panel.design)
+            for j in range(panel.q)]
+    return np.column_stack(cols)
 
 
 def lone_sglm(panel, resid, include_x, strategy) -> Estimate:

@@ -12,14 +12,18 @@ import time
 import numpy as np
 import pytest
 
-from sibglm.benchmark import GLM_ESTIMATOR, SGLM, CellSpec, Study, run_estimator, run_study
+from sibglm.benchmark import Study, run_study
 from sibglm.cli import main as cli_main
 from sibglm.families import bernoulli, gamma, gaussian, poisson
 from sibglm.glm import Design, design_with_intercept, fit_glm, ols
 from sibglm.inference import sandwich
 from sibglm.residuals import DEVIANCE, FISHER, RAW, STUDENT, fisher_scaled
 from sibglm.sibling import (
+    GLM_ESTIMATOR,
     MEAN_OF_RESIDUALS,
+    SGLM,
+    CellSpec,
+    run_estimator,
     sglm_denoise,
     three_quarter_sibling,
 )

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import sibglm.benchmark as bench
-from sibglm.benchmark import ESTIMATORS, CellSpec, Study, run_estimator, run_study
+from sibglm.benchmark import Study, run_study
 import sibglm.cli
 from sibglm.cli import _BLOCK_ROWS, PanelFormatError, _fmt, _write_table, main, read_panel
 from sibglm.families import bernoulli, family_from_name, gamma, gaussian, poisson
 from sibglm.glm import design_with_intercept, fit_glm
 from sibglm.residuals import fisher_scaled, raw
+from sibglm.sibling import ESTIMATORS, CellSpec, run_estimator
 from sibglm.simulate import SimConfig, correlation, generate, replicate_seed, to_panel
 
 from oracles import read_panel_per_cell, write_table_per_row
@@ -816,6 +817,12 @@ class TestBenchmarkCommand:
             Study(poisson(), m=30, noise_scheme="half")
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_study(Study(poisson(), m=30, replicates=1), [CellSpec(2, "glm")], jobs=0)
+
+    def test_study_checks_its_noise_strategy(self):
+        # the error each sglm cell would note, raised before any cell runs,
+        # so a glm-only study does not run with it either
+        with pytest.raises(ValueError, match="^unknown noise strategy 'ridge'; expected one of"):
+            Study(poisson(), m=30, strategy="ridge")
 
     def test_step3_with_x_from_config(self, tmp_path):
         conf = tmp_path / "conf.json"

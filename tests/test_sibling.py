@@ -1,12 +1,15 @@
 """Sibling estimators, their algebraic identity, and the denoising pipeline."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import sibglm.benchmark
 import sibglm.glm
 import sibglm.sibling
-from sibglm.benchmark import ESTIMATORS, SGLM, CellSpec, Study, run_estimator, run_study
+from sibglm.benchmark import Study, run_study
 from sibglm.families import bernoulli, gamma, gaussian, poisson
 from sibglm.glm import (
     ConvergenceError,
@@ -17,14 +20,17 @@ from sibglm.glm import (
 )
 from sibglm.residuals import RESIDUAL_KINDS
 from sibglm.sibling import (
+    ESTIMATORS,
     MEAN_OF_RESIDUALS,
     NOISE_STRATEGIES,
+    SGLM,
+    CellSpec,
     Panel,
     _informative_columns,
     _noise_from_residuals,
     denoise_all,
     half_sibling,
-    residual_matrix,
+    run_estimator,
     sglm_denoise,
     three_quarter_sibling,
 )
@@ -35,6 +41,7 @@ from oracles import (
     lone_sglm,
     qr_noise_proxy,
     residual_form_equivalence,
+    residual_matrix,
 )
 
 
@@ -306,8 +313,9 @@ class TestRegressionProxy:
 
 
 def _relative_gap(got, want) -> float:
-    """Largest gap between two outputs, relative to max|want|."""
-    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    """Largest gap between two outputs, relative to max|want|; 0 when they are equal."""
+    gap = np.max(np.abs(got - want))
+    return float(gap / np.max(np.abs(want))) if gap else 0.0
 
 
 class TestMetamorphicRelations:
@@ -315,7 +323,9 @@ class TestMetamorphicRelations:
     eight fixed-seed panels (m=200, q=6) per family and residual kind. Each
     tolerance, relative to max|output|, is about ten times the largest gap
     seen on these panels: 1.6e-13 for the auxiliary order, and 1.1e-12 for
-    the row order (the Gamma outputs and refit coefficients)."""
+    the row order (the Gamma outputs and refit coefficients; the first
+    fits' coefficients, the residuals and the other estimators' outputs
+    move less)."""
 
     FAMILIES = [gaussian(1.0), poisson(), bernoulli(), gamma(2.0)]
 
@@ -336,14 +346,26 @@ class TestMetamorphicRelations:
     @pytest.mark.parametrize("kind", RESIDUAL_KINDS)
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
     def test_permuted_rows_permute_the_outputs(self, family, kind):
+        # every estimator (the denoise command), the first fits' coefficients
+        # (the fit command) and the residuals of the kind (the residuals command)
         for seed, truth, panel in self._panels(family):
-            want = sglm_denoise(panel, kind)
             rows = np.random.default_rng(seed).permutation(panel.m)
             design = design_with_intercept(truth.x[rows], names=("x",))
-            got = sglm_denoise(Panel(design, panel.responses[rows], family), kind)
-            for name in ("signal_hat", "noise_hat", "mu_hat"):
-                assert _relative_gap(getattr(got, name), getattr(want, name)[rows]) <= 1e-11, name
-            assert _relative_gap(got.refit.beta, want.refit.beta) <= 1e-11
+            permuted = Panel(design, panel.responses[rows], family)
+            for estimator in ESTIMATORS:
+                want = run_estimator(panel, estimator, kind)
+                got = run_estimator(permuted, estimator, kind)
+                for name in ("signal_hat", "noise_hat", "mu_hat"):
+                    gap = _relative_gap(getattr(got, name), getattr(want, name)[rows])
+                    assert gap <= 1e-11, (estimator, name)
+                if want.refit is not None:
+                    assert _relative_gap(got.refit.beta, want.refit.beta) <= 1e-11, estimator
+            fits = fit_glms(panel.design, panel.responses, family)
+            permuted_fits = fit_glms(permuted.design, permuted.responses, family)
+            for fit, permuted_fit in zip(fits, permuted_fits):
+                assert _relative_gap(permuted_fit.beta, fit.beta) <= 1e-11
+            want = residual_matrix(panel, fits, kind)
+            assert _relative_gap(residual_matrix(permuted, permuted_fits, kind), want[rows]) <= 1e-11
 
 
 class TestSglmDenoise:
@@ -469,15 +491,17 @@ def _assert_same_estimate(got, want):
 class TestRunEstimator:
     @pytest.mark.parametrize("target", [0, 2])
     @pytest.mark.parametrize("family", [poisson(), gamma(2.0)], ids=lambda f: f.kind)
-    def test_sglm_is_bitwise_sglm_denoise(self, family, target):
+    def test_sglm_is_bitwise_the_lone_refit(self, family, target):
         truth = generate(SimConfig(family, m=80, q=5, sigma_eps=0.3, seed=8))
         panel = to_panel(truth, family, target_index=target)
+        fits = fit_glms(panel.design, panel.responses, family)
         for kind in RESIDUAL_KINDS:
+            resid = residual_matrix(panel, fits, kind)
             for strategy in NOISE_STRATEGIES:
                 for include_x in (False, True):
                     _assert_same_estimate(
                         run_estimator(panel, "sglm", kind, include_x, strategy),
-                        sglm_denoise(panel, kind, include_x, strategy),
+                        lone_sglm(panel, resid, include_x, strategy),
                     )
 
     def test_glm_is_the_targets_fit(self):
@@ -755,6 +779,26 @@ class TestBatchedStudy:
                 assert result.samples.keys() == reference.samples.keys()
                 for name, values in result.samples.items():
                     assert values.tobytes() == reference.samples[name].tobytes(), name
+
+    def test_a_block_is_freed_before_the_next_is_made(self, monkeypatch):
+        # blocks of one replicate: when a replicate's step starts, no panel
+        # of an earlier block is alive
+        panels, alive = [], []
+        shared_replicate = sibglm.benchmark._shared_replicate
+
+        def tracking(study, cells, index):
+            gc.collect()
+            alive.append([ref() is not None for ref in panels])
+            truth, step = shared_replicate(study, cells, index)
+            panels.append(weakref.ref(step[0]))
+            return truth, step
+
+        monkeypatch.setattr(sibglm.benchmark, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(sibglm.benchmark, "_shared_replicate", tracking)
+        study = Study(poisson(), m=60, replicates=3, master_seed=2)
+        results, _ = run_study(study, [CellSpec(q, e) for q in (2, 4) for e in ESTIMATORS])
+        assert all(r.error is None for r in results)
+        assert alive == [[], [False], [False, False]]
 
     def test_one_least_squares_fit_per_proxy(self, monkeypatch):
         # the gamma study of the benchmark: 4 q x 4 kinds x 5 replicates proxies,
