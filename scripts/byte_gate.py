@@ -9,17 +9,21 @@ Run it once per checkout and compare the two manifests:
 The calls run in this process through ``sibglm.cli.main``, imported from
 ``--src``. They cover simulate, fit, residuals, denoise and benchmark over
 the four families, every estimator, residual kind, noise strategy and
-flag, studies with ``--jobs 1`` and ``--jobs 2``, study grids whose cells
-fail, among them grids whose replicates have a series with no first fit
-or residual, panels on which IRLS halves its steps or meets a separated series,
-a panel whose auxiliaries are exact lines in x, missing-path errors, bad configs, option values outside their choices or
-of the wrong type given by flag or by config, and settings that no panel
-can have. Every path is relative to a work directory (``--workdir``, by
-default a fresh temporary directory) that holds nothing else, so the
-manifest does not depend on where it is. Per call the manifest records
-the return code, the SHA-256 of each CSV file the call wrote, with the
-file's own path removed, the standard output, and the ``error:`` line of
-standard error (null when there is none).
+flag, studies with ``--jobs 1`` and ``--jobs 2``, a study with no ``sglm``
+cell, study grids whose cells fail, among them grids whose replicates
+have a series with no first fit or residual and one whose replicates are
+shared unevenly by ``--jobs 3``, panels on which IRLS halves its steps or
+meets a separated series, a panel whose auxiliaries are exact lines in x,
+a Gaussian panel read as Poisson, panels whose covariate is named
+``intercept`` or ``noise_hat``, missing-path errors, bad configs, option
+values outside their choices or of the wrong type given by flag or by
+config, and settings that no panel can have. Every path is relative to a
+work directory (``--workdir``, by default a fresh temporary directory)
+that holds nothing else, so the manifest does not depend on where it is.
+Per call the manifest records the return code, the SHA-256 of each CSV
+file the call wrote, with the file's own path removed, the standard
+output, and the ``error:`` line of standard error (null when there is
+none).
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ BAD_CHOICES = (
 )
 
 
-def _panel_csv(x: np.ndarray, ys: np.ndarray) -> str:
+def _panel_csv(x: np.ndarray, ys: np.ndarray, covariate: str = "x") -> str:
     """A panel file with covariate ``x`` and series ``s00``, ``s01``, ..."""
-    header = ",".join(["x_x", *(f"y_s{j:02d}" for j in range(ys.shape[1]))])
+    header = ",".join([f"x_{covariate}", *(f"y_s{j:02d}" for j in range(ys.shape[1]))])
     rows = (",".join(repr(float(v)) for v in row) for row in np.column_stack([x, ys]))
     return "\n".join([header, *rows]) + "\n"
 
@@ -92,6 +96,16 @@ def _gaussian_linear_panel() -> str:
     return _panel_csv(x, np.column_stack([y, 1 + 2 * x, 2 - x]))
 
 
+def _poisson_panel(covariate: str) -> str:
+    """Three Poisson series of mean ``exp(1 + x)`` whose covariate is named ``covariate``."""
+    x = np.linspace(-1, 1, 30)
+    ys = np.random.default_rng(2).poisson(np.exp(1 + x)[:, None], (30, 3)).astype(float)
+    return _panel_csv(x, ys, covariate)
+
+
+# Covariate names that other columns of a design take
+CLASHING_COVARIATES = ("intercept", "noise_hat")
+
 # Panels on which IRLS halves steps or fails: (file, family flags, series)
 HARD_PANELS = (
     ("gamma-halving", ["--family", "gamma", "--dispersion", "2.0"], 4),
@@ -103,6 +117,7 @@ FILES = {
     "gamma-halving.csv": _gamma_halving_panel(),
     "bernoulli-separated.csv": _bernoulli_separated_panel(),
     "gaussian-linear.csv": _gaussian_linear_panel(),
+    **{f"x-{name}.csv": _poisson_panel(name) for name in CLASHING_COVARIATES},
     "paths.json": json.dumps({"input": "poisson.csv", "output": "config-paths.csv"}),
     "output.json": json.dumps({"output": "config-output.csv", "m": 50, "q": 3}),
     "list.json": json.dumps(["m"]),
@@ -164,7 +179,7 @@ def cases():
         ]
 
     # study grids whose cells fail, in the shared step and in a cell's own
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         yield f"gamma-failing-jobs{jobs}", [*GAMMA_FAILING, "--q-grid", "2,4,8,16", "--jobs", jobs]
     yield "gamma-all-failing", [
         "benchmark", "--family", "gamma", "--dispersion", "2.0", "--m", "60",
@@ -176,6 +191,13 @@ def cases():
             "benchmark", "--family", "bernoulli", "--m", "12", "--q-grid", "2,4,8",
             "--estimator", ",".join(ESTIMATORS), "--residual", "fisher,student",
             "--replicates", "6", "--seed", "3", "--jobs", jobs,
+        ]
+    # a grid with no sglm cell
+    for jobs in ("1", "2"):
+        yield f"linear-only-jobs{jobs}", [
+            "benchmark", "--m", "60", "--q-grid", "2,3,6",
+            "--estimator", "glm,half_sibling,three_quarter", "--replicates", "5",
+            "--seed", "2", "--jobs", jobs,
         ]
     # grids that straddle a series whose first fit or residual fails: with seed 42
     # at m=6, series 4 has no first fit on replicate 1 and series 6 no student
@@ -207,6 +229,15 @@ def cases():
             "denoise", "--family", "gaussian", "--input", "gaussian-linear.csv",
             "--noise-strategy", strategy,
         ]
+
+    # a panel outside the family support, and covariates named like other columns
+    for command in ("fit", "denoise", "residuals"):
+        yield f"poisson-on-gaussian-{command}", [
+            command, "--family", "poisson", "--input", "gaussian.csv",
+        ]
+    for name in CLASHING_COVARIATES:
+        for command in ("fit", "denoise"):
+            yield f"x-{name}-{command}", [command, "--input", f"x-{name}.csv"]
 
     # one larger panel through every command
     yield "large", ["simulate", "--m", "3000", "--q", "20", "--seed", "11"]

@@ -4,21 +4,20 @@ A study runs replicate-major: each replicate draws one panel at the
 largest q of the grid and fits every series' GLM once; each cell then
 takes the first q series and runs only what depends on q before it is
 scored against the ground truth. Replicates run in blocks of
-consecutive ones, capped at about 2**14 ``sglm`` cells x m x replicates
-(one replicate per block at m=50 000), and every cell of every replicate
-of a block gets its estimate or error from one ``sibling.estimates``
-call, which refits all the ``sglm`` targets in one IRLS loop. The shared
-step keeps its outcome per series, so a series that cannot be generated,
-fitted or turned into residuals fails only the cells that use it, with
-the note a run of that cell alone gives. Replicate seeds are derived
-from the master seed by replicate index only, so runs at different q
-(or with different estimators) see the same draws and comparisons are
-paired.
+consecutive ones, capped at 2**14 ``sglm`` cells (at least one) x m x
+replicates, and the block is the study's only unit of work: processes
+take whole blocks, and every cell of every replicate of a block gets its
+estimate or error from one ``sibling.estimates`` call, which refits all
+the ``sglm`` targets in one IRLS loop. The shared step keeps its outcome
+per series, so a series that cannot be generated, fitted or turned into
+residuals fails only the cells that use it, with the note a run of that
+cell alone gives. Replicate seeds are derived from the master seed by
+replicate index only, so runs at different q (or with different
+estimators) see the same draws and comparisons are paired.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -106,32 +105,43 @@ def run_cell(truth: SimTruth, estimate: Estimate) -> MetricsRecord:
     return metrics(truth, estimate)
 
 
-# Cap on the sglm cells x m x replicates of one block of replicates. A
-# block makes one refit call, so the cap bounds that call's design stack
-# and the replicates held at once; at m=50 000 a block is one replicate.
+# Cap on the sglm cells (at least one) x m x replicates of a block. A block
+# makes one refit call, so the cap bounds that call's design stack and the
+# replicates held at once; at m=50 000 a block is one replicate.
 _BLOCK_ROWS = 2**14
 
 
-def _block_size(study: Study, cells: list[CellSpec]) -> int:
-    """Replicates per block: as many as the cap allows, at least one."""
-    rows = sum(c.estimator == SGLM for c in cells) * study.m
-    return max(1, _BLOCK_ROWS // rows) if rows else 1
+def _blocks(study: Study, cells: list[CellSpec], jobs: int) -> list[range]:
+    """The consecutive replicate ranges a study runs in: each within the cap
+    or one replicate, as few as that allows rounded up to a multiple of
+    ``jobs`` (but not above the replicates), so processes get equal shares."""
+    sglm_cells = sum(c.estimator == SGLM for c in cells)
+    size = max(1, _BLOCK_ROWS // (max(1, sglm_cells) * study.m))
+    count = min(study.replicates, -(-study.replicates // (size * jobs)) * jobs)
+    bounds = [study.replicates * i // count for i in range(count + 1)]
+    return [range(first, stop) for first, stop in zip(bounds, bounds[1:])]
 
 
-def _run_block(study: Study, results: list[CellResult], indices: range, start: int) -> float:
-    """Run replicates ``indices`` of every cell not yet failed: one
-    ``_shared_replicate`` each, then one ``sibling.estimates`` call for all
-    their cells, whose time it returns. The steps and outcomes are freed
-    on return, before the next block makes its own."""
+def _run_block(
+    study: Study, cells: list[CellSpec], indices: range
+) -> tuple[list[CellResult], float]:
+    """Run replicates ``indices`` of every cell: one ``_shared_replicate``
+    each, then one ``sibling.estimates`` call for all their cells. Cells
+    are scored replicate by replicate by ``run_cell`` and stop at their
+    first failure, whose message is the note. Returns each cell's results,
+    timed by their scoring, and the time of the shared steps; the steps
+    and outcomes are freed on return, before the next block makes its own."""
+    results = [
+        CellResult(spec, {name: np.empty(len(indices)) for name in METRIC_NAMES})
+        for spec in cells
+    ]
     started = time.perf_counter()
-    cells = [r.spec for r in results]
     shared = [_shared_replicate(study, cells, index) for index in indices]
-    live = [r for r in results if r.error is None]
-    pairs = [(r.spec, step) for _, step in shared for r in live]
+    pairs = [(spec, step) for _, step in shared for spec in cells]
     outcomes = iter(sibling.estimates(pairs, study.include_x, study.strategy))
     seconds = time.perf_counter() - started
-    for index, (truth, _) in zip(indices, shared):
-        for result, outcome in zip(live, outcomes):
+    for row, (truth, _) in enumerate(shared):
+        for result, outcome in zip(results, outcomes):
             if result.error is not None:
                 continue
             started = time.perf_counter()
@@ -140,35 +150,11 @@ def _run_block(study: Study, results: list[CellResult], indices: range, start: i
                     raise outcome
                 rec = run_cell(truth, outcome)
                 for name in METRIC_NAMES:
-                    result.samples[name][index - start] = getattr(rec, name)
+                    result.samples[name][row] = getattr(rec, name)
             except Exception as exc:
                 result.samples, result.error = {}, f"{type(exc).__name__}: {exc}"
             result.seconds += time.perf_counter() - started
-    return seconds
-
-
-def run_replicates(
-    study: Study, cells: list[CellSpec], start: int, stop: int
-) -> tuple[list[CellResult], float]:
-    """Run replicates ``start`` to ``stop - 1`` of every cell of a study.
-
-    The range runs in blocks of consecutive replicates (``_block_size``,
-    ``_run_block``). Cells are scored replicate by replicate, in cell
-    order, by ``run_cell``, and a cell stops at its first failure, whose
-    message is its note, so the outcomes of its later replicates are
-    dropped. Returns each cell's results over the range, timed by their
-    scoring, and the time of the shared steps, estimates included.
-    """
-    results = [
-        CellResult(spec, {name: np.empty(stop - start) for name in METRIC_NAMES})
-        for spec in cells
-    ]
-    block = _block_size(study, cells)
-    shared_seconds = sum(
-        _run_block(study, results, range(first, min(first + block, stop)), start)
-        for first in range(start, stop, block)
-    )
-    return results, shared_seconds
+    return results, seconds
 
 
 def _merge(parts: tuple[CellResult, ...]) -> CellResult:
@@ -185,24 +171,22 @@ def run_study(
 ) -> tuple[list[CellResult], float]:
     """Run every replicate of every cell, replicate-major, in ``jobs`` processes.
 
-    Each process runs one contiguous range of replicates; replicate seeds
-    depend only on the index, so the results do not depend on ``jobs``.
-    Returns each cell's result and the total time of the shared
+    Processes take whole blocks (``_blocks``); a block's results depend
+    only on its replicates, so they do not depend on ``jobs``. A cell that
+    fails in one block still runs in later ones, whose outcomes ``_merge``
+    drops. Returns each cell's result and the total time of the shared
     generate-and-fit steps.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    replicates = study.replicates
-    chunks = min(jobs, replicates)
-    bounds = [replicates * i // chunks for i in range(chunks + 1)]
-    with contextlib.ExitStack() as stack:
-        run_all = map
-        if chunks > 1:
-            import concurrent.futures
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=chunks)
-            run_all = stack.enter_context(pool).map
-        parts = list(
-            run_all(run_replicates, [study] * chunks, [cells] * chunks, bounds[:-1], bounds[1:])
-        )
+    blocks = _blocks(study, cells, jobs)
+    args = ([study] * len(blocks), [cells] * len(blocks), blocks)
+    workers = min(jobs, len(blocks))
+    if workers > 1:
+        import concurrent.futures
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_block, *args))
+    else:
+        parts = list(map(_run_block, *args))
     results = [_merge(cell_parts) for cell_parts in zip(*(part[0] for part in parts))]
     return results, sum(part[1] for part in parts)

@@ -64,8 +64,9 @@ class Design:
             raise ValueError("design matrix contains non-finite entries")
         if len(self.column_names) != p:
             raise ValueError("column_names length must match column count")
-        if len(set(self.column_names)) != p:
-            raise ValueError("column names must be unique")
+        repeated = [n for j, n in enumerate(self.column_names) if n in self.column_names[:j]]
+        if repeated:
+            raise ValueError(f"column name {repeated[0]!r} appears more than once")
 
     @property
     def m(self) -> int:
@@ -171,6 +172,20 @@ def _for_series(exc: Exception, j: int, k: int) -> Exception:
     if k > 1:
         exc.args = (f"series {j}: {exc}", *exc.args[1:])
     return exc
+
+
+def _check_support(family: Family, ys: np.ndarray) -> None:
+    """``family.check_support`` on the m x k responses ``ys``; a ``DomainError``
+    names the first column outside the support when there are several."""
+    try:
+        family.check_support(ys)
+    except DomainError:
+        for j in range(ys.shape[1]):
+            try:
+                family.check_support(ys[:, j])
+            except DomainError as exc:
+                raise _for_series(exc, j, ys.shape[1]) from None
+        raise
 
 
 def _solve_checked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,23 +428,14 @@ def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
     ys = np.asarray(responses, dtype=float)
     if ys.ndim != 2 or ys.shape[0] != m or ys.shape[1] < 1:
         raise ValueError(f"responses of shape {ys.shape} are not an m={m} x k matrix")
-    k = ys.shape[1]
-    try:
-        family.check_support(ys)
-    except DomainError:
-        for j in range(k):
-            try:
-                family.check_support(ys[:, j])
-            except DomainError as exc:
-                raise _for_series(exc, j, k) from None
-        raise
+    _check_support(family, ys)
     if _deficient_designs(x):
         raise SingularDesignError(_RANK_DEFICIENT)
     # one row per series
     fits = _fit_rows(x, np.ascontiguousarray(ys.T), family)
     for j, fit in enumerate(fits):
         if isinstance(fit, Exception):
-            raise _for_series(fit, j, k)
+            raise _for_series(fit, j, len(fits))
     return fits
 
 

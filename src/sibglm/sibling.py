@@ -42,8 +42,8 @@ import numpy as np
 
 from .families import GAMMA, POISSON, Family
 # fit_glm is unused here, but perfbench/tracing.py patches sibling.fit_glm
-from .glm import Design, GlmFit, SingularDesignError, _fit_rows, fit_glm, ols
-from .glm import _RANK_DEFICIENT, _check_rows, _deficient_designs, _for_series, _rank_deficient
+from .glm import Design, GlmFit, SingularDesignError, _fit_rows, _rank_deficient, fit_glm, ols
+from .glm import _RANK_DEFICIENT, _check_rows, _check_support, _deficient_designs, _for_series
 from . import residuals as res
 
 REGRESSION = "regression"
@@ -80,7 +80,7 @@ class Panel:
             raise ValueError("responses and design have different row counts")
         if not 0 <= self.target_index < q:
             raise ValueError("target_index out of range")
-        self.family.check_support(y)
+        _check_support(self.family, y)
 
     @property
     def m(self) -> int:

@@ -372,6 +372,40 @@ class TestDenoiseCommand:
         assert len(set(headers.values())) == 1
         assert headers["glm"] == "noise_hat,signal_hat,mu_hat"
 
+    def test_series_outside_the_support_is_named(self, tmp_path, capsys):
+        # series b is negative: the panel commands name it, and a fit of it alone does not
+        path = tmp_path / "negative.csv"
+        path.write_text("x_x,y_a,y_b\n" + "".join(f"{i},{i},{-i}\n" for i in range(6)))
+        message = "poisson response must be nonnegative"
+        for command, flags, prefix in (
+            ("denoise", (), "series 1: "),
+            ("residuals", (), "series 1: "),
+            ("fit", ("--target", "b"), ""),
+        ):
+            capsys.readouterr()
+            rc = _run(command, "--input", path, "--output", tmp_path / "o.csv", *flags)
+            assert rc == 1
+            assert f"error: DomainError: {prefix}{message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("covariate", ["intercept", "noise_hat"])
+    def test_a_covariate_named_like_another_column_is_named(self, tmp_path, capsys, covariate):
+        # x_intercept repeats the design's intercept; x_noise_hat repeats the
+        # proxy column of the sglm refit, so only sglm fails on it
+        path = tmp_path / "clash.csv"
+        x = np.linspace(-1, 1, 30)
+        ys = np.random.default_rng(2).poisson(np.exp(1 + x)[:, None], (30, 3))
+        rows = [f"x_{covariate},y_a,y_b,y_c"] + [
+            ",".join([repr(float(v)), *map(str, y)]) for v, y in zip(x, ys)
+        ]
+        path.write_text("\n".join(rows) + "\n")
+        expected = f"error: ValueError: column name '{covariate}' appears more than once\n"
+        for argv in (["fit"], ["denoise", "--estimator", "glm"], ["denoise"]):
+            capsys.readouterr()
+            rc = _run(*argv, "--input", path, "--output", tmp_path / "o.csv")
+            fails = covariate == "intercept" or argv == ["denoise"]
+            assert rc == int(fails), argv
+            assert (expected in capsys.readouterr().err) == fails, argv
+
     def test_truth_metrics_reported(self, tmp_path):
         panel = _simulate(tmp_path, seed=2)
         out = tmp_path / "den.csv"

@@ -632,6 +632,10 @@ class TestDesign:
         with pytest.raises(ValueError):
             Design(np.ones((3, 1)), ("a", "b"))
 
+    def test_a_repeated_column_is_named(self):
+        with pytest.raises(ValueError, match="^column name 'b' appears more than once$"):
+            Design(np.ones((3, 4)), ("a", "b", "c", "b"))
+
     def test_fit_needs_more_rows_than_columns(self):
         design = Design(np.ones((2, 3)), ("a", "b", "c"))
         with pytest.raises(SingularDesignError):

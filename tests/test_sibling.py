@@ -1,6 +1,8 @@
 """Sibling estimators, their algebraic identity, and the denoising pipeline."""
 
 import gc
+import itertools
+import math
 import weakref
 
 import numpy as np
@@ -10,7 +12,7 @@ import sibglm.benchmark
 import sibglm.glm
 import sibglm.sibling
 from sibglm.benchmark import Study, run_study
-from sibglm.families import bernoulli, gamma, gaussian, poisson
+from sibglm.families import DomainError, bernoulli, gamma, gaussian, poisson
 from sibglm.glm import (
     ConvergenceError,
     SingularDesignError,
@@ -746,15 +748,37 @@ class TestBatchedStudy:
         # a plain fit of the target is not failed by another series
         assert results[CellSpec(8, "glm")].error is None
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("grid", ["gamma-failing", "bernoulli-separated"])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 7])
+    @pytest.mark.parametrize("cap", [1, 500, 2**14, 2**60])
+    def test_blocks_cover_the_replicates_in_capped_shares(self, cap, jobs, monkeypatch):
+        monkeypatch.setattr(sibglm.benchmark, "_BLOCK_ROWS", cap)
+        grid = itertools.product((1, 2, 5, 8, 100), (2, 60, 400), (0, 1, 16))
+        for replicates, m, sglm_cells in grid:
+            study = Study(poisson(), m=m, replicates=replicates)
+            cells = [CellSpec(2, "glm")] + [CellSpec(2 + j, SGLM) for j in range(sglm_cells)]
+            blocks = sibglm.benchmark._blocks(study, cells, jobs)
+            # consecutive, in order, covering every replicate once
+            assert all(isinstance(b, range) and b.step == 1 and len(b) > 0 for b in blocks)
+            assert [i for b in blocks for i in b] == list(range(replicates))
+            rows = max(1, sglm_cells) * m
+            assert all(len(b) * rows <= cap or len(b) == 1 for b in blocks)
+            needed = math.ceil(replicates / max(1, cap // rows))
+            if jobs == 1:
+                assert len(blocks) == needed
+            assert len(blocks) % jobs == 0 or len(blocks) == replicates
+            assert needed <= len(blocks) < needed + jobs
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("grid", ["gamma-failing", "linear-only", "bernoulli-separated"])
     def test_results_do_not_depend_on_the_block_size(self, grid, jobs, monkeypatch):
-        # one replicate per block, the default cap, and the whole range in one block
-        if grid == "gamma-failing":
+        # one replicate per block, the default cap, and as few blocks as the jobs allow
+        if grid in ("gamma-failing", "linear-only"):
             # series 8 leaves the domain on replicate 7: the cells beyond it
             # fail, and the others use the series drawn before it
             study = Study(gamma(2.0), m=40, sigma_eps=0.7, replicates=8, master_seed=1)
             estimators, kinds = ("glm", SGLM, "half_sibling"), ("fisher",)
+            if grid == "linear-only":
+                estimators = ("glm", "half_sibling", "three_quarter")
             note = "GenerationError: series 8"
         else:
             study = Study(bernoulli(), m=12, replicates=6, master_seed=3)
@@ -771,7 +795,9 @@ class TestBatchedStudy:
             monkeypatch.setattr(sibglm.benchmark, "_BLOCK_ROWS", cap)
             runs.append(run_study(study, cells, jobs)[0])
         errors = [r.error for r in runs[0] if r.error is not None]
-        assert any(r.spec.estimator == SGLM and r.error is None for r in runs[0])
+        assert any(r.error is None for r in runs[0])
+        if SGLM in estimators:
+            assert any(r.spec.estimator == SGLM and r.error is None for r in runs[0])
         assert any(note in e for e in errors)
         for results in runs[1:]:
             for result, reference in zip(results, runs[0]):
@@ -832,6 +858,12 @@ class TestPanel:
         design = design_with_intercept(np.arange(4.0), names=("x",))
         bad = np.column_stack([np.ones(4), -np.ones(4)])
         with pytest.raises(Exception):
+            Panel(design=design, responses=bad, family=poisson())
+
+    def test_support_error_names_the_series(self):
+        design = design_with_intercept(np.arange(4.0), names=("x",))
+        bad = np.column_stack([np.ones(4), np.ones(4), -np.ones(4)])
+        with pytest.raises(DomainError, match="^series 2: poisson response must be nonnegative$"):
             Panel(design=design, responses=bad, family=poisson())
 
     def test_target_index_range(self):
