@@ -10,9 +10,12 @@ The calls run in this process through ``sibglm.cli.main``, imported from
 ``--src``. They cover simulate, fit, residuals, denoise and benchmark over
 the four families, every estimator, residual kind, noise strategy and
 flag, studies with ``--jobs 1`` and ``--jobs 2``, a study with no ``sglm``
-cell, study grids whose cells fail, among them grids whose replicates
-have a series with no first fit or residual and one whose replicates are
-shared unevenly by ``--jobs 3``, panels on which IRLS halves its steps or
+cell, study grids whose cells fail, among them one whose cells fail in
+different waves of blocks, grids whose replicates have a series with no
+first fit or residual, one whose replicates are shared unevenly by
+``--jobs 3``, and one in which a stacked group of
+proxies, of linear estimates and of residual columns each holds failing
+and succeeding requests, panels on which IRLS halves its steps or
 meets a separated series, a panel whose auxiliaries are exact lines in x,
 a Gaussian panel read as Poisson, panels whose covariate is named
 ``intercept`` or ``noise_hat``, missing-path errors, bad configs, option
@@ -181,6 +184,15 @@ def cases():
     # study grids whose cells fail, in the shared step and in a cell's own
     for jobs in ("1", "2", "3"):
         yield f"gamma-failing-jobs{jobs}", [*GAMMA_FAILING, "--q-grid", "2,4,8,16", "--jobs", jobs]
+    # a grid run in several waves of blocks whose cells fail in different waves:
+    # with seed 4 the 4 blocks of 10 replicates fail the q=16 cells in the
+    # second, the q=4 and q=8 cells in the third, and the q=8 ones again in the last
+    for jobs in ("1", "2"):
+        yield f"gamma-waves-jobs{jobs}", [
+            "benchmark", "--family", "gamma", "--dispersion", "2.0", "--m", "400",
+            "--sigma-eps", "0.6", "--estimator", "glm,sglm,half_sibling",
+            "--q-grid", "2,4,8,16", "--replicates", "40", "--seed", "4", "--jobs", jobs,
+        ]
     yield "gamma-all-failing", [
         "benchmark", "--family", "gamma", "--dispersion", "2.0", "--m", "60",
         "--sigma-eps", "5.0", "--q-grid", "2", "--estimator", "glm", "--replicates", "2",
@@ -192,6 +204,14 @@ def cases():
             "--estimator", ",".join(ESTIMATORS), "--residual", "fisher,student",
             "--replicates", "6", "--seed", "3", "--jobs", jobs,
         ]
+    # a grid whose stacked groups have mixed outcomes: with seed 1 at m=4, some
+    # replicates' proxies are rank deficient and others not, and some drop a
+    # constant sibling or fail a linear estimator's fit while others do not
+    yield "bernoulli-tiny-m-step3-with-x", [
+        "benchmark", "--family", "bernoulli", "--m", "4", "--q-grid", "2,3,4,8",
+        "--estimator", ",".join(ESTIMATORS), "--residual", ",".join(RESIDUAL_KINDS),
+        "--replicates", "6", "--seed", "1", "--step3-with-x",
+    ]
     # a grid with no sglm cell
     for jobs in ("1", "2"):
         yield f"linear-only-jobs{jobs}", [

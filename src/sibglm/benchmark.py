@@ -8,16 +8,22 @@ consecutive ones, capped at 2**14 ``sglm`` cells (at least one) x m x
 replicates, and the block is the study's only unit of work: processes
 take whole blocks, and every cell of every replicate of a block gets its
 estimate or error from one ``sibling.estimates`` call, which refits all
-the ``sglm`` targets in one IRLS loop. The shared step keeps its outcome
-per series, so a series that cannot be generated, fitted or turned into
-residuals fails only the cells that use it, with the note a run of that
-cell alone gives. Replicate seeds are derived from the master seed by
-replicate index only, so runs at different q (or with different
-estimators) see the same draws and comparisons are paired.
+the ``sglm`` targets in one IRLS loop and stacks the rest by group: one
+proxy computation per q over the block's replicates and residual kinds,
+and one linear-estimator computation per q and linear estimator over its
+replicates. Blocks run in waves of one per process, and a wave runs
+only the cells that have not failed in an earlier one. The shared step
+keeps its outcome per series, so a series that cannot be generated,
+fitted or turned into residuals fails only the cells that use it, with
+the note a run of that cell alone gives. Replicate seeds are derived
+from the master seed by replicate index only, so runs at different q (or
+with different estimators) see the same draws and comparisons are
+paired.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -172,21 +178,35 @@ def run_study(
     """Run every replicate of every cell, replicate-major, in ``jobs`` processes.
 
     Processes take whole blocks (``_blocks``); a block's results depend
-    only on its replicates, so they do not depend on ``jobs``. A cell that
-    fails in one block still runs in later ones, whose outcomes ``_merge``
-    drops. Returns each cell's result and the total time of the shared
-    generate-and-fit steps.
+    only on its replicates, so they do not depend on ``jobs``. The blocks
+    run in waves of one block per process, and a wave runs only the cells
+    that have not failed in an earlier one; the study stops when none is
+    left. A block draws at the largest q of its cells, and a draw's first
+    q series are bitwise those of a draw at a larger q, so its cells keep
+    their results. Within a wave, ``_merge`` drops a cell's outcomes after
+    its first failure. Returns each cell's result and the total time of
+    the shared generate-and-fit steps.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     blocks = _blocks(study, cells, jobs)
-    args = ([study] * len(blocks), [cells] * len(blocks), blocks)
     workers = min(jobs, len(blocks))
+    cell_parts: list[list[CellResult]] = [[] for _ in cells]
+    seconds = 0.0
+    pool, run = contextlib.nullcontext(), map
     if workers > 1:
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_block, *args))
-    else:
-        parts = list(map(_run_block, *args))
-    results = [_merge(cell_parts) for cell_parts in zip(*(part[0] for part in parts))]
-    return results, sum(part[1] for part in parts)
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        run = pool.map
+    with pool:
+        for first in range(0, len(blocks), workers):
+            live = [i for i, done in enumerate(cell_parts) if all(p.error is None for p in done)]
+            if not live:
+                break
+            wave = blocks[first : first + workers]
+            args = ([study] * len(wave), [[cells[i] for i in live]] * len(wave), wave)
+            for results, shared in run(_run_block, *args):
+                for i, result in zip(live, results):
+                    cell_parts[i].append(result)
+                seconds += shared
+    return [_merge(tuple(done)) for done in cell_parts], seconds

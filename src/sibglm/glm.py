@@ -143,26 +143,34 @@ def _initial_beta(x: np.ndarray, ys: np.ndarray, family: Family) -> np.ndarray:
     Zero works for families whose natural-parameter domain is the whole
     real line. The Gamma domain excludes zero, so its start matches the
     intercept-only maximum likelihood solution when a constant column is
-    available, falling back to a least-squares fit on the link scale.
+    available, falling back to a least-squares fit on the link scale. The
+    rows with a constant column take their start in one step; each other
+    row is fitted on its own.
     """
     p = x.shape[-1]
     k = ys.shape[0]
-    if family.kind != GAMMA:
-        return np.zeros((k, p))
-    if x.ndim == 3:
-        return np.concatenate([_initial_beta(x[j], ys[j : j + 1], family) for j in range(k)])
     beta = np.zeros((k, p))
-    spans = np.ptp(x, axis=0)
-    for c in range(p):
-        if spans[c] == 0.0 and x[0, c] != 0.0:
-            beta[:, c] = family.theta_from_mean(ys.mean(axis=1)) / x[0, c]
-            return beta
-    for j in range(k):
+    if family.kind != GAMMA:
+        return beta
+    # each row's design's first non-zero constant column, if it has one; the
+    # spans are taken along contiguous rows, which is much faster on a stack
+    first = x[..., 0, :]
+    spans = np.ptp(np.ascontiguousarray(x.swapaxes(-1, -2)), axis=-1)
+    constant = np.broadcast_to((spans == 0.0) & (first != 0.0), (k, p))
+    has = constant.any(axis=1)
+    rows = np.flatnonzero(has)
+    columns = constant.argmax(axis=1)[rows]
+    if rows.size:
+        (started,) = _keep_rows(has, ys)
+        scale = np.broadcast_to(first, (k, p))[rows, columns]
+        beta[rows, columns] = family.theta_from_mean(started.mean(axis=1)) / scale
+    for j in np.flatnonzero(~has):
+        xj = x[j] if x.ndim == 3 else x
         z = family.theta_from_mean(np.maximum(ys[j], 1e-8))
-        beta[j] = ols(x, z)
-        if not family.in_domain(x @ beta[j]):
+        beta[j] = ols(xj, z)
+        if not family.in_domain(xj @ beta[j]):
             error = ConvergenceError("no feasible gamma starting point; add an intercept column")
-            raise _for_series(error, j, k)
+            raise _for_series(error, j, k if x.ndim == 2 else 1)
     return beta
 
 

@@ -31,19 +31,34 @@ Poisson and Gamma families (the standard count transformation the
 comparison is about) and on the raw responses otherwise; they estimate
 the denoised series directly, so only MSE and the noise correlation are
 defined for them.
+
+The small least-squares work of a call is stacked by groups of requests
+of one shape. The ``sglm`` proxies of one residual shape, target and
+baseline width come from one ``_proxies`` call; the linear estimates of
+one estimator, q, m and baseline width from one ``_linear`` call, which
+makes one least-squares call on the baseline columns and one on the full
+designs for each number of sibling columns a request keeps; and each
+residual kind of a step is one ``residuals.columns`` matrix. Every
+product and solve in a stack is the lone call's, one BLAS or LAPACK call
+per request with the same shapes and strides, so each request's output
+is bitwise its lone call's whatever the stack, and a failing request
+gets its own exception. ``half_sibling``, ``three_quarter_sibling``,
+``_noise_from_residuals`` and ``_shared_component`` are the stacks of one.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .families import GAMMA, POISSON, Family
 # fit_glm is unused here, but perfbench/tracing.py patches sibling.fit_glm
-from .glm import Design, GlmFit, SingularDesignError, _fit_rows, _rank_deficient, fit_glm, ols
+from .glm import Design, GlmFit, SingularDesignError, _fit_rows, _rank_deficient, fit_glm
 from .glm import _RANK_DEFICIENT, _check_rows, _check_support, _deficient_designs, _for_series
+from .glm import _keep_rows, _rows_times
 from . import residuals as res
 
 REGRESSION = "regression"
@@ -123,8 +138,49 @@ def _as_columns(y2) -> np.ndarray:
     return y2
 
 
-def _fitted(mat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return mat @ ols(mat, y)
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Equal-shape arrays as one stack; a lone array's stack is a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _groups(indices, key) -> list[list[int]]:
+    """``indices`` grouped by ``key``, in order within each group and across
+    groups by first appearance."""
+    groups: dict = {}
+    for i in indices:
+        groups.setdefault(key(i), []).append(i)
+    return list(groups.values())
+
+
+def _outcomes(ok: np.ndarray, values, error: Exception) -> list:
+    """In order, the next of ``values`` where ``ok`` holds and a copy of ``error`` elsewhere."""
+    values = iter(values)
+    return [next(values) if good else copy.copy(error) for good in ok]
+
+
+def _least_squares(x: np.ndarray, *ys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``x[i] @ ols(x[i], y[i])`` for each design of the k x m x w stack ``x``
+    and each stack ``y`` of ``ys`` (k x m vectors or k x m x n matrices).
+
+    ``ols``' row check raises for the stack. Returns which designs pass its
+    rank test, and each fitted stack at those designs. Every product and
+    solve is that of the lone call, one LAPACK or BLAS call per design with
+    the same shapes and strides, so each result is bitwise the lone one
+    whatever the stack.
+    """
+    _check_rows(x.shape[1:])
+    q, r = np.linalg.qr(x)
+    ok = ~_rank_deficient(np.diagonal(r, axis1=1, axis2=2))
+    x, q, r = _keep_rows(ok, x, q, r)
+    qt = q.swapaxes(1, 2)
+    fitted = []
+    for y in _keep_rows(ok, *(np.ascontiguousarray(y) for y in ys)):
+        if y.ndim == 2:
+            coef = np.linalg.solve(r, np.matvec(qt, y)[:, :, None])[:, :, 0]
+            fitted.append(np.matvec(x, coef))
+        else:
+            fitted.append(x @ np.linalg.solve(r, qt @ y))
+    return ok, fitted
 
 
 def _nonconstant_columns(x: np.ndarray) -> np.ndarray:
@@ -133,17 +189,66 @@ def _nonconstant_columns(x: np.ndarray) -> np.ndarray:
     return x[:, keep]
 
 
-def _informative_columns(y2: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Columns of ``y2`` not already explained by the base regression.
+def _base(x: np.ndarray, with_x: bool) -> np.ndarray:
+    """The intercept, and the non-constant columns of ``x`` when ``with_x``."""
+    m = x.shape[0]
+    return np.column_stack([np.ones(m), _nonconstant_columns(x)]) if with_x else np.ones((m, 1))
+
+
+def _one(outcomes: list):
+    """The outcome of a stack of one, raised when it is an exception."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _kept(y2: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+    """Which sibling columns of each request of a stack are not already
+    explained by its base columns, given their fits on them.
 
     A sibling column that is (numerically) a linear combination of the
     conditioning set carries no extra information: the conditional and
     unconditional regressions coincide, so it is dropped rather than
     breaking the fit with a rank-deficient matrix.
     """
-    resid = y2 - _fitted(base, y2)
-    keep = np.linalg.norm(resid, axis=0) > 1e-9 * np.maximum(1.0, np.linalg.norm(y2, axis=0))
-    return y2[:, keep]
+    resid = y2 - fitted
+    return np.linalg.norm(resid, axis=1) > 1e-9 * np.maximum(1.0, np.linalg.norm(y2, axis=1))
+
+
+def _linear(estimator: str, y1: np.ndarray, y2: np.ndarray, base: np.ndarray) -> list:
+    """``half_sibling`` or ``three_quarter_sibling`` for a stack of requests:
+    targets ``y1`` (k x m), siblings ``y2`` (k x m x a) and base columns
+    (k x m x w; the intercept, plus the non-constant covariates for
+    ``THREE_QUARTER``). Returns each request's signal, bitwise its lone
+    call's whatever the stack, or its exception; ``ols``' row error on the
+    base is raised for the stack.
+
+    Each request keeps the siblings ``_kept`` keeps, and the
+    requests that keep equally many share one least-squares call.
+    """
+    y1, y2 = np.ascontiguousarray(y1), np.ascontiguousarray(y2)
+    ok, fitted = _least_squares(base, y2, *([y1] if estimator == THREE_QUARTER else []))
+    y1, y2, base = _keep_rows(ok, y1, y2, base)
+    kept = _kept(y2, fitted[0])
+    rank_error = SingularDesignError(_RANK_DEFICIENT)
+    signals: list = [None] * len(y1)
+    for group in _groups(range(len(y1)), lambda j: kept[j].sum()):
+        full = _stack([np.column_stack([base[j], y2[j][:, kept[j]]]) for j in group])
+        try:
+            full_ok, (fitted_full,) = _least_squares(full, y1[group])
+        except SingularDesignError as exc:
+            outcomes = [copy.copy(exc) for _ in group]
+        else:
+            rows = np.asarray(group)[full_ok]
+            if estimator == THREE_QUARTER:
+                restored = fitted[1][rows]
+            else:
+                restored = y1[rows].mean(axis=1)[:, None]
+            outcomes = _outcomes(full_ok, y1[rows] - fitted_full + restored, rank_error)
+        for j, outcome in zip(group, outcomes):
+            signals[j] = outcome
+    return _outcomes(ok, signals, rank_error)
 
 
 def half_sibling(y1, y2) -> np.ndarray:
@@ -154,10 +259,7 @@ def half_sibling(y1, y2) -> np.ndarray:
     mean by construction.
     """
     y1 = np.asarray(y1, dtype=float)
-    y2 = _as_columns(y2)
-    ones = np.ones(len(y1))[:, None]
-    mat = np.column_stack([ones, _informative_columns(y2, ones)])
-    return y1 - _fitted(mat, y1) + np.mean(y1)
+    return _one(_linear(HALF_SIBLING, y1[None], _as_columns(y2)[None], np.ones((1, len(y1), 1))))
 
 
 def three_quarter_sibling(x, y1, y2) -> np.ndarray:
@@ -168,12 +270,8 @@ def three_quarter_sibling(x, y1, y2) -> np.ndarray:
     constant is conditioning on nothing).
     """
     y1 = np.asarray(y1, dtype=float)
-    y2 = _as_columns(y2)
-    x = _nonconstant_columns(_as_columns(x))
-    ones = np.ones(len(y1))[:, None]
-    base = np.column_stack([ones, x]) if x.shape[1] else ones
-    full = np.column_stack([base, _informative_columns(y2, base)])
-    return y1 - _fitted(full, y1) + _fitted(base, y1)
+    base = _base(_as_columns(x), True)
+    return _one(_linear(THREE_QUARTER, y1[None], _as_columns(y2)[None], base[None]))
 
 
 def _shared_component(aux: np.ndarray) -> np.ndarray:
@@ -187,23 +285,36 @@ def _shared_component(aux: np.ndarray) -> np.ndarray:
     touching the target series; loadings are then divided by each
     series' total residual variance so that noisy low-information series
     contribute less. With a single auxiliary this reduces to the
-    centered residual itself.
+    centered residual itself. One call of ``_shared_components``.
     """
-    m, k = aux.shape
-    centered = aux - aux.mean(axis=0)
-    if k == 1:
-        return centered[:, 0]
-    cov = centered.T @ centered / m
-    off = cov - np.diag(np.diag(cov))
-    u = np.ones(k) / np.sqrt(k)
+    return _shared_components(np.asarray(aux, dtype=float)[None])[0]
+
+
+def _shared_components(aux: np.ndarray) -> np.ndarray:
+    """``_shared_component`` of each m x a matrix of a k x m x a stack, each
+    bitwise its lone call's whatever the stack; each request stops its power
+    iteration on its own."""
+    k, m, a = aux.shape
+    centered = aux - aux.mean(axis=1)[:, None, :]
+    if a == 1:
+        return centered[:, :, 0]
+    cov = centered.swapaxes(1, 2) @ centered / m
+    diagonal = np.diagonal(cov, axis1=1, axis2=2)
+    # subtract the diagonal as a matrix, as the lone call did
+    on_diagonal = np.zeros_like(cov)
+    on_diagonal[:, range(a), range(a)] = diagonal
+    off = cov - on_diagonal
+    u = np.ones((k, a)) / np.sqrt(a)
     for _ in range(8):
-        v = off @ u
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
+        v = np.matvec(off, u)
+        norm = np.sqrt(_rows_times(v, v[:, :, None]))
+        # a request whose step is negligible keeps its vector, as the lone call stops
+        going = ~(norm < 1e-12)
+        if not going.any():
             break
-        u = v / norm
-    weights = u / np.maximum(np.diag(cov), 1e-12)
-    return centered @ weights
+        u = np.where(going, v / np.where(going, norm, 1.0), u)
+    weights = u / np.maximum(diagonal, 1e-12)
+    return np.matvec(centered, weights)
 
 
 def _check_strategy(strategy: str) -> None:
@@ -216,33 +327,49 @@ def _check_strategy(strategy: str) -> None:
 def _noise_from_residuals(
     resid: np.ndarray, target: int, x: np.ndarray, include_x: bool, strategy: str
 ) -> np.ndarray:
-    """The ``strategy``'s noise proxy from the residual matrix ``resid``.
+    """The ``strategy``'s noise proxy from the residual matrix ``resid``: one
+    call of ``_proxies``."""
+    return _one(_proxies(np.asarray(resid)[None], target, _base(x, include_x)[None], strategy))
+
+
+def _proxies(resid: np.ndarray, target: int, base: np.ndarray, strategy: str) -> list:
+    """The noise proxies of a k x m x q stack of residual matrices with one
+    target, and the k x m x w stack of their base columns (the intercept,
+    plus the non-constant covariates when step 3 takes them).
 
     For ``regression``, the target residuals' fit on ``[base, shared]``
-    minus their fit on ``base`` (the intercept, plus the non-constant
-    covariates when ``include_x``) is, by the Frisch-Waugh-Lovell theorem,
+    minus their fit on ``base`` is, by the Frisch-Waugh-Lovell theorem,
     their projection on the shared component, both residualised on
     ``base``. The checks of ``[base, shared]`` keep their order: ``base``'s
-    (in ``ols``), rows, rank.
+    (in ``ols``), rows, rank. Returns each request's proxy, bitwise its
+    lone call's whatever the stack, or its exception; an unknown strategy
+    and ``ols``' row error on the base are raised for the stack.
     """
-    m = resid.shape[0]
-    r1 = resid[:, target]
-    aux = np.delete(resid, target, axis=1)
-
+    aux = np.delete(resid, target, axis=2)
     _check_strategy(strategy)
     if strategy == MEAN_OF_RESIDUALS:
-        nhat = aux.mean(axis=1)
-        return nhat - nhat.mean()
+        nhat = aux.mean(axis=2)
+        return list(nhat - nhat.mean(axis=1, keepdims=True))
 
-    xc = _nonconstant_columns(x) if include_x else np.empty((m, 0))
-    base = np.column_stack([np.ones(m), xc])
-    both = np.column_stack([_shared_component(aux), r1])
-    shared, r = (both - _fitted(base, both)).T
-    _check_rows((m, base.shape[1] + 1))
+    both = np.stack([_shared_components(aux), resid[:, :, target]], axis=2)
+    ok, (fitted,) = _least_squares(base, both)
+    rank_error = SingularDesignError(_RANK_DEFICIENT)
+    try:
+        _check_rows((base.shape[1], base.shape[2] + 1))
+    except SingularDesignError as exc:
+        return [copy.copy(exc if good else rank_error) for good in ok]
+    base, both = _keep_rows(ok, base, both)
+    shared, r = (both - fitted).transpose(2, 0, 1)
     # bounds on the diagonal of the QR factor of [base, shared]; the last is exact
-    if _rank_deficient(np.append(np.linalg.norm(base, axis=0), np.linalg.norm(shared))):
-        raise SingularDesignError(_RANK_DEFICIENT)
-    return shared * ((shared @ r) / (shared @ shared))
+    contiguous = np.ascontiguousarray(shared)
+    squares = _rows_times(contiguous, contiguous[:, :, None])[:, 0]
+    norms = np.column_stack([np.linalg.norm(base, axis=1), np.sqrt(squares)])
+    singular = _rank_deficient(norms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = _rows_times(shared, r[:, :, None]) / _rows_times(shared, shared[:, :, None])
+        proxies = shared * slopes
+    values = [copy.copy(rank_error) if bad else proxy for bad, proxy in zip(singular, proxies)]
+    return _outcomes(ok, values, rank_error)
 
 
 def denoise_all(
@@ -261,11 +388,12 @@ def denoise_all(
     (plus covariates when ``include_x``), and takes the difference
     between that fit and the baseline fit as the proxy, which is mean
     zero by construction. By the Frisch-Waugh-Lovell theorem that
-    difference is one projection, from one least-squares fit per request
-    (see ``_noise_from_residuals``). The ``mean_of_residuals`` strategy
-    instead averages the auxiliary residual columns and centers the
-    result; it is only sensible when every series loads on the noise with
-    the same sign.
+    difference is one projection (see ``_proxies``). The
+    ``mean_of_residuals`` strategy instead averages the auxiliary residual
+    columns and centers the result; it is only sensible when every series
+    loads on the noise with the same sign. The requests of one residual
+    shape, target and baseline width form a group, whose proxies come from
+    one ``_proxies`` call, each bitwise the request's lone proxy.
 
     The target is then refitted on the panel's design plus the proxy as a
     last column named ``noise_hat``; the covariate-only part of the refit
@@ -278,14 +406,34 @@ def denoise_all(
     Gamma design with no constant column) reaches the caller.
     """
     outcomes: list[Estimate | Exception | None] = [None] * len(requests)
-    staged = []
+    bases = []
     for i, (panel, resid) in enumerate(requests):
+        if resid.shape != panel.responses.shape:
+            outcomes[i] = ValueError(f"residuals of shape {resid.shape} do not match the panel")
+        bases.append(_base(panel.design.x, include_x))
+    live = [i for i in range(len(requests)) if outcomes[i] is None]
+
+    def key(i):
+        return requests[i][1].shape, requests[i][0].target_index, bases[i].shape[1]
+
+    for group in _groups(live, key):
         try:
-            if resid.shape != panel.responses.shape:
-                raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
-            nhat = _noise_from_residuals(
-                resid, panel.target_index, panel.design.x, include_x, strategy
+            proxies = _proxies(
+                _stack([requests[i][1] for i in group]),
+                requests[group[0]][0].target_index,
+                _stack([bases[i] for i in group]),
+                strategy,
             )
+        except Exception as exc:
+            proxies = [copy.copy(exc) for _ in group]
+        for i, nhat in zip(group, proxies):
+            outcomes[i] = nhat
+    staged = []
+    for i, (panel, _) in enumerate(requests):
+        nhat = outcomes[i]
+        if isinstance(nhat, Exception):
+            continue
+        try:
             design = Design(
                 np.column_stack([panel.design.x, nhat]),
                 (*panel.design.column_names, "noise_hat"),
@@ -332,24 +480,16 @@ def _fit_step(panel: Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
     after ``fit_glms``' design check, one ``_fit_rows`` call gives each series
     ``_needed`` names, by index, a ``GlmFit`` or an exception, and each
     ``sglm`` residual kind a matrix of the leading fitted series' columns
-    and the exception of the next one, if it raised."""
+    and the exception of the next one, if it raised (``residuals.columns``)."""
     rows = _needed({c.estimator for c in cells}, panel.q, panel.target_index)
     if rows and _deficient_designs(panel.design.x):
         raise SingularDesignError(_RANK_DEFICIENT)
     ys = np.ascontiguousarray(panel.responses.T[rows.start : rows.stop])
     fits = dict(zip(rows, _fit_rows(panel.design.x, ys, panel.family))) if rows else {}
-    residuals = {}
-    for kind in {c.residual_kind for c in cells if c.estimator == SGLM}:
-        columns, error = [np.empty((panel.m, 0))], None  # stacks to m x 0 with no column
-        for j, fit in fits.items():
-            if not isinstance(fit, GlmFit):
-                break
-            try:
-                columns.append(res.compute(kind, fit, panel.responses[:, j], design=panel.design))
-            except ValueError as exc:
-                error = exc
-                break
-        residuals[kind] = np.column_stack(columns), error
+    leading = list(itertools.takewhile(lambda fit: isinstance(fit, GlmFit), fits.values()))
+    fitted_ys = panel.responses[:, : len(leading)]
+    kinds = {c.residual_kind for c in cells if c.estimator == SGLM}
+    residuals = {kind: res.columns(kind, leading, fitted_ys, panel.design) for kind in kinds}
     return fits, residuals
 
 
@@ -377,31 +517,45 @@ def _cell_panel(panel: Panel, q: int) -> Panel:
     return Panel(panel.design, panel.responses[:, :q], panel.family)
 
 
-def _request(spec: CellSpec, step):
-    """The ``denoise_all`` request of an ``sglm`` spec: its q series and their residuals."""
-    panel, _, residuals, _ = step
-    return _cell_panel(panel, spec.q), residuals[spec.residual_kind][0][:, : spec.q]
+def _linear_estimates(pairs: list[tuple[CellSpec, tuple]]) -> list[Estimate | Exception]:
+    """The linear estimate of each ``(spec, step)`` pair with no ``_failure``,
+    or its exception. The pairs of one estimator, q, m and base width (the
+    three-quarter estimator's non-constant covariates) go through one
+    ``_linear`` call. Each panel's responses are put on the working scale,
+    and its base columns made, once; a cell takes its first q series."""
+    made: dict[int, tuple] = {}
+    requests = []
+    for spec, (panel, *_) in pairs:
+        if id(panel) not in made:
+            logged = panel.family.kind in (POISSON, GAMMA)
+            ty = np.log1p(panel.responses) if logged else panel.responses
+            # the design's intercept is constant, so the three-quarter estimator drops it
+            made[id(panel)] = ty, _base(panel.design.x, True), logged
+        ty, x_base, logged = made[id(panel)]
+        ty, t = ty[:, : spec.q], panel.target_index
+        base = x_base if spec.estimator == THREE_QUARTER else np.ones((panel.m, 1))
+        requests.append((ty[:, t], np.delete(ty, t, axis=1), base, logged))
 
+    def key(i):
+        return pairs[i][0].estimator, requests[i][1].shape, requests[i][2].shape[1]
 
-def _unbatched(spec: CellSpec, step) -> Estimate:
-    """The ``glm`` or linear estimate of ``spec`` on a step it has no ``_failure`` on."""
-    panel, fits, _, _ = step
-    t = panel.target_index
-    if spec.estimator == GLM_ESTIMATOR:
-        return Estimate.of_fit(fits[t], panel.design)
-    panel = _cell_panel(panel, spec.q)
-    logged = panel.family.kind in (POISSON, GAMMA)
-    ty = np.log1p(panel.responses) if logged else panel.responses
-    aux = np.delete(ty, t, axis=1)
-    if spec.estimator == HALF_SIBLING:
-        signal_hat = half_sibling(ty[:, t], aux)
-    elif spec.estimator == THREE_QUARTER:
-        # the design's intercept is constant, so the estimator drops it
-        signal_hat = three_quarter_sibling(panel.design.x, ty[:, t], aux)
-    else:
-        raise ValueError(f"unknown estimator {spec.estimator!r}")
-    mu_hat = np.expm1(signal_hat) if logged else signal_hat
-    return Estimate(signal_hat, ty[:, t] - signal_hat, mu_hat, None, None)
+    outcomes: list[Estimate | Exception] = [None] * len(pairs)
+    for group in _groups(range(len(pairs)), key):
+        try:
+            signals = _linear(
+                pairs[group[0]][0].estimator,
+                *(_stack([requests[i][part] for i in group]) for part in range(3)),
+            )
+        except Exception as exc:
+            signals = [copy.copy(exc) for _ in group]
+        for i, signal_hat in zip(group, signals):
+            y1, _, _, logged = requests[i]
+            if isinstance(signal_hat, Exception):
+                outcomes[i] = signal_hat
+            else:
+                mu_hat = np.expm1(signal_hat) if logged else signal_hat
+                outcomes[i] = Estimate(signal_hat, y1 - signal_hat, mu_hat, None, None)
+    return outcomes
 
 
 def estimates(
@@ -412,22 +566,31 @@ def estimates(
     A step ``(panel, fits, residuals, error)`` holds a panel, the
     ``_fit_step`` of its specs on it, and the error that cut its series
     short, if any. A pair with a ``_failure`` gets it; the other ``sglm``
-    pairs go through one ``denoise_all`` call, and every other pair runs
-    its estimator alone.
+    pairs go through one ``denoise_all`` call, the linear ones through
+    ``_linear_estimates``, and a ``glm`` pair takes its target's fit.
     """
     outcomes = [_failure(spec, step) for spec, step in pairs]
-    batched = [
-        i for i, (spec, _) in enumerate(pairs) if outcomes[i] is None and spec.estimator == SGLM
-    ]
-    refits = denoise_all([_request(*pairs[i]) for i in batched], include_x, strategy)
-    for i, refit in zip(batched, refits):
-        outcomes[i] = refit
-    for i, (spec, step) in enumerate(pairs):
-        if outcomes[i] is None:
-            try:
-                outcomes[i] = _unbatched(spec, step)
-            except Exception as exc:
-                outcomes[i] = exc
+    todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    sglm = [i for i in todo if pairs[i][0].estimator == SGLM]
+    linear = [i for i in todo if pairs[i][0].estimator in (HALF_SIBLING, THREE_QUARTER)]
+    cell_panels: dict[tuple[int, int], Panel] = {}  # made once per panel and q
+    requests = []
+    for i in sglm:
+        spec, (panel, _, residuals, _) = pairs[i]
+        key = id(panel), spec.q
+        if key not in cell_panels:
+            cell_panels[key] = _cell_panel(panel, spec.q)
+        requests.append((cell_panels[key], residuals[spec.residual_kind][0][:, : spec.q]))
+    for i, outcome in zip(sglm, denoise_all(requests, include_x, strategy)):
+        outcomes[i] = outcome
+    for i, outcome in zip(linear, _linear_estimates([pairs[i] for i in linear])):
+        outcomes[i] = outcome
+    for i in todo:
+        spec, (panel, fits, _, _) = pairs[i]
+        if spec.estimator == GLM_ESTIMATOR:
+            outcomes[i] = Estimate.of_fit(fits[panel.target_index], panel.design)
+        elif outcomes[i] is None:
+            outcomes[i] = ValueError(f"unknown estimator {spec.estimator!r}")
     return outcomes
 
 

@@ -1,5 +1,7 @@
 """Sibling estimators, their algebraic identity, and the denoising pipeline."""
 
+import collections
+import concurrent.futures
 import gc
 import itertools
 import math
@@ -16,11 +18,12 @@ from sibglm.families import DomainError, bernoulli, gamma, gaussian, poisson
 from sibglm.glm import (
     ConvergenceError,
     SingularDesignError,
+    _initial_beta,
     design_with_intercept,
     fit_glm,
     fit_glms,
 )
-from sibglm.residuals import RESIDUAL_KINDS
+from sibglm.residuals import RESIDUAL_KINDS, columns, compute
 from sibglm.sibling import (
     ESTIMATORS,
     MEAN_OF_RESIDUALS,
@@ -28,8 +31,14 @@ from sibglm.sibling import (
     SGLM,
     CellSpec,
     Panel,
-    _informative_columns,
+    HALF_SIBLING,
+    THREE_QUARTER,
+    _base,
+    _kept,
+    _least_squares,
+    _linear,
     _noise_from_residuals,
+    _proxies,
     denoise_all,
     half_sibling,
     run_estimator,
@@ -104,6 +113,13 @@ class TestThreeQuarterSibling:
         before = abs(np.corrcoef(y1 - 1.2 * x, noise)[0, 1])
         after = abs(np.corrcoef(z_hat - 1.2 * x, noise)[0, 1])
         assert after < before
+
+
+def _informative_columns(y2, base):
+    """The sibling columns the linear estimators keep given ``base``."""
+    ok, (fitted,) = _least_squares(base[None], y2[None])
+    assert ok[0]
+    return y2[:, _kept(y2[None], fitted)[0]]
 
 
 class TestInformativeColumns:
@@ -653,6 +669,152 @@ class TestDenoiseAll:
         assert all(o.last_fit.iterations == 0 for o in got if isinstance(o, ConvergenceError))
 
 
+def _sub_stacks(n: int, seed: int):
+    """Ways to run n requests as stacks: whole, one at a time, reversed, and
+    shuffled orders cut into two or three stacks."""
+    rng = np.random.default_rng(seed)
+    yield [list(range(n))]
+    yield [[i] for i in range(n)]
+    yield [list(range(n))[::-1]]
+    for _ in range(4):
+        order = [int(i) for i in rng.permutation(n)]
+        cuts = sorted(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False))
+        yield [part for part in np.split(order, cuts)]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _assert_bitwise(got, want):
+    """The same exception (type and message) or the same array, bit for bit."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _each_request(kernel, n: int, seed: int = 0) -> list:
+    """``kernel(indices)``'s outcomes for each of n requests, checked to be the
+    same bit for bit however the requests are cut into stacks or ordered."""
+    want = kernel(list(range(n)))
+    assert len(want) == n
+    for stacks in _sub_stacks(n, seed):
+        for stack in stacks:
+            for i, got in zip(stack, kernel([int(i) for i in stack])):
+                _assert_bitwise(got, want[i])
+    return want
+
+
+class TestStackedKernels:
+    """Each stacked kernel gives every request of a stack the outcome of its
+    lone call, bit for bit, however its group is split into sub-stacks or
+    ordered, also when one member of the group fails."""
+
+    @staticmethod
+    def _residuals(family, count, m=60, q=6):
+        for seed in range(count):
+            panel = to_panel(generate(SimConfig(family, m=m, q=q, sigma_eps=0.3, seed=seed)), family)
+            fits = fit_glms(panel.design, panel.responses, family)
+            yield panel, residual_matrix(panel, fits, RESIDUAL_KINDS[seed % 4])
+
+    @pytest.mark.parametrize("strategy", NOISE_STRATEGIES)
+    @pytest.mark.parametrize("include_x", [False, True])
+    def test_proxies(self, include_x, strategy):
+        requests = list(self._residuals(gamma(2.0), 5))
+        # a zero auxiliary residual: its shared component is zero, so the
+        # regression proxy is rank deficient
+        panel, resid = requests[2]
+        requests[2] = panel, np.column_stack([resid[:, 0], np.zeros((panel.m, 5))])
+
+        def kernel(indices):
+            resid = np.stack([requests[i][1] for i in indices])
+            base = np.stack([_base(requests[i][0].design.x, include_x) for i in indices])
+            return _proxies(resid, 0, base, strategy)
+
+        got = _each_request(kernel, len(requests))
+        for (panel, resid), outcome in zip(requests, got):
+            x = panel.design.x
+            _assert_bitwise(outcome, _outcome(_noise_from_residuals, resid, 0, x, include_x, strategy))
+        if strategy == "regression":
+            assert str(got[2]) == "design matrix is rank deficient"
+        assert sum(isinstance(o, Exception) for o in got) == (strategy == "regression")
+
+    @pytest.mark.parametrize("estimator", [HALF_SIBLING, THREE_QUARTER])
+    def test_linear_estimators(self, estimator):
+        family = poisson()
+        panels = [
+            to_panel(generate(SimConfig(family, m=50, q=5, sigma_eps=0.3, seed=s)), family)
+            for s in range(6)
+        ]
+        ys = [np.log1p(panel.responses) for panel in panels]
+        ys[1][:, 3] = 0.7  # a constant auxiliary: one fewer kept column
+        ys[4][:, 2] = ys[4][:, 1]  # duplicate siblings: the final fit is rank deficient
+
+        def kernel(indices):
+            return _linear(
+                estimator,
+                np.stack([ys[i][:, 0] for i in indices]),
+                np.stack([ys[i][:, 1:] for i in indices]),
+                np.stack([_base(panels[i].design.x, estimator == THREE_QUARTER) for i in indices]),
+            )
+
+        got = _each_request(kernel, len(panels))
+        for panel, y, outcome in zip(panels, ys, got):
+            if estimator == HALF_SIBLING:
+                lone = _outcome(half_sibling, y[:, 0], y[:, 1:])
+            else:
+                lone = _outcome(three_quarter_sibling, panel.design.x, y[:, 0], y[:, 1:])
+            _assert_bitwise(outcome, lone)
+        assert [isinstance(o, SingularDesignError) for o in got] == [False] * 4 + [True, False]
+
+    @pytest.mark.parametrize("kind", RESIDUAL_KINDS)
+    def test_residual_columns(self, kind):
+        # the byte gate's bernoulli-partway panel at m=6, seed 42: on replicate
+        # 0 series 6 has no student residual
+        family = bernoulli()
+        config = SimConfig(family, m=6, q=8, seed=replicate_seed(42, 0))
+        panel = to_panel(generate(config), family)
+        fits = fit_glms(panel.design, panel.responses, family)
+        lone = [_outcome(compute, kind, fit, panel.responses[:, j], panel.design)
+                for j, fit in enumerate(fits)]
+        failing = [j for j, outcome in enumerate(lone) if isinstance(outcome, Exception)]
+        assert failing == ([6] if kind == "student" else [])
+
+        def columns_of(order):
+            matrix, error = columns(kind, [fits[j] for j in order], panel.responses[:, order],
+                                    panel.design)
+            stop = next((n for n, j in enumerate(order) if j in failing), len(order))
+            assert matrix.shape == (panel.m, stop)
+            if stop < len(order):
+                _assert_bitwise(error, lone[order[stop]])
+            else:
+                assert error is None
+            return [matrix[:, n] for n in range(stop)]
+
+        for stacks in _sub_stacks(panel.q, 1):
+            for stack in stacks:
+                for j, column in zip(stack, columns_of([int(j) for j in stack])):
+                    _assert_bitwise(column, lone[j])
+
+    def test_gamma_starts(self):
+        # one design with no constant column takes the least-squares start
+        rng = np.random.default_rng(5)
+        x = np.stack([design_with_intercept(rng.uniform(-1, 1, 40)).x for _ in range(5)])
+        x[3, :, 0] = rng.uniform(0.5, 1.5, 40)
+        ys = rng.gamma(2.0, 1.0, (5, 40))
+        family = gamma(2.0)
+        starts = _each_request(lambda rows: list(_initial_beta(x[rows], ys[rows], family)), 5)
+        for j, start in enumerate(starts):
+            _assert_bitwise(start, _initial_beta(x[j], ys[j : j + 1], family)[0])
+        assert starts[3][1] != 0.0 and all(start[1] == 0.0 for start in starts[:3])
+
+
 class TestBatchedStudy:
     """A study refits all its ``sglm`` cells of a replicate in one IRLS loop;
     each cell's results are bitwise those of the cell run alone, by the
@@ -806,6 +968,59 @@ class TestBatchedStudy:
                 for name, values in result.samples.items():
                     assert values.tobytes() == reference.samples[name].tobytes(), name
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_wave_runs_only_the_cells_alive_before_it(self, monkeypatch, jobs):
+        # one replicate per block, run in waves of one block per process (here
+        # all in this process): each wave runs the cells that have not failed
+        # in an earlier one, and the results are those of a real pool
+        study = Study(bernoulli(), m=12, replicates=6, master_seed=3)
+        cells = [
+            CellSpec(q, estimator, kind)
+            for q in (2, 4, 8)
+            for estimator in ESTIMATORS
+            for kind in (("fisher", "student") if estimator == SGLM else ("fisher",))
+        ]
+        waves = []
+        run_block = sibglm.benchmark._run_block
+
+        class InProcess:
+            def __init__(self, max_workers):
+                assert max_workers == jobs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        def recording(study, cells, indices):
+            results, seconds = run_block(study, cells, indices)
+            if indices.start % jobs == 0:
+                waves.append([])
+            waves[-1].append(results)
+            return results, seconds
+
+        monkeypatch.setattr(sibglm.benchmark, "_BLOCK_ROWS", 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(sibglm.benchmark, "_run_block", recording)
+            patched.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+            results, _ = run_study(study, cells, jobs)
+        assert all(len(wave) == jobs for wave in waves)
+        failed = set()
+        for wave in waves:
+            for block in wave:
+                assert [r.spec for r in block] == [c for c in cells if c not in failed]
+            failed |= {r.spec for block in wave for r in block if r.error is not None}
+        assert len(waves) > 1 and 0 < len(waves[-1][0]) < len(cells)
+        pooled, _ = run_study(study, cells, jobs=2)
+        for result, reference in zip(results, pooled):
+            assert (result.spec, result.error) == (reference.spec, reference.error)
+            for name, values in result.samples.items():
+                assert values.tobytes() == reference.samples[name].tobytes(), name
+
     def test_a_block_is_freed_before_the_next_is_made(self, monkeypatch):
         # blocks of one replicate: when a replicate's step starts, no panel
         # of an earlier block is alive
@@ -826,16 +1041,25 @@ class TestBatchedStudy:
         assert all(r.error is None for r in results)
         assert alive == [[], [False], [False, False]]
 
-    def test_one_least_squares_fit_per_proxy(self, monkeypatch):
-        # the gamma study of the benchmark: 4 q x 4 kinds x 5 replicates proxies,
-        # one fit each, and 2 (half sibling) + 3 (three quarter) per q and replicate
-        calls = []
+    def test_one_stacked_call_per_group(self, monkeypatch):
+        # the gamma study of the benchmark runs in 3 blocks (1, 2 and 2
+        # replicates). Each block makes one proxy call per q and one linear
+        # call per q and linear estimator. The QR factorisations: 5 design
+        # checks of the first fits, 3 of the refit stacks, 105 for the
+        # leverages (21 series x 5 replicates), 12 for the proxies and 48 for
+        # the linear calls (a base and one full stack each)
+        calls = collections.Counter()
 
-        def counting(x, y):
-            calls.append(1)
-            return sibglm.glm.ols(x, y)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(sibglm.sibling, "ols", counting)
+            return wrapper
+
+        for name in ("_proxies", "_linear"):
+            monkeypatch.setattr(sibglm.sibling, name, counting(name, getattr(sibglm.sibling, name)))
+        monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
         study = Study(gamma(2.0), m=400, replicates=5, master_seed=1)
         cells = [
             CellSpec(q, estimator, kind)
@@ -843,9 +1067,10 @@ class TestBatchedStudy:
             for estimator in ESTIMATORS
             for kind in (RESIDUAL_KINDS if estimator == SGLM else RESIDUAL_KINDS[:1])
         ]
+        assert [len(block) for block in sibglm.benchmark._blocks(study, cells, 1)] == [1, 2, 2]
         results, _ = run_study(study, cells)
         assert all(r.error is None for r in results)
-        assert len(calls) == 80 + 100
+        assert calls == {"_proxies": 3 * 4, "_linear": 3 * 4 * 2, "qr": 5 + 3 + 105 + 12 + 48}
 
 
 class TestPanel:
