@@ -13,10 +13,10 @@ flag, studies with ``--jobs 1`` and ``--jobs 2``, a study with no ``sglm``
 cell, study grids whose cells fail, among them one whose cells fail in
 different waves of blocks, grids whose replicates have a series with no
 first fit or residual, one whose replicates are shared unevenly by
-``--jobs 3``, and one in which a stacked group of
-proxies, of linear estimates and of residual columns each holds failing
-and succeeding requests, panels on which IRLS halves its steps or
-meets a separated series, a panel whose auxiliaries are exact lines in x,
+``--jobs 3``, and one in which a stacked group of proxies and of linear
+estimates each holds failing and succeeding requests and a residual
+matrix stops at a failing series, panels on which IRLS halves its steps
+or meets a separated series, a panel whose auxiliaries are exact lines in x,
 a Gaussian panel read as Poisson, panels whose covariate is named
 ``intercept`` or ``noise_hat``, missing-path errors, bad configs, option
 values outside their choices or of the wrong type given by flag or by

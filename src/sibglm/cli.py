@@ -369,8 +369,6 @@ def build_cells(args: argparse.Namespace) -> list[sibling.CellSpec]:
     for name, values in (("q_grid", q_grid), ("estimator", estimators), ("residual", kinds)):
         if not values:
             raise ValueError(f"{name} must be nonempty")
-    if any(q < 2 for q in q_grid):
-        raise ValueError("q_grid entries must be >= 2 (target plus auxiliaries)")
     for e in estimators:
         if e not in sibling.ESTIMATORS:
             raise ValueError(f"unknown estimator {e!r}")

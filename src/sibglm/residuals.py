@@ -93,16 +93,9 @@ def columns(kind: str, fits: list[GlmFit], ys: np.ndarray, design: Design):
     up to the first that raises a ``ValueError``: the m x j matrix of the
     columns before it and that error, or all k columns and None.
 
-    Each column is bitwise its ``compute``. The raw and Fisher residuals
-    are one expression over the matrix; the studentized and deviance ones
-    are computed column by column into it, so their temporaries stay one
+    Each column is its own ``compute`` call, so its temporaries stay one
     series long and the first failing series stops it with its own error.
     """
-    if kind in (RAW, FISHER) and fits and ys.shape == (len(fits[0].mu), len(fits)):
-        r = ys - np.stack([fit.mu for fit in fits], axis=1)
-        if kind == FISHER:
-            r /= np.stack([fit.fisher_diag for fit in fits], axis=1)
-        return r, None
     out = np.empty((ys.shape[0], min(len(fits), ys.shape[1])))
     for j, (fit, y) in enumerate(zip(fits, ys.T)):
         try:

@@ -32,18 +32,17 @@ comparison is about) and on the raw responses otherwise; they estimate
 the denoised series directly, so only MSE and the noise correlation are
 defined for them.
 
-The small least-squares work of a call is stacked by groups of requests
-of one shape. The ``sglm`` proxies of one residual shape, target and
-baseline width come from one ``_proxies`` call; the linear estimates of
-one estimator, q, m and baseline width from one ``_linear`` call, which
-makes one least-squares call on the baseline columns and one on the full
-designs for each number of sibling columns a request keeps; and each
-residual kind of a step is one ``residuals.columns`` matrix. Every
-product and solve in a stack is the lone call's, one BLAS or LAPACK call
-per request with the same shapes and strides, so each request's output
-is bitwise its lone call's whatever the stack, and a failing request
-gets its own exception. ``half_sibling``, ``three_quarter_sibling``,
-``_noise_from_residuals`` and ``_shared_component`` are the stacks of one.
+The small least-squares work of a call is stacked by ``_by_group``. The
+``sglm`` proxies of one residual shape, target and baseline width come
+from one ``_proxies`` call; the linear estimates of one estimator, q, m
+and baseline width from one ``_linear`` call, which makes one
+least-squares call on the baseline columns and one on the full designs
+for each number of sibling columns a request keeps. Every product and
+solve in a stack is the lone call's, one BLAS or LAPACK call per request
+with the same shapes and strides, so each request's output is bitwise
+its lone call's whatever the stack, and a failing request gets its own
+exception. ``half_sibling`` and ``three_quarter_sibling`` are the stacks
+of one. Residuals are computed series by series (``residuals.columns``).
 """
 
 from __future__ import annotations
@@ -143,13 +142,22 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _groups(indices, key) -> list[list[int]]:
-    """``indices`` grouped by ``key``, in order within each group and across
-    groups by first appearance."""
+def _by_group(outcomes: list, indices, key, run) -> list:
+    """Put each of ``indices``' outcome in ``outcomes`` and return it. The
+    indices are grouped by ``key`` (in order, groups by first appearance);
+    ``run(group)`` lists a group's outcomes, and an exception it raises
+    goes, copied, to each member."""
     groups: dict = {}
     for i in indices:
         groups.setdefault(key(i), []).append(i)
-    return list(groups.values())
+    for group in groups.values():
+        try:
+            values = run(group)
+        except Exception as exc:
+            values = [copy.copy(exc) for _ in group]
+        for i, value in zip(group, values):
+            outcomes[i] = value
+    return outcomes
 
 
 def _outcomes(ok: np.ndarray, values, error: Exception) -> list:
@@ -183,16 +191,13 @@ def _least_squares(x: np.ndarray, *ys: np.ndarray) -> tuple[np.ndarray, list[np.
     return ok, fitted
 
 
-def _nonconstant_columns(x: np.ndarray) -> np.ndarray:
-    """Covariate columns with any variation; constants duplicate the intercept."""
-    keep = np.ptp(x, axis=0) > 0.0
-    return x[:, keep]
-
-
 def _base(x: np.ndarray, with_x: bool) -> np.ndarray:
-    """The intercept, and the non-constant columns of ``x`` when ``with_x``."""
+    """The intercept, and the columns of ``x`` with any variation when
+    ``with_x`` (constants duplicate the intercept)."""
     m = x.shape[0]
-    return np.column_stack([np.ones(m), _nonconstant_columns(x)]) if with_x else np.ones((m, 1))
+    if not with_x:
+        return np.ones((m, 1))
+    return np.column_stack([np.ones(m), x[:, np.ptp(x, axis=0) > 0.0]])
 
 
 def _one(outcomes: list):
@@ -232,22 +237,18 @@ def _linear(estimator: str, y1: np.ndarray, y2: np.ndarray, base: np.ndarray) ->
     y1, y2, base = _keep_rows(ok, y1, y2, base)
     kept = _kept(y2, fitted[0])
     rank_error = SingularDesignError(_RANK_DEFICIENT)
-    signals: list = [None] * len(y1)
-    for group in _groups(range(len(y1)), lambda j: kept[j].sum()):
+
+    def run(group):
         full = _stack([np.column_stack([base[j], y2[j][:, kept[j]]]) for j in group])
-        try:
-            full_ok, (fitted_full,) = _least_squares(full, y1[group])
-        except SingularDesignError as exc:
-            outcomes = [copy.copy(exc) for _ in group]
+        full_ok, (fitted_full,) = _least_squares(full, y1[group])
+        rows = np.asarray(group)[full_ok]
+        if estimator == THREE_QUARTER:
+            restored = fitted[1][rows]
         else:
-            rows = np.asarray(group)[full_ok]
-            if estimator == THREE_QUARTER:
-                restored = fitted[1][rows]
-            else:
-                restored = y1[rows].mean(axis=1)[:, None]
-            outcomes = _outcomes(full_ok, y1[rows] - fitted_full + restored, rank_error)
-        for j, outcome in zip(group, outcomes):
-            signals[j] = outcome
+            restored = y1[rows].mean(axis=1)[:, None]
+        return _outcomes(full_ok, y1[rows] - fitted_full + restored, rank_error)
+
+    signals = _by_group([None] * len(y1), range(len(y1)), lambda j: kept[j].sum(), run)
     return _outcomes(ok, signals, rank_error)
 
 
@@ -274,8 +275,9 @@ def three_quarter_sibling(x, y1, y2) -> np.ndarray:
     return _one(_linear(THREE_QUARTER, y1[None], _as_columns(y2)[None], base[None]))
 
 
-def _shared_component(aux: np.ndarray) -> np.ndarray:
-    """Combine centered auxiliary residuals along their shared direction.
+def _shared_components(aux: np.ndarray) -> np.ndarray:
+    """Combine each m x a matrix of a k x m x a stack of centered auxiliary
+    residuals along its shared direction.
 
     Each auxiliary residual series carries the common noise scaled by its
     own (unknown, possibly negative) coefficient plus independent
@@ -285,15 +287,9 @@ def _shared_component(aux: np.ndarray) -> np.ndarray:
     touching the target series; loadings are then divided by each
     series' total residual variance so that noisy low-information series
     contribute less. With a single auxiliary this reduces to the
-    centered residual itself. One call of ``_shared_components``.
+    centered residual itself. Each request stops its power iteration on
+    its own, so each result is bitwise its stack of one's.
     """
-    return _shared_components(np.asarray(aux, dtype=float)[None])[0]
-
-
-def _shared_components(aux: np.ndarray) -> np.ndarray:
-    """``_shared_component`` of each m x a matrix of a k x m x a stack, each
-    bitwise its lone call's whatever the stack; each request stops its power
-    iteration on its own."""
     k, m, a = aux.shape
     centered = aux - aux.mean(axis=1)[:, None, :]
     if a == 1:
@@ -322,14 +318,6 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(
             f"unknown noise strategy {strategy!r}; expected one of {NOISE_STRATEGIES}"
         )
-
-
-def _noise_from_residuals(
-    resid: np.ndarray, target: int, x: np.ndarray, include_x: bool, strategy: str
-) -> np.ndarray:
-    """The ``strategy``'s noise proxy from the residual matrix ``resid``: one
-    call of ``_proxies``."""
-    return _one(_proxies(np.asarray(resid)[None], target, _base(x, include_x)[None], strategy))
 
 
 def _proxies(resid: np.ndarray, target: int, base: np.ndarray, strategy: str) -> list:
@@ -383,7 +371,7 @@ def denoise_all(
     ``resid`` holds the panel's residuals of one kind, a column per
     series, computed from one GLM fit per series. The ``regression``
     strategy condenses the auxiliary residual columns into their shared
-    component (see ``_shared_component``; with one auxiliary this is
+    component (see ``_shared_components``; with one auxiliary this is
     just its centered residual), regresses the target residuals on it
     (plus covariates when ``include_x``), and takes the difference
     between that fit and the baseline fit as the proxy, which is mean
@@ -416,18 +404,12 @@ def denoise_all(
     def key(i):
         return requests[i][1].shape, requests[i][0].target_index, bases[i].shape[1]
 
-    for group in _groups(live, key):
-        try:
-            proxies = _proxies(
-                _stack([requests[i][1] for i in group]),
-                requests[group[0]][0].target_index,
-                _stack([bases[i] for i in group]),
-                strategy,
-            )
-        except Exception as exc:
-            proxies = [copy.copy(exc) for _ in group]
-        for i, nhat in zip(group, proxies):
-            outcomes[i] = nhat
+    def run(group):
+        resid = _stack([requests[i][1] for i in group])
+        base = _stack([bases[i] for i in group])
+        return _proxies(resid, requests[group[0]][0].target_index, base, strategy)
+
+    _by_group(outcomes, live, key, run)
     staged = []
     for i, (panel, _) in enumerate(requests):
         nhat = outcomes[i]
@@ -467,6 +449,10 @@ class CellSpec:
     estimator: str
     residual_kind: str = res.FISHER
 
+    def __post_init__(self):
+        if self.q < 2:
+            raise ValueError("q_grid entries must be >= 2 (target plus auxiliaries)")
+
 
 def _needed(estimators: set[str], q: int, target: int) -> range:
     """The series among the first q whose first fits ``estimators`` need."""
@@ -496,11 +482,14 @@ def _fit_step(panel: Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
 def _failure(spec: CellSpec, step) -> Exception | None:
     """What fails ``spec`` on a step ``(panel, fits, residuals, error)``, in
     the order its own pipeline meets it: one of its q series not made
-    (``error``), a fit its estimator needs, named as ``fit_glms`` names it (on
-    a copy, since one exception serves several specs), a residual of its kind."""
+    (``error``, or a ``ValueError`` if none), a fit its estimator needs,
+    named as ``fit_glms`` names it (on a copy, since one exception serves
+    several specs), a residual of its kind."""
     panel, fits, residuals, error = step
-    if panel is None or panel.q < spec.q:
+    if panel is None:
         return error
+    if panel.q < spec.q:
+        return error or ValueError(f"the cell needs q={spec.q} series, the panel has {panel.q}")
     needed = _needed({spec.estimator}, spec.q, panel.target_index)
     for j in needed:
         if isinstance(fits[j], Exception):
@@ -508,13 +497,6 @@ def _failure(spec: CellSpec, step) -> Exception | None:
     if spec.estimator == SGLM and residuals[spec.residual_kind][0].shape[1] < spec.q:
         return residuals[spec.residual_kind][1]
     return None
-
-
-def _cell_panel(panel: Panel, q: int) -> Panel:
-    """The panel of the first ``q`` series."""
-    if panel.q == q:
-        return panel
-    return Panel(panel.design, panel.responses[:, :q], panel.family)
 
 
 def _linear_estimates(pairs: list[tuple[CellSpec, tuple]]) -> list[Estimate | Exception]:
@@ -539,22 +521,18 @@ def _linear_estimates(pairs: list[tuple[CellSpec, tuple]]) -> list[Estimate | Ex
     def key(i):
         return pairs[i][0].estimator, requests[i][1].shape, requests[i][2].shape[1]
 
-    outcomes: list[Estimate | Exception] = [None] * len(pairs)
-    for group in _groups(range(len(pairs)), key):
-        try:
-            signals = _linear(
-                pairs[group[0]][0].estimator,
-                *(_stack([requests[i][part] for i in group]) for part in range(3)),
-            )
-        except Exception as exc:
-            signals = [copy.copy(exc) for _ in group]
-        for i, signal_hat in zip(group, signals):
-            y1, _, _, logged = requests[i]
-            if isinstance(signal_hat, Exception):
-                outcomes[i] = signal_hat
-            else:
-                mu_hat = np.expm1(signal_hat) if logged else signal_hat
-                outcomes[i] = Estimate(signal_hat, y1 - signal_hat, mu_hat, None, None)
+    def run(group):
+        stacks = (_stack([requests[i][part] for i in group]) for part in range(3))
+        return _linear(pairs[group[0]][0].estimator, *stacks)
+
+    signals = _by_group([None] * len(pairs), range(len(pairs)), key, run)
+    outcomes: list[Estimate | Exception] = []
+    for (y1, _, _, logged), signal_hat in zip(requests, signals):
+        if isinstance(signal_hat, Exception):
+            outcomes.append(signal_hat)
+        else:
+            mu_hat = np.expm1(signal_hat) if logged else signal_hat
+            outcomes.append(Estimate(signal_hat, y1 - signal_hat, mu_hat, None, None))
     return outcomes
 
 
@@ -573,14 +551,12 @@ def estimates(
     todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
     sglm = [i for i in todo if pairs[i][0].estimator == SGLM]
     linear = [i for i in todo if pairs[i][0].estimator in (HALF_SIBLING, THREE_QUARTER)]
-    cell_panels: dict[tuple[int, int], Panel] = {}  # made once per panel and q
     requests = []
     for i in sglm:
         spec, (panel, _, residuals, _) = pairs[i]
-        key = id(panel), spec.q
-        if key not in cell_panels:
-            cell_panels[key] = _cell_panel(panel, spec.q)
-        requests.append((cell_panels[key], residuals[spec.residual_kind][0][:, : spec.q]))
+        if panel.q > spec.q:  # the panel of the first q series
+            panel = Panel(panel.design, panel.responses[:, : spec.q], panel.family)
+        requests.append((panel, residuals[spec.residual_kind][0][:, : spec.q]))
     for i, outcome in zip(sglm, denoise_all(requests, include_x, strategy)):
         outcomes[i] = outcome
     for i, outcome in zip(linear, _linear_estimates([pairs[i] for i in linear])):

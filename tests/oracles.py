@@ -9,8 +9,10 @@ from sibglm.inference import SandwichCovariance
 from sibglm.residuals import compute
 from sibglm.sibling import (
     Estimate,
-    _noise_from_residuals,
-    _shared_component,
+    _base,
+    _one,
+    _proxies,
+    _shared_components,
     half_sibling,
     three_quarter_sibling,
 )
@@ -60,6 +62,12 @@ def residual_form_equivalence(y1, y2, x=None) -> tuple[np.ndarray, np.ndarray]:
     return lhs, rhs
 
 
+def lone_proxy(resid, target, x, include_x, strategy) -> np.ndarray:
+    """The ``strategy``'s noise proxy from the residual matrix ``resid``: a
+    stack of one through ``sibling._proxies``, raising its exception."""
+    return _one(_proxies(resid[None], target, _base(x, include_x)[None], strategy))
+
+
 def qr_noise_proxy(resid, target, x, include_x) -> np.ndarray:
     """The ``regression`` noise proxy as two QR least-squares fits.
 
@@ -67,12 +75,12 @@ def qr_noise_proxy(resid, target, x, include_x) -> np.ndarray:
     and on the baseline ``[1, x]`` (``x`` only when ``include_x``, without
     its constant columns), each by ``glm.ols``, and the proxy is the
     difference. The baseline is fitted first, so a design's row and rank
-    errors come in that order. ``sibling._noise_from_residuals`` must agree
-    to rounding, and raise the same errors.
+    errors come in that order. ``lone_proxy`` must agree to rounding, and
+    raise the same errors.
     """
     m = resid.shape[0]
     r1 = resid[:, target]
-    shared = _shared_component(np.delete(resid, target, axis=1))
+    shared = _shared_components(np.delete(resid, target, axis=1)[None])[0]
     ones = np.ones((m, 1))
     xc = x[:, np.ptp(x, axis=0) > 0.0] if include_x else np.empty((m, 0))
     baseline = np.column_stack([ones, xc])
@@ -98,7 +106,7 @@ def lone_sglm(panel, resid, include_x, strategy) -> Estimate:
     """
     if resid.shape != panel.responses.shape:
         raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
-    nhat = _noise_from_residuals(resid, panel.target_index, panel.design.x, include_x, strategy)
+    nhat = lone_proxy(resid, panel.target_index, panel.design.x, include_x, strategy)
     design = Design(
         np.column_stack([panel.design.x, nhat]), (*panel.design.column_names, "noise_hat")
     )

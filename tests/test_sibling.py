@@ -34,12 +34,13 @@ from sibglm.sibling import (
     HALF_SIBLING,
     THREE_QUARTER,
     _base,
+    _fit_step,
     _kept,
     _least_squares,
     _linear,
-    _noise_from_residuals,
     _proxies,
     denoise_all,
+    estimates,
     half_sibling,
     run_estimator,
     sglm_denoise,
@@ -49,6 +50,7 @@ from sibglm.simulate import SimConfig, generate, replicate_seed, to_panel
 
 from oracles import (
     informative_columns_per_column,
+    lone_proxy,
     lone_sglm,
     qr_noise_proxy,
     residual_form_equivalence,
@@ -245,10 +247,10 @@ class TestEstimateNoise:
         resid = rng.normal(size=(100, 5))
         x = np.column_stack([np.ones(100), rng.normal(size=100)])
         for strategy in ("regression", MEAN_OF_RESIDUALS):
-            base = _noise_from_residuals(resid, 0, x, False, strategy)
+            base = lone_proxy(resid, 0, x, False, strategy)
             shifted = resid.copy()
             shifted[:, 1:] += 4.2
-            moved = _noise_from_residuals(shifted, 0, x, False, strategy)
+            moved = lone_proxy(shifted, 0, x, False, strategy)
             assert np.allclose(base, moved, atol=1e-10)
 
     def test_unknown_strategy(self):
@@ -285,7 +287,7 @@ class TestRegressionProxy:
             return exc
 
     def _assert_same_error(self, resid, x, include_x):
-        got = self._outcome(_noise_from_residuals, resid, 0, x, include_x, "regression")
+        got = self._outcome(lone_proxy, resid, 0, x, include_x, "regression")
         want = self._outcome(qr_noise_proxy, resid, 0, x, include_x)
         assert type(got) is type(want) is SingularDesignError
         assert str(got) == str(want)
@@ -307,7 +309,7 @@ class TestRegressionProxy:
             for target in (0, 3):
                 for q in (2, 6):
                     args = (resid[:, :q], target % q, x, include_x)
-                    got = _noise_from_residuals(*args, "regression")
+                    got = lone_proxy(*args, "regression")
                     want = qr_noise_proxy(*args)
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
                     # the proxy is orthogonal to the baseline columns
@@ -592,6 +594,20 @@ class TestRunEstimator:
         with pytest.raises(ValueError, match="^unknown estimator 'ridge'$"):
             run_estimator(panel, "ridge")
 
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_a_cell_wider_than_its_panel_fails(self, estimator):
+        fam = poisson()
+        panel = to_panel(generate(SimConfig(fam, m=40, q=3, seed=8)), fam)
+        spec = CellSpec(6, estimator)
+        (outcome,) = estimates([(spec, (panel, *_fit_step(panel, [spec]), None))])
+        assert type(outcome) is ValueError
+        assert str(outcome) == "the cell needs q=6 series, the panel has 3"
+
+    @pytest.mark.parametrize("q, estimator", [(1, SGLM), (1, HALF_SIBLING), (0, "glm")])
+    def test_a_cell_needs_an_auxiliary_series(self, q, estimator):
+        with pytest.raises(ValueError, match=r"^q_grid entries must be >= 2 \(target plus"):
+            CellSpec(q, estimator)
+
 
 def _lone_outcome(panel, resid, include_x, strategy):
     """``lone_sglm``'s estimate, or the exception it raises."""
@@ -740,7 +756,7 @@ class TestStackedKernels:
         got = _each_request(kernel, len(requests))
         for (panel, resid), outcome in zip(requests, got):
             x = panel.design.x
-            _assert_bitwise(outcome, _outcome(_noise_from_residuals, resid, 0, x, include_x, strategy))
+            _assert_bitwise(outcome, _outcome(lone_proxy, resid, 0, x, include_x, strategy))
         if strategy == "regression":
             assert str(got[2]) == "design matrix is rank deficient"
         assert sum(isinstance(o, Exception) for o in got) == (strategy == "regression")
@@ -772,6 +788,21 @@ class TestStackedKernels:
                 lone = _outcome(three_quarter_sibling, panel.design.x, y[:, 0], y[:, 1:])
             _assert_bitwise(outcome, lone)
         assert [isinstance(o, SingularDesignError) for o in got] == [False] * 4 + [True, False]
+
+    def test_a_sub_group_that_raises_fails_alone(self):
+        # m=5 and five siblings: the requests that keep all five have full
+        # designs wider than their rows, so their sub-group's least-squares
+        # call raises; the requests that keep three and four fit
+        rng = np.random.default_rng(3)
+        y1, y2 = rng.normal(size=(4, 5)), rng.normal(size=(4, 5, 5))
+        y2[1, :, 3:] = 0.7
+        y2[2, :, 4] = -1.2
+        got = _linear(HALF_SIBLING, y1, y2, np.ones((4, 5, 1)))
+        for j, outcome in enumerate(got):
+            _assert_bitwise(outcome, _outcome(half_sibling, y1[j], y2[j]))
+        wide = "need at least as many rows as columns, got (5, 6)"
+        errors = [str(outcome) if isinstance(outcome, Exception) else None for outcome in got]
+        assert errors == [wide, None, None, wide]
 
     @pytest.mark.parametrize("kind", RESIDUAL_KINDS)
     def test_residual_columns(self, kind):
