@@ -420,9 +420,9 @@ def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:
     all the systems in one batched call. Each column step-halves and
     stops on its own, and every product is formed one column at a time,
     so column j's fit is bitwise the one ``fit_glm`` gives for it alone,
-    whatever the other columns are. Every ``sglm`` refit, one design per
-    target, goes through the same loop with a stack of designs
-    (``sibling.denoise_all``).
+    whatever the other columns are. Every ``sglm`` refit of a
+    ``sibling.estimates`` call, one design per target, goes through the
+    same loop with a stack of designs.
 
     Raises ``SingularDesignError`` for rank-deficient designs,
     ``DomainError`` for responses outside the family support, and

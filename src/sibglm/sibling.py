@@ -25,24 +25,27 @@ natural-parameter estimate.
 ``estimates`` is the one place that branches on the estimator, and
 ``_fit_step`` decides which GLM fits and residuals it needs. The
 ``denoise`` command's ``run_estimator`` makes one ``(spec, step)`` pair of
-it; a study makes one call for every cell and replicate of a block. The
-linear sibling estimators operate on log1p-transformed responses for the
-Poisson and Gamma families (the standard count transformation the
+it; a study makes one call for every cell and replicate of a block. Each
+cell denoises its panel's own target among the panel's first q series.
+The linear sibling estimators operate on log1p-transformed responses for
+the Poisson and Gamma families (the standard count transformation the
 comparison is about) and on the raw responses otherwise; they estimate
 the denoised series directly, so only MSE and the noise correlation are
 defined for them.
 
-The small least-squares work of a call is stacked by ``_by_group``. The
-``sglm`` proxies of one residual shape, target and baseline width come
-from one ``_proxies`` call; the linear estimates of one estimator, q, m
-and baseline width from one ``_linear`` call, which makes one
-least-squares call on the baseline columns and one on the full designs
-for each number of sibling columns a request keeps. Every product and
-solve in a stack is the lone call's, one BLAS or LAPACK call per request
-with the same shapes and strides, so each request's output is bitwise
-its lone call's whatever the stack, and a failing request gets its own
-exception. ``half_sibling`` and ``three_quarter_sibling`` are the stacks
-of one. Residuals are computed series by series (``residuals.columns``).
+``estimates`` makes one pass. One ``_by_group`` call stacks the small
+least-squares work of the call: the ``sglm`` proxies of one target and
+residual and baseline shape come from one ``_proxies`` call; the linear
+estimates of one estimator, target, q, m and baseline width from one
+``_linear`` call, which makes one least-squares call on the baseline
+columns and one on the full designs for each number of sibling columns a
+request keeps. Every product and solve in a stack is the lone call's,
+one BLAS or LAPACK call per request with the same shapes and strides, so
+each request's output is bitwise its lone call's whatever the stack, and
+a failing request gets its own exception. All ``sglm`` refits then go
+through one ``glm._fit_rows`` call. ``half_sibling`` and
+``three_quarter_sibling`` are the stacks of one. Residuals are computed
+series by series (``residuals.columns``).
 """
 
 from __future__ import annotations
@@ -360,86 +363,6 @@ def _proxies(resid: np.ndarray, target: int, base: np.ndarray, strategy: str) ->
     return _outcomes(ok, values, rank_error)
 
 
-def denoise_all(
-    requests: list[tuple[Panel, np.ndarray]],
-    include_x: bool = False,
-    strategy: str = REGRESSION,
-) -> list[Estimate | Exception]:
-    """Steps 3 and 4 for each ``(panel, resid)`` request: noise proxy,
-    refit, denoised signal.
-
-    ``resid`` holds the panel's residuals of one kind, a column per
-    series, computed from one GLM fit per series. The ``regression``
-    strategy condenses the auxiliary residual columns into their shared
-    component (see ``_shared_components``; with one auxiliary this is
-    just its centered residual), regresses the target residuals on it
-    (plus covariates when ``include_x``), and takes the difference
-    between that fit and the baseline fit as the proxy, which is mean
-    zero by construction. By the Frisch-Waugh-Lovell theorem that
-    difference is one projection (see ``_proxies``). The
-    ``mean_of_residuals`` strategy instead averages the auxiliary residual
-    columns and centers the result; it is only sensible when every series
-    loads on the noise with the same sign. The requests of one residual
-    shape, target and baseline width form a group, whose proxies come from
-    one ``_proxies`` call, each bitwise the request's lone proxy.
-
-    The target is then refitted on the panel's design plus the proxy as a
-    last column named ``noise_hat``; the covariate-only part of the refit
-    linear predictor is the denoised signal. The panels share one family
-    and one design shape, and each takes its own target. All refits go
-    through one ``glm._fit_rows`` call, so each is bitwise the target's
-    lone ``fit_glm`` on that design. Returns, in request order, each
-    request's ``Estimate`` or the exception its proxy, refit design or
-    refit raised. An error ``_fit_rows`` raises for the whole call (a
-    Gamma design with no constant column) reaches the caller.
-    """
-    outcomes: list[Estimate | Exception | None] = [None] * len(requests)
-    bases = []
-    for i, (panel, resid) in enumerate(requests):
-        if resid.shape != panel.responses.shape:
-            outcomes[i] = ValueError(f"residuals of shape {resid.shape} do not match the panel")
-        bases.append(_base(panel.design.x, include_x))
-    live = [i for i in range(len(requests)) if outcomes[i] is None]
-
-    def key(i):
-        return requests[i][1].shape, requests[i][0].target_index, bases[i].shape[1]
-
-    def run(group):
-        resid = _stack([requests[i][1] for i in group])
-        base = _stack([bases[i] for i in group])
-        return _proxies(resid, requests[group[0]][0].target_index, base, strategy)
-
-    _by_group(outcomes, live, key, run)
-    staged = []
-    for i, (panel, _) in enumerate(requests):
-        nhat = outcomes[i]
-        if isinstance(nhat, Exception):
-            continue
-        try:
-            design = Design(
-                np.column_stack([panel.design.x, nhat]),
-                (*panel.design.column_names, "noise_hat"),
-            )
-        except Exception as exc:
-            outcomes[i] = exc
-            continue
-        staged.append((i, panel, nhat, design))
-    if not staged:
-        return outcomes
-    refits = _fit_rows(
-        np.stack([design.x for *_, design in staged]),
-        np.stack([panel.responses[:, panel.target_index] for _, panel, *_ in staged]),
-        staged[0][1].family,
-    )
-    for (i, panel, nhat, design), refit in zip(staged, refits):
-        if isinstance(refit, Exception):
-            outcomes[i] = refit
-        else:
-            signal_hat = panel.design.x @ refit.beta[: panel.design.p]
-            outcomes[i] = Estimate(signal_hat, nhat, refit.mu, refit, design)
-    return outcomes
-
-
 @dataclass(frozen=True)
 class CellSpec:
     """One estimator run, and one study cell: a (q, estimator, residual kind)
@@ -482,58 +405,27 @@ def _fit_step(panel: Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
 def _failure(spec: CellSpec, step) -> Exception | None:
     """What fails ``spec`` on a step ``(panel, fits, residuals, error)``, in
     the order its own pipeline meets it: one of its q series not made
-    (``error``, or a ``ValueError`` if none), a fit its estimator needs,
-    named as ``fit_glms`` names it (on a copy, since one exception serves
-    several specs), a residual of its kind."""
+    (``error``, or a ``ValueError`` if none), the panel's target not among
+    them, a fit its estimator needs, named as ``fit_glms`` names it (on a
+    copy, since one exception serves several specs), a residual of its
+    kind, an unknown estimator."""
     panel, fits, residuals, error = step
     if panel is None:
         return error
     if panel.q < spec.q:
         return error or ValueError(f"the cell needs q={spec.q} series, the panel has {panel.q}")
+    if panel.target_index >= spec.q:
+        t = panel.target_index
+        return ValueError(f"target series {t} is not among the cell's q={spec.q} series")
     needed = _needed({spec.estimator}, spec.q, panel.target_index)
     for j in needed:
         if isinstance(fits[j], Exception):
             return _for_series(copy.copy(fits[j]), j, len(needed))
     if spec.estimator == SGLM and residuals[spec.residual_kind][0].shape[1] < spec.q:
         return residuals[spec.residual_kind][1]
+    if spec.estimator not in ESTIMATORS:
+        return ValueError(f"unknown estimator {spec.estimator!r}")
     return None
-
-
-def _linear_estimates(pairs: list[tuple[CellSpec, tuple]]) -> list[Estimate | Exception]:
-    """The linear estimate of each ``(spec, step)`` pair with no ``_failure``,
-    or its exception. The pairs of one estimator, q, m and base width (the
-    three-quarter estimator's non-constant covariates) go through one
-    ``_linear`` call. Each panel's responses are put on the working scale,
-    and its base columns made, once; a cell takes its first q series."""
-    made: dict[int, tuple] = {}
-    requests = []
-    for spec, (panel, *_) in pairs:
-        if id(panel) not in made:
-            logged = panel.family.kind in (POISSON, GAMMA)
-            ty = np.log1p(panel.responses) if logged else panel.responses
-            # the design's intercept is constant, so the three-quarter estimator drops it
-            made[id(panel)] = ty, _base(panel.design.x, True), logged
-        ty, x_base, logged = made[id(panel)]
-        ty, t = ty[:, : spec.q], panel.target_index
-        base = x_base if spec.estimator == THREE_QUARTER else np.ones((panel.m, 1))
-        requests.append((ty[:, t], np.delete(ty, t, axis=1), base, logged))
-
-    def key(i):
-        return pairs[i][0].estimator, requests[i][1].shape, requests[i][2].shape[1]
-
-    def run(group):
-        stacks = (_stack([requests[i][part] for i in group]) for part in range(3))
-        return _linear(pairs[group[0]][0].estimator, *stacks)
-
-    signals = _by_group([None] * len(pairs), range(len(pairs)), key, run)
-    outcomes: list[Estimate | Exception] = []
-    for (y1, _, _, logged), signal_hat in zip(requests, signals):
-        if isinstance(signal_hat, Exception):
-            outcomes.append(signal_hat)
-        else:
-            mu_hat = np.expm1(signal_hat) if logged else signal_hat
-            outcomes.append(Estimate(signal_hat, y1 - signal_hat, mu_hat, None, None))
-    return outcomes
 
 
 def estimates(
@@ -543,30 +435,98 @@ def estimates(
 
     A step ``(panel, fits, residuals, error)`` holds a panel, the
     ``_fit_step`` of its specs on it, and the error that cut its series
-    short, if any. A pair with a ``_failure`` gets it; the other ``sglm``
-    pairs go through one ``denoise_all`` call, the linear ones through
-    ``_linear_estimates``, and a ``glm`` pair takes its target's fit.
+    short, if any. A pair with a ``_failure`` gets it, and a ``glm`` pair
+    takes its target's fit. Every spec denoises the panel's own target
+    among its first q series.
+
+    The other pairs take their arrays from the step: an ``sglm`` pair the
+    first q columns of its residual matrix and its base columns (the
+    intercept, plus the non-constant covariates when ``include_x``); a
+    linear pair its target and siblings among the first q series, on the
+    working scale (made once per panel), and its base columns (the
+    intercept, plus the non-constant covariates for ``THREE_QUARTER``).
+    The pairs of one estimator, target and array shapes form a group, and
+    one ``_by_group`` call gives each group's stack to ``_proxies`` or
+    ``_linear``, so each outcome is bitwise its lone call's.
+
+    Step 3's ``regression`` proxy is the projection of the target's
+    residuals on the shared component of its auxiliaries' residuals
+    (``_shared_components``), both residualised on the base columns;
+    ``mean_of_residuals`` centers the auxiliaries' mean residual, which is
+    only sensible when every series loads on the noise with the same sign.
+    In step 4 the target is refitted on its design plus the proxy as a
+    last column named ``noise_hat``, and the covariate-only part of the
+    refit linear predictor is the denoised signal. The panels share one
+    family and one design shape, and all refits go through one
+    ``glm._fit_rows`` call, so each is bitwise the target's lone
+    ``fit_glm`` on that design; an error that call raises for the whole
+    stack (a Gamma design with no constant column) reaches the caller.
     """
     outcomes = [_failure(spec, step) for spec, step in pairs]
-    todo = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    sglm = [i for i in todo if pairs[i][0].estimator == SGLM]
-    linear = [i for i in todo if pairs[i][0].estimator in (HALF_SIBLING, THREE_QUARTER)]
-    requests = []
-    for i in sglm:
-        spec, (panel, _, residuals, _) = pairs[i]
-        if panel.q > spec.q:  # the panel of the first q series
-            panel = Panel(panel.design, panel.responses[:, : spec.q], panel.family)
-        requests.append((panel, residuals[spec.residual_kind][0][:, : spec.q]))
-    for i, outcome in zip(sglm, denoise_all(requests, include_x, strategy)):
-        outcomes[i] = outcome
-    for i, outcome in zip(linear, _linear_estimates([pairs[i] for i in linear])):
-        outcomes[i] = outcome
-    for i in todo:
-        spec, (panel, fits, _, _) = pairs[i]
+    panels = [panel for _, (panel, *_) in pairs]
+    made: dict[int, tuple] = {}
+    arrays: dict[int, tuple] = {}
+    for i, (spec, (panel, fits, residuals, _)) in enumerate(pairs):
+        if outcomes[i] is not None:
+            continue
+        t = panel.target_index
         if spec.estimator == GLM_ESTIMATOR:
-            outcomes[i] = Estimate.of_fit(fits[panel.target_index], panel.design)
-        elif outcomes[i] is None:
-            outcomes[i] = ValueError(f"unknown estimator {spec.estimator!r}")
+            outcomes[i] = Estimate.of_fit(fits[t], panel.design)
+        elif spec.estimator == SGLM:
+            resid = residuals[spec.residual_kind][0][:, : spec.q]
+            arrays[i] = resid, _base(panel.design.x, include_x)
+        else:
+            if id(panel) not in made:
+                logged = panel.family.kind in (POISSON, GAMMA)
+                # the design's intercept is constant, so the three-quarter estimator drops it
+                ty = np.log1p(panel.responses) if logged else panel.responses
+                made[id(panel)] = ty, _base(panel.design.x, True), logged
+            ty, x_base, _ = made[id(panel)]
+            ty = ty[:, : spec.q]
+            base = x_base if spec.estimator == THREE_QUARTER else np.ones((panel.m, 1))
+            arrays[i] = ty[:, t], np.delete(ty, t, axis=1), base
+
+    def key(i):
+        return pairs[i][0].estimator, panels[i].target_index, *(a.shape for a in arrays[i])
+
+    def run(group):
+        stacks = [_stack(parts) for parts in zip(*(arrays[i] for i in group))]
+        estimator = pairs[group[0]][0].estimator
+        if estimator == SGLM:
+            return _proxies(stacks[0], panels[group[0]].target_index, stacks[1], strategy)
+        return _linear(estimator, *stacks)
+
+    _by_group(outcomes, list(arrays), key, run)
+    staged = []
+    for i in arrays:
+        panel, value = panels[i], outcomes[i]
+        if isinstance(value, Exception):
+            continue
+        if pairs[i][0].estimator != SGLM:
+            mu_hat = np.expm1(value) if made[id(panel)][2] else value
+            outcomes[i] = Estimate(value, arrays[i][0] - value, mu_hat, None, None)
+            continue
+        try:
+            x, names = np.column_stack([panel.design.x, value]), panel.design.column_names
+            staged.append((i, value, Design(x, (*names, "noise_hat"))))
+        except Exception as exc:
+            outcomes[i] = exc
+    # free the linear inputs before the refits build their stacks
+    arrays.clear()
+    made.clear()
+    if not staged:
+        return outcomes
+    refits = _fit_rows(
+        np.stack([design.x for *_, design in staged]),
+        np.stack([panels[i].responses[:, panels[i].target_index] for i, *_ in staged]),
+        panels[staged[0][0]].family,
+    )
+    for (i, nhat, design), refit in zip(staged, refits):
+        if isinstance(refit, Exception):
+            outcomes[i] = refit
+        else:
+            signal_hat = panels[i].design.x @ refit.beta[: panels[i].design.p]
+            outcomes[i] = Estimate(signal_hat, nhat, refit.mu, refit, design)
     return outcomes
 
 

@@ -101,11 +101,11 @@ def lone_sglm(panel, resid, include_x, strategy) -> Estimate:
     """Steps 3 and 4 of ``sglm`` for one panel, with the target refitted
     alone by ``fit_glm`` on its design plus the proxy as a last column.
 
-    ``sibling.denoise_all`` must give, for each request, this estimate bit
-    for bit, or the exception this raises, with the same type and message.
+    ``sibling.estimates`` must give an ``sglm`` cell of q series on a panel
+    whose first q series are ``panel``, with ``resid`` as their residuals,
+    this estimate bit for bit, or the exception this raises, with the same
+    type and message.
     """
-    if resid.shape != panel.responses.shape:
-        raise ValueError(f"residuals of shape {resid.shape} do not match the panel")
     nhat = lone_proxy(resid, panel.target_index, panel.design.x, include_x, strategy)
     design = Design(
         np.column_stack([panel.design.x, nhat]), (*panel.design.column_names, "noise_hat")

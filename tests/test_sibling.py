@@ -34,12 +34,12 @@ from sibglm.sibling import (
     HALF_SIBLING,
     THREE_QUARTER,
     _base,
+    _failure,
     _fit_step,
     _kept,
     _least_squares,
     _linear,
     _proxies,
-    denoise_all,
     estimates,
     half_sibling,
     run_estimator,
@@ -470,9 +470,7 @@ class TestSglmDenoise:
         )
         with pytest.raises(SingularDesignError, match="^weighted design is numerically singular$"):
             sglm_denoise(bad)
-        requests = [(p, residual_matrix(p, fit_glms(p.design, p.responses, fam), "fisher"))
-                    for p in (bad, good)]
-        bad_outcome, good_outcome = denoise_all(requests)
+        bad_outcome, good_outcome = estimates([_pair(CellSpec(2, SGLM), p) for p in (bad, good)])
         assert isinstance(bad_outcome, SingularDesignError)
         _assert_same_estimate(good_outcome, sglm_denoise(good))
         # in a study, the cell fails with that note instead of the study raising
@@ -598,15 +596,34 @@ class TestRunEstimator:
     def test_a_cell_wider_than_its_panel_fails(self, estimator):
         fam = poisson()
         panel = to_panel(generate(SimConfig(fam, m=40, q=3, seed=8)), fam)
-        spec = CellSpec(6, estimator)
-        (outcome,) = estimates([(spec, (panel, *_fit_step(panel, [spec]), None))])
+        (outcome,) = estimates([_pair(CellSpec(6, estimator), panel)])
         assert type(outcome) is ValueError
         assert str(outcome) == "the cell needs q=6 series, the panel has 3"
+
+    def test_a_narrow_cell_denoises_the_panels_target(self):
+        fam = poisson()
+        panel = to_panel(generate(SimConfig(fam, m=80, q=5, seed=8)), fam, target_index=1)
+        (got,) = estimates([_pair(CellSpec(3, SGLM), panel)])
+        alone = Panel(panel.design, panel.responses[:, :3], fam, 1)
+        _assert_same_estimate(got, sglm_denoise(alone))
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_a_target_beyond_the_cell_fails(self, estimator):
+        fam = poisson()
+        panel = to_panel(generate(SimConfig(fam, m=40, q=5, seed=8)), fam, target_index=3)
+        (outcome,) = estimates([_pair(CellSpec(2, estimator), panel)])
+        assert type(outcome) is ValueError
+        assert str(outcome) == "target series 3 is not among the cell's q=2 series"
 
     @pytest.mark.parametrize("q, estimator", [(1, SGLM), (1, HALF_SIBLING), (0, "glm")])
     def test_a_cell_needs_an_auxiliary_series(self, q, estimator):
         with pytest.raises(ValueError, match=r"^q_grid entries must be >= 2 \(target plus"):
             CellSpec(q, estimator)
+
+
+def _pair(spec, panel):
+    """``spec`` and its own step on ``panel``, as ``run_estimator`` pairs them."""
+    return spec, (panel, *_fit_step(panel, [spec]), None)
 
 
 def _lone_outcome(panel, resid, include_x, strategy):
@@ -632,57 +649,56 @@ def _assert_same_outcome(got, want):
         _assert_same_estimate(got, want)
 
 
-class TestDenoiseAll:
-    """One ``denoise_all`` call answers each request, in request order, with
-    the lone refit's estimate bit for bit or with its exception."""
+class TestSglmEstimates:
+    """One ``estimates`` call answers each ``sglm`` pair, in pair order, with
+    the lone refit's estimate on the panel of its first q series, bit for
+    bit, or with its exception."""
 
     @staticmethod
-    def _requests():
-        def fisher(panel):
-            return residual_matrix(panel, fit_glms(panel.design, panel.responses, fam), "fisher")
-
+    def _cells():
+        """Each pair, with the panel of its cell's first q series and that
+        panel's residuals."""
         fam = gaussian(1.0)
         truth = generate(SimConfig(fam, m=30, q=5, sigma_eps=0.3, seed=4))
-        panel = to_panel(truth, fam)
+        panel, other_target = to_panel(truth, fam), to_panel(truth, fam, target_index=2)
         # auxiliaries exactly linear in x: their residuals are rounding error
         x = truth.x
         y = 1 + 0.5 * x + np.random.default_rng(1).normal(0, 0.3, len(x))
         linear = Panel(panel.design, np.column_stack([y, 1 + 2 * x, 2 - x]), fam)
-        return [
-            (panel, fisher(panel)),
-            (panel, fisher(panel)[:, :3]),
-            (linear, fisher(linear)),
-            (to_panel(truth, fam, target_index=2), fisher(panel)),
-        ]
+        cells = []
+        for whole, q in [(panel, 5), (panel, 3), (linear, 3), (other_target, 5), (other_target, 3)]:
+            alone = Panel(whole.design, whole.responses[:, :q], fam, whole.target_index)
+            resid = residual_matrix(alone, fit_glms(alone.design, alone.responses, fam), "fisher")
+            cells.append((_pair(CellSpec(q, SGLM), whole), alone, resid))
+        return cells
 
     @pytest.mark.parametrize("include_x", [False, True])
     @pytest.mark.parametrize(
         "strategy, failures",
         [
-            ("regression", [None, ValueError, None, None]),
-            (MEAN_OF_RESIDUALS, [None, ValueError, SingularDesignError, None]),
-            ("ridge", [ValueError] * 4),
+            ("regression", [None] * 5),
+            (MEAN_OF_RESIDUALS, [None, None, SingularDesignError, None, None]),
+            ("ridge", [ValueError] * 5),
         ],
     )
-    def test_mixed_batch_is_each_request_alone(self, strategy, failures, include_x):
-        requests = self._requests()
-        got = denoise_all(requests, include_x, strategy)
-        assert len(got) == len(requests)
-        for outcome, failure, (panel, resid) in zip(got, failures, requests):
-            _assert_same_outcome(outcome, _lone_outcome(panel, resid, include_x, strategy))
+    def test_mixed_batch_is_each_pair_alone(self, strategy, failures, include_x):
+        cells = self._cells()
+        got = estimates([pair for pair, *_ in cells], include_x, strategy)
+        assert len(got) == len(cells)
+        for outcome, failure, (_, alone, resid) in zip(got, failures, cells):
+            _assert_same_outcome(outcome, _lone_outcome(alone, resid, include_x, strategy))
             assert type(outcome) is (failure or sibglm.sibling.Estimate)
         if strategy == MEAN_OF_RESIDUALS:
             assert str(got[2]) == "design matrix is rank deficient"
-        assert got[1].args[0].startswith("residuals of shape (30, 3)")
 
     def test_refit_errors_keep_their_last_fit(self, monkeypatch):
-        requests = self._requests()
+        cells = self._cells()
         monkeypatch.setattr(sibglm.glm, "MAX_ITER", 0)
-        got = denoise_all(requests)
-        for outcome, (panel, resid) in zip(got, requests):
-            _assert_same_outcome(outcome, _lone_outcome(panel, resid, False, "regression"))
-        assert [type(o) for o in got] == [ConvergenceError, ValueError] + [ConvergenceError] * 2
-        assert all(o.last_fit.iterations == 0 for o in got if isinstance(o, ConvergenceError))
+        got = estimates([pair for pair, *_ in cells])
+        for outcome, (_, alone, resid) in zip(got, cells):
+            _assert_same_outcome(outcome, _lone_outcome(alone, resid, False, "regression"))
+        assert [type(o) for o in got] == [ConvergenceError] * 5
+        assert all(o.last_fit.iterations == 0 for o in got)
 
 
 def _sub_stacks(n: int, seed: int):
@@ -866,11 +882,21 @@ class TestBatchedStudy:
         assert draws == [max(c.q for c in cells)] * study.replicates
         alone = [run_study(study, [spec])[0][0] for spec in cells]
 
-        def lone_denoise_all(requests, include_x, strategy):
-            return [_lone_outcome(panel, resid, include_x, strategy) for panel, resid in requests]
+        def lone_estimates(pairs, include_x, strategy):
+            # each live sglm cell refitted by lone_sglm on the panel of its first q series
+            outcomes = []
+            for spec, step in pairs:
+                panel, _, residuals, _ = step
+                if spec.estimator != SGLM or _failure(spec, step) is not None:
+                    outcomes += estimates([(spec, step)], include_x, strategy)
+                    continue
+                alone = Panel(panel.design, panel.responses[:, : spec.q], panel.family)
+                resid = residuals[spec.residual_kind][0][:, : spec.q]
+                outcomes.append(_lone_outcome(alone, resid, include_x, strategy))
+            return outcomes
 
         with monkeypatch.context() as patched:
-            patched.setattr(sibglm.sibling, "denoise_all", lone_denoise_all)
+            patched.setattr(sibglm.sibling, "estimates", lone_estimates)
             lone = [run_study(study, [spec])[0][0] for spec in cells]
         for result, *references in zip(results, alone, lone):
             for reference in references:
