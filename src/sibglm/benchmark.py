@@ -88,11 +88,10 @@ class CellResult:
 def _shared_replicate(study: Study, cells: list[CellSpec], index: int):
     """Generate replicate ``index`` at the cells' largest q once and fit what they share.
 
-    Returns its truth and its step ``(panel, fits, residuals, error)``: the
+    Returns its truth and the ``sibling._fit_step`` of the cells on the
     series made before ``error``, the ``GenerationError`` if one cut them
     short, as a panel (None for fewer than two) whose first q series are
-    bitwise those ``generate`` gives at that q, and ``sibling._fit_step``'s
-    fits and residuals."""
+    bitwise those ``generate`` gives at that q."""
     q = max(c.q for c in cells)
     seed = replicate_seed(study.master_seed, index)
     config = SimConfig(study.family, study.m, q, study.sigma_eps, seed, study.noise_scheme)
@@ -100,10 +99,8 @@ def _shared_replicate(study: Study, cells: list[CellSpec], index: int):
         truth, error = generate(config), None
     except GenerationError as exc:
         truth, error = exc.truth, exc
-    if truth.y.shape[1] < 2:
-        return truth, (None, {}, {}, error)
-    panel = to_panel(truth, study.family)
-    return truth, (panel, *sibling._fit_step(panel, cells), error)
+    panel = to_panel(truth, study.family) if truth.y.shape[1] >= 2 else None
+    return truth, sibling._fit_step(panel, cells, error)
 
 
 def run_cell(truth: SimTruth, estimate: Estimate) -> MetricsRecord:

@@ -73,19 +73,7 @@ def read_panel(path: str) -> PanelData:
     header: list[str] | None = None
     blocks: list[np.ndarray] = []
     rows: list[list[str]] = []  # data rows not parsed yet
-    parsed = 0  # data rows before ``rows``
     cell_error: PanelFormatError | None = None
-
-    def parse_rows() -> None:
-        nonlocal rows, parsed, cell_error
-        if cell_error is None:
-            try:
-                blocks.append(_parse_rows(path, header, rows, parsed))
-            except PanelFormatError as exc:
-                cell_error = exc
-        parsed += len(rows)
-        rows = []
-
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -106,12 +94,13 @@ def read_panel(path: str) -> PanelData:
                 )
             rows.append(cells)
             if len(rows) == _BLOCK_ROWS:
-                parse_rows()
+                cell_error = cell_error or _parse_rows(path, header, rows, blocks)
+                rows = []
     if rows:
-        parse_rows()
+        cell_error = cell_error or _parse_rows(path, header, rows, blocks)
     if header is None:
         raise PanelFormatError(f"{path}: no header row found")
-    if not parsed:
+    if not blocks and cell_error is None:
         raise PanelFormatError(f"{path}: no data rows")
     if cell_error is not None:
         raise cell_error
@@ -142,8 +131,11 @@ def read_panel(path: str) -> PanelData:
     )
 
 
-def _parse_rows(path: str, header: list[str], rows: list[list[str]], first: int) -> np.ndarray:
-    """Rows of cells as floats; ``first`` data rows precede them in the file.
+def _parse_rows(
+    path: str, header: list[str], rows: list[list[str]], blocks: list[np.ndarray]
+) -> PanelFormatError | None:
+    """Append the rows of cells, as floats, to ``blocks``, the full blocks that
+    precede them in the file, or return the first bad cell's error.
 
     numpy converts each cell with Python's ``float``. Only when that fails
     does the per-cell loop run: it names the first bad cell, or parses a
@@ -151,24 +143,27 @@ def _parse_rows(path: str, header: list[str], rows: list[list[str]], first: int)
     ``float`` alone rejects, such as ``"\\x1f"``.
     """
     try:
-        return np.array(rows, dtype=float)
+        blocks.append(np.array(rows, dtype=float))
+        return None
     except ValueError:
         pass
+    first = len(blocks) * _BLOCK_ROWS
     data = np.empty((len(rows), len(header)))
     for i, cells in enumerate(rows):
         for j, cell in enumerate(cells):
             cell = cell.strip()
             if cell == "":
-                raise PanelFormatError(
+                return PanelFormatError(
                     f"{path}: missing cell at row {first + i + 1}, column {header[j]!r}"
                 )
             try:
                 data[i, j] = float(cell)
             except ValueError:
-                raise PanelFormatError(
+                return PanelFormatError(
                     f"{path}: bad number {cell!r} at row {first + i + 1}, column {header[j]!r}"
-                ) from None
-    return data
+                )
+    blocks.append(data)
+    return None
 
 
 def _write_table(path: str, meta: dict[str, str], columns: dict) -> None:

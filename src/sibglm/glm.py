@@ -10,6 +10,7 @@ holds to tolerance.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -259,6 +260,12 @@ def _keep_rows(mask, *arrays):
     return arrays if mask.all() else tuple(a[mask] for a in arrays)
 
 
+def _outcomes(ok: np.ndarray, values, error: Exception) -> list:
+    """In order, the next of ``values`` where ``ok`` holds and a copy of ``error`` elsewhere."""
+    values = iter(values)
+    return [next(values) if good else copy.copy(error) for good in ok]
+
+
 def _irls(x, y, family):
     """Damped Newton iterations for every row of ``y`` (one series each) at once.
 
@@ -358,31 +365,24 @@ def _fit_rows(x: np.ndarray, ys: np.ndarray, family: Family) -> list:
     A Gamma row with no feasible start (no constant column) raises for
     the whole call.
     """
-    k, m = ys.shape
-    results: list = [None] * k
-    rows = range(k)
+    m = ys.shape[1]
+    ok = np.ones(len(ys), dtype=bool)
     if x.ndim == 3:
         try:
-            deficient = _deficient_designs(x)
+            ok = ~_deficient_designs(x)
         except SingularDesignError as exc:
-            return [SingularDesignError(*exc.args) for _ in rows]
-        for j in np.flatnonzero(deficient):
-            results[j] = SingularDesignError(_RANK_DEFICIENT)
-        rows = [j for j in rows if results[j] is None]
-        if not rows:
-            return results
-        if len(rows) < k:
-            x, ys = x[rows], ys[rows]
-
+            return [copy.copy(exc) for _ in ys]
+        x, ys = _keep_rows(ok, x, ys)
     beta, ll, iterations, errors = _irls(x, ys, family)
     eta = _rows_times(beta, x.swapaxes(-1, -2))
     mean = family.mean(eta)
     fisher = family.fisher_info(eta)
     score_norms = np.max(np.abs(_rows_times(ys - mean, x)), axis=1)
     edges = np.sum(fisher == 0.0, axis=1)
-    for i, j in enumerate(rows):
+    fits = []
+    for i in range(len(ys)):
         if i in errors:
-            results[j] = errors[i]
+            fits.append(errors[i])
             continue
         fit = GlmFit(
             family=family,
@@ -407,8 +407,8 @@ def _fit_rows(x: np.ndarray, ys: np.ndarray, family: Family) -> list:
                 f"fitted means reach the edge of the {family.kind} support at {edges[i]} rows "
                 "(zero information); the maximum-likelihood estimate does not exist"
             )
-        results[j] = fit if message is None else ConvergenceError(message, last_fit=fit)
-    return results
+        fits.append(fit if message is None else ConvergenceError(message, last_fit=fit))
+    return _outcomes(ok, fits, SingularDesignError(_RANK_DEFICIENT))
 
 
 def fit_glms(design: Design, responses, family: Family) -> list[GlmFit]:

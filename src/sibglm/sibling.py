@@ -42,10 +42,11 @@ columns and one on the full designs for each number of sibling columns a
 request keeps. Every product and solve in a stack is the lone call's,
 one BLAS or LAPACK call per request with the same shapes and strides, so
 each request's output is bitwise its lone call's whatever the stack, and
-a failing request gets its own exception. All ``sglm`` refits then go
-through one ``glm._fit_rows`` call. ``half_sibling`` and
-``three_quarter_sibling`` are the stacks of one. Residuals are computed
-series by series (``residuals.columns``).
+a failing request gets its own exception. A second ``_by_group`` call
+makes the ``sglm`` refits, one ``glm._fit_rows`` call per family and
+design shape. ``half_sibling`` and ``three_quarter_sibling`` are the
+stacks of one. Residuals are computed series by series
+(``residuals.columns``).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .families import GAMMA, POISSON, Family
 # fit_glm is unused here, but perfbench/tracing.py patches sibling.fit_glm
 from .glm import Design, GlmFit, SingularDesignError, _fit_rows, _rank_deficient, fit_glm
 from .glm import _RANK_DEFICIENT, _check_rows, _check_support, _deficient_designs, _for_series
-from .glm import _keep_rows, _rows_times
+from .glm import _keep_rows, _outcomes, _rows_times
 from . import residuals as res
 
 REGRESSION = "regression"
@@ -163,12 +164,6 @@ def _by_group(outcomes: list, indices, key, run) -> list:
     return outcomes
 
 
-def _outcomes(ok: np.ndarray, values, error: Exception) -> list:
-    """In order, the next of ``values`` where ``ok`` holds and a copy of ``error`` elsewhere."""
-    values = iter(values)
-    return [next(values) if good else copy.copy(error) for good in ok]
-
-
 def _least_squares(x: np.ndarray, *ys: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """``x[i] @ ols(x[i], y[i])`` for each design of the k x m x w stack ``x``
     and each stack ``y`` of ``ys`` (k x m vectors or k x m x n matrices).
@@ -186,11 +181,8 @@ def _least_squares(x: np.ndarray, *ys: np.ndarray) -> tuple[np.ndarray, list[np.
     qt = q.swapaxes(1, 2)
     fitted = []
     for y in _keep_rows(ok, *(np.ascontiguousarray(y) for y in ys)):
-        if y.ndim == 2:
-            coef = np.linalg.solve(r, np.matvec(qt, y)[:, :, None])[:, :, 0]
-            fitted.append(np.matvec(x, coef))
-        else:
-            fitted.append(x @ np.linalg.solve(r, qt @ y))
+        # a vector goes as a one-column matrix
+        fitted.append((x @ np.linalg.solve(r, qt @ np.atleast_3d(y))).reshape(y.shape))
     return ok, fitted
 
 
@@ -384,12 +376,15 @@ def _needed(estimators: set[str], q: int, target: int) -> range:
     return range(target, target + 1) if GLM_ESTIMATOR in estimators else range(0)
 
 
-def _fit_step(panel: Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
-    """The first fits and residuals the cells need on ``panel``, per series:
-    after ``fit_glms``' design check, one ``_fit_rows`` call gives each series
-    ``_needed`` names, by index, a ``GlmFit`` or an exception, and each
-    ``sglm`` residual kind a matrix of the leading fitted series' columns
-    and the exception of the next one, if it raised (``residuals.columns``)."""
+def _fit_step(panel: Panel | None, cells: list[CellSpec], error: Exception | None = None):
+    """The step ``(panel, fits, residuals, error)`` of the cells on ``panel``,
+    or on none, whose series ``error`` cut short: after ``fit_glms``' design
+    check, one ``_fit_rows`` call gives each series ``_needed`` names, by
+    index, a ``GlmFit`` or an exception, and each ``sglm`` residual kind a
+    matrix of the leading fitted series' columns and the exception of the
+    next one, if it raised (``residuals.columns``)."""
+    if panel is None:
+        return None, {}, {}, error
     rows = _needed({c.estimator for c in cells}, panel.q, panel.target_index)
     if rows and _deficient_designs(panel.design.x):
         raise SingularDesignError(_RANK_DEFICIENT)
@@ -399,7 +394,7 @@ def _fit_step(panel: Panel, cells: list[CellSpec]) -> tuple[dict, dict]:
     fitted_ys = panel.responses[:, : len(leading)]
     kinds = {c.residual_kind for c in cells if c.estimator == SGLM}
     residuals = {kind: res.columns(kind, leading, fitted_ys, panel.design) for kind in kinds}
-    return fits, residuals
+    return panel, fits, residuals, error
 
 
 def _failure(spec: CellSpec, step) -> Exception | None:
@@ -433,9 +428,8 @@ def estimates(
 ) -> list[Estimate | Exception]:
     """Each ``(spec, step)`` pair's ``Estimate``, or the exception that fails it.
 
-    A step ``(panel, fits, residuals, error)`` holds a panel, the
-    ``_fit_step`` of its specs on it, and the error that cut its series
-    short, if any. A pair with a ``_failure`` gets it, and a ``glm`` pair
+    A step is the ``_fit_step`` ``(panel, fits, residuals, error)`` of its
+    specs. A pair with a ``_failure`` gets it, and a ``glm`` pair
     takes its target's fit. Every spec denoises the panel's own target
     among its first q series.
 
@@ -456,11 +450,11 @@ def estimates(
     only sensible when every series loads on the noise with the same sign.
     In step 4 the target is refitted on its design plus the proxy as a
     last column named ``noise_hat``, and the covariate-only part of the
-    refit linear predictor is the denoised signal. The panels share one
-    family and one design shape, and all refits go through one
-    ``glm._fit_rows`` call, so each is bitwise the target's lone
-    ``fit_glm`` on that design; an error that call raises for the whole
-    stack (a Gamma design with no constant column) reaches the caller.
+    refit linear predictor is the denoised signal. A second ``_by_group``
+    call makes one ``glm._fit_rows`` call per family and design shape, so
+    each refit is bitwise the target's lone ``fit_glm`` on that design, and
+    an error that call raises for its whole stack (a Gamma design with no
+    constant column) fails the stack's pairs.
     """
     outcomes = [_failure(spec, step) for spec, step in pairs]
     panels = [panel for _, (panel, *_) in pairs]
@@ -497,7 +491,7 @@ def estimates(
         return _linear(estimator, *stacks)
 
     _by_group(outcomes, list(arrays), key, run)
-    staged = []
+    staged: dict[int, tuple[np.ndarray, Design]] = {}
     for i in arrays:
         panel, value = panels[i], outcomes[i]
         if isinstance(value, Exception):
@@ -508,26 +502,29 @@ def estimates(
             continue
         try:
             x, names = np.column_stack([panel.design.x, value]), panel.design.column_names
-            staged.append((i, value, Design(x, (*names, "noise_hat"))))
+            staged[i] = value, Design(x, (*names, "noise_hat"))
         except Exception as exc:
             outcomes[i] = exc
     # free the linear inputs before the refits build their stacks
     arrays.clear()
     made.clear()
-    if not staged:
-        return outcomes
-    refits = _fit_rows(
-        np.stack([design.x for *_, design in staged]),
-        np.stack([panels[i].responses[:, panels[i].target_index] for i, *_ in staged]),
-        panels[staged[0][0]].family,
-    )
-    for (i, nhat, design), refit in zip(staged, refits):
-        if isinstance(refit, Exception):
-            outcomes[i] = refit
-        else:
-            signal_hat = panels[i].design.x @ refit.beta[: panels[i].design.p]
-            outcomes[i] = Estimate(signal_hat, nhat, refit.mu, refit, design)
-    return outcomes
+
+    def refit(group):
+        x = np.stack([staged[i][1].x for i in group])
+        ys = np.stack([panels[i].responses[:, panels[i].target_index] for i in group])
+        values = []
+        for i, fit in zip(group, _fit_rows(x, ys, panels[group[0]].family)):
+            if not isinstance(fit, Exception):
+                nhat, design = staged[i]
+                signal_hat = panels[i].design.x @ fit.beta[: panels[i].design.p]
+                fit = Estimate(signal_hat, nhat, fit.mu, fit, design)
+            values.append(fit)
+        return values
+
+    def refit_key(i):
+        return panels[i].family, staged[i][1].x.shape
+
+    return _by_group(outcomes, list(staged), refit_key, refit)
 
 
 def run_estimator(
@@ -541,7 +538,7 @@ def run_estimator(
     the exception that fails it; ``residual_kind``, ``include_x`` and
     ``strategy`` apply to ``sglm``."""
     spec = CellSpec(panel.q, estimator, residual_kind)
-    (outcome,) = estimates([(spec, (panel, *_fit_step(panel, [spec]), None))], include_x, strategy)
+    (outcome,) = estimates([(spec, _fit_step(panel, [spec]))], include_x, strategy)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -623,7 +623,7 @@ class TestRunEstimator:
 
 def _pair(spec, panel):
     """``spec`` and its own step on ``panel``, as ``run_estimator`` pairs them."""
-    return spec, (panel, *_fit_step(panel, [spec]), None)
+    return spec, _fit_step(panel, [spec])
 
 
 def _lone_outcome(panel, resid, include_x, strategy):
@@ -699,6 +699,37 @@ class TestSglmEstimates:
             _assert_same_outcome(outcome, _lone_outcome(alone, resid, False, "regression"))
         assert [type(o) for o in got] == [ConvergenceError] * 5
         assert all(o.last_fit.iterations == 0 for o in got)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(poisson(), 60), (gamma(2.0), 60)], [(poisson(), 60), (poisson(), 80)]],
+        ids=["families", "row-counts"],
+    )
+    def test_panels_of_any_family_and_shape_are_each_alone(self, shapes):
+        panels = [to_panel(generate(SimConfig(fam, m=m, q=3, seed=1)), fam) for fam, m in shapes]
+        got = estimates([_pair(CellSpec(3, SGLM), panel) for panel in panels])
+        for outcome, panel in zip(got, panels):
+            assert outcome.refit.family == panel.family
+            _assert_same_estimate(outcome, sglm_denoise(panel))
+
+    def test_an_error_for_the_refit_stack_fails_its_pairs(self, monkeypatch):
+        fit_rows = sibglm.sibling._fit_rows
+
+        def failing(x, ys, family):
+            if x.ndim == 3:
+                raise ConvergenceError("no refit for the stack")
+            return fit_rows(x, ys, family)
+
+        monkeypatch.setattr(sibglm.sibling, "_fit_rows", failing)
+        fam = poisson()
+        panel = to_panel(generate(SimConfig(fam, m=60, q=3, seed=1)), fam)
+        specs = [CellSpec(3, "glm"), CellSpec(3, SGLM), CellSpec(2, SGLM)]
+        glm_outcome, *sglm_outcomes = estimates([_pair(spec, panel) for spec in specs])
+        assert isinstance(glm_outcome, sibglm.sibling.Estimate)
+        assert [(type(o), str(o)) for o in sglm_outcomes] == [
+            (ConvergenceError, "no refit for the stack")
+        ] * 2
+        assert sglm_outcomes[0] is not sglm_outcomes[1]
 
 
 def _sub_stacks(n: int, seed: int):
