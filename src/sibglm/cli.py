@@ -11,6 +11,7 @@ significant digits so reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .families import FAMILY_KINDS, Family, family_from_name
 from .glm import ConvergenceError, Design, design_with_intercept, fit_glm, fit_glms
 from .inference import sandwich
 from .simulate import (
-    NOISE_COEF_SCHEMES, GenerationError, MetricsRecord, SimConfig, correlation, generate,
+    NOISE_COEF_SCHEMES, GenerationError, MetricsRecord, SimConfig, correlations, generate,
 )
 
 
@@ -200,7 +201,7 @@ def _series_names(q: int) -> list[str]:
 
 def _settings(args: argparse.Namespace) -> dict:
     """A command's resolved settings: every option but the parser's own."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config")}
 
 
 def _meta(args: argparse.Namespace) -> dict[str, str]:
@@ -341,14 +342,23 @@ def cmd_residuals(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown proxy column {name!r}")
 
     meta = _meta(args)
-    columns: dict[str, np.ndarray] = {}
     fits = fit_glms(design, panel.y, family)
-    for j, sname in enumerate(panel.y_names):
-        for kind in res.RESIDUAL_KINDS:
-            values = res.compute(kind, fits[j], panel.y[:, j], design=design)
-            columns[f"{kind}_{sname}"] = values
-            if proxy is not None:
-                meta[f"corr_{kind}_{sname}"] = _fmt(correlation(values, proxy))
+    made = {kind: res.columns(kind, fits, panel.y, design) for kind in res.RESIDUAL_KINDS}
+    # the error a loop over the series, and over the kinds of each, meets first
+    failed = [(v.shape[1], i, e) for i, (v, e) in enumerate(made.values()) if e is not None]
+    if failed:
+        raise min(failed)[2]
+    columns = {
+        f"{kind}_{sname}": made[kind][0][:, j]
+        for j, sname in enumerate(panel.y_names)
+        for kind in res.RESIDUAL_KINDS
+    }
+    if proxy is not None:
+        for kind, (values, _) in made.items():
+            for chunk in res.chunks(len(fits), *design.x.shape):
+                rows = np.ascontiguousarray(values[:, chunk.start : chunk.stop].T)
+                for j, value in zip(chunk, correlations(rows, proxy)):
+                    meta[f"corr_{kind}_{panel.y_names[j]}"] = _fmt(value)
     _write_table(args.output, meta, columns)
     return 0
 
@@ -468,8 +478,13 @@ def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
     sp.add_argument("--config", help="JSON config file; flags override it")
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and, by command name, its subparsers."""
+    """The parser and, by command name, its subparsers; built once per process.
+
+    No parser holds a command function: ``main`` looks up ``cmd_<command>``
+    when it runs, so a replaced ``cmd_`` function is the one called.
+    """
     parser = argparse.ArgumentParser(
         prog="sibglm",
         description="Sibling regression for generalized linear models",
@@ -479,17 +494,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp = sub.add_parser("simulate", help="write a synthetic panel with ground truth")
     _add_common(sp, "simulation")
     sp.add_argument("--q", type=int, default=20, help="number of series (target + auxiliaries)")
-    sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("fit", help="fit one GLM to a target series")
     _add_common(sp, "input", "target")
-    sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("denoise", help="estimate the denoised series for a target")
     _add_common(sp, "input", "target", "proxy")
     sp.add_argument("--estimator", choices=sibling.ESTIMATORS, default=sibling.SGLM)
     sp.add_argument("--residual", choices=res.RESIDUAL_KINDS, default=res.FISHER)
-    sp.set_defaults(func=cmd_denoise)
 
     sp = sub.add_parser("residuals", help="write all residual kinds for every series")
     _add_common(sp, "input")
@@ -497,7 +509,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "--proxy-column", dest="proxy_column",
         help="column to correlate each residual kind with (e.g. truth_noise)",
     )
-    sp.set_defaults(func=cmd_residuals)
 
     sp = sub.add_parser("benchmark", help="replicated sweep over q, estimators, residuals")
     _add_common(sp, "simulation", "proxy")
@@ -508,7 +519,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sp.add_argument("--replicates", type=int, default=100)
     sp.add_argument("--jobs", type=int, default=1, help="processes sharing the replicates")
-    sp.set_defaults(func=cmd_benchmark)
 
     return parser, sub.choices
 
@@ -545,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         if not all(getattr(args, name) for name in paths):
             flags = " and ".join(f"--{name}" for name in paths)
             raise ValueError(f"{args.command} requires {flags}")
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except KNOWN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

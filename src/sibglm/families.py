@@ -231,7 +231,10 @@ class Family:
         Deterministic for a given generator state and call order. The
         draws have mean A'(theta) and the family's response variance.
         """
-        theta = self.check_domain(theta)
+        return self._sample(self.check_domain(theta), rng)
+
+    def _sample(self, theta, rng: np.random.Generator):
+        """``sample`` for natural parameters already checked."""
         if self.kind == GAUSSIAN:
             return rng.normal(loc=theta, scale=np.sqrt(self.dispersion))
         if self.kind == POISSON:

@@ -130,9 +130,10 @@ def _check_rows(shape: tuple[int, int]) -> None:
 
 
 def _factor(x: np.ndarray, message: str) -> tuple[np.ndarray, np.ndarray]:
-    """QR factors of ``x``; ``SingularDesignError(message)`` when R fails the rank test."""
+    """QR factors of ``x``, or of each matrix of a stack (one LAPACK call per
+    matrix); ``SingularDesignError(message)`` when any R fails the rank test."""
     q, r = np.linalg.qr(x)
-    if _rank_deficient(np.diag(r)):
+    if np.any(_rank_deficient(np.diagonal(r, axis1=-2, axis2=-1))):
         raise SingularDesignError(message)
     return q, r
 
@@ -286,7 +287,12 @@ def _irls(x, y, family):
     """
     m, p = x.shape[-2:]
     per_row = x.ndim == 3
-    xx = (x[..., :, None] * x[..., None, :]).reshape(*x.shape[:-1], p * p)
+    # the outer products' entries, bitwise, as one product per column pair,
+    # whose inner loops run over rows rather than over p columns
+    xx = np.empty((*x.shape[:-1], p * p))
+    for i in range(p):
+        for j in range(p):
+            np.multiply(x[..., i], x[..., j], out=xx[..., i * p + j])
     score_tol = m * TOL_SCORE
     k = y.shape[0]
     beta = _initial_beta(x, y, family)
@@ -365,6 +371,9 @@ def _fit_rows(x: np.ndarray, ys: np.ndarray, family: Family) -> list:
     A Gamma row with no feasible start (no constant column) raises for
     the whole call.
     """
+    # the products' bits depend on the layout: an F-ordered stack gave
+    # other bits than its designs alone, so every design is fitted C-ordered
+    x = np.ascontiguousarray(x)
     m = ys.shape[1]
     ok = np.ones(len(ys), dtype=bool)
     if x.ndim == 3:
@@ -468,9 +477,18 @@ def hat_diagonal(fit: GlmFit, design: Design) -> np.ndarray:
     """
     if design.m != fit.eta.shape[0] or design.p != fit.beta.shape[0]:
         raise ValueError("design shape does not match the fit")
-    sw = np.sqrt(fit.fisher_diag)
-    q = _factor(sw[:, None] * design.x, "X'WX is numerically singular")[0]
-    return np.sum(q**2, axis=1)
+    return _leverages(fit.fisher_diag[None], design.x)[0]
+
+
+def _leverages(fisher: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``hat_diagonal`` of each row of the k x m information weights
+    ``fisher`` on the m x p design ``x``, from one stacked QR of the
+    weighted designs. Row j is bitwise its stack of one's; a weighted
+    design that fails the rank test raises for the stack.
+    """
+    sw = np.sqrt(fisher)
+    q = _factor(sw[:, :, None] * x, "X'WX is numerically singular")[0]
+    return np.sum(q**2, axis=2)
 
 
 def ols(x, y) -> np.ndarray:

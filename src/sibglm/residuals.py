@@ -6,13 +6,21 @@ conditional expectation approximates the gap between the true and fitted
 natural parameters to first order, which is what makes it usable as a
 signature of additive noise on the natural-parameter scale. Raw,
 studentized, and deviance residuals are the classical alternatives.
+
+Each kind is computed for a block of series at once, as one k x m
+array: the studentized residuals take their leverages from one stacked
+QR of the block's weighted designs, and the deviance residuals check
+the support and the means once per block. Every product, factorisation
+and reduction is the one a lone series gets, so each row is bitwise its
+series' residual alone. ``compute`` is the one dispatch, for one fit or
+a block, and the kind functions are its stacks of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .glm import Design, GlmFit, hat_diagonal
+from .glm import Design, GlmFit, _leverages
 
 RAW = "raw"
 STUDENT = "student"
@@ -23,28 +31,83 @@ RESIDUAL_KINDS = (FISHER, RAW, STUDENT, DEVIANCE)
 
 LEVERAGE_LIMIT = 1.0 - 1e-12
 
+# Cap on the entries (series x m x p) of a chunk of ``columns``: a chunk's
+# stack of weighted designs, and each of its k x m temporaries, stays within
+# 128 KiB, the allocator's mmap threshold. Above m * p = 2**14 a chunk is
+# one series.
+CHUNK_ENTRIES = 2**14
+
 
 class LeverageError(ValueError):
     """A leverage of (numerically) one makes studentization undefined."""
 
 
-def _check_aligned(fit: GlmFit, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != fit.mu.shape:
-        raise ValueError(f"response shape {y.shape} does not match fit {fit.mu.shape}")
-    return y
+def _raw(fits, ys, mu, design):
+    """Observed minus fitted mean."""
+    return ys - mu
+
+
+def _fisher(fits, ys, mu, design):
+    """Raw residual divided by the per-observation information A''(eta)."""
+    return (ys - mu) / np.array([fit.fisher_diag for fit in fits])
+
+
+def _student(fits, ys, mu, design):
+    """``studentized`` for a block, with the leverages of one stacked QR."""
+    if design.m != mu.shape[1] or design.p != fits[0].beta.shape[0]:
+        raise ValueError("design shape does not match the fit")
+    h = _leverages(np.array([fit.fisher_diag for fit in fits]), design.x)
+    r = ys - mu
+    saturated = h >= LEVERAGE_LIMIT
+    if np.any(saturated & (np.abs(r) > 1e-12 * (1.0 + np.abs(ys)))):
+        raise LeverageError("leverage of 1 encountered (saturated observation)")
+    var = fits[0].family.response_variance(np.array([fit.eta for fit in fits]))
+    values = np.zeros_like(r)
+    ok = ~saturated
+    values[ok] = r[ok] / np.sqrt(var[ok] * (1.0 - h[ok]))
+    return values
+
+
+def _deviance(fits, ys, mu, design):
+    """sign(y - mu) * sqrt(unit deviance), with sign(0) = 0."""
+    d = fits[0].family.unit_deviance(ys, mu)
+    return np.sign(ys - mu) * np.sqrt(d)
+
+
+_KINDS = {FISHER: _fisher, RAW: _raw, STUDENT: _student, DEVIANCE: _deviance}
+
+
+def compute(kind: str, fit: GlmFit | list[GlmFit], y, design: Design | None) -> np.ndarray:
+    """The residuals of a kind name, for one fit and its response vector
+    ``y``, or for a list of k fits of one family and their k x m responses
+    ``y`` as a k x m block; ``design`` is the fits', for studentized.
+
+    A block raises a ``ValueError`` when any of its series would. Row j
+    is bitwise the residual of fit j and its response alone.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown residual kind {kind!r}; expected one of {RESIDUAL_KINDS}")
+    ys = np.asarray(y, dtype=float)
+    if isinstance(fit, GlmFit):
+        if ys.shape != fit.mu.shape:
+            raise ValueError(f"response shape {ys.shape} does not match fit {fit.mu.shape}")
+        return _KINDS[kind]([fit], ys[None], fit.mu[None], design)[0]
+    mu = np.array([f.mu for f in fit])
+    if ys.shape != mu.shape:
+        raise ValueError(f"responses of shape {ys.shape} do not match the fits {mu.shape}")
+    if any(f.family != fit[0].family for f in fit):
+        raise ValueError("the fits of a block must share one family")
+    return _KINDS[kind](fit, ys, mu, design)
 
 
 def raw(fit: GlmFit, y) -> np.ndarray:
     """Observed minus fitted mean."""
-    y = _check_aligned(fit, y)
-    return y - fit.mu
+    return compute(RAW, fit, y, None)
 
 
 def fisher_scaled(fit: GlmFit, y) -> np.ndarray:
     """Raw residual divided by the per-observation information A''(eta)."""
-    y = _check_aligned(fit, y)
-    return (y - fit.mu) / fit.fisher_diag
+    return compute(FISHER, fit, y, None)
 
 
 def studentized(fit: GlmFit, design: Design, y) -> np.ndarray:
@@ -55,37 +118,19 @@ def studentized(fit: GlmFit, design: Design, y) -> np.ndarray:
     ``LeverageError`` unless its raw residual is zero, in which case the
     0/0 limit is taken as 0 (an exactly interpolated observation).
     """
-    y = _check_aligned(fit, y)
-    h = hat_diagonal(fit, design)
-    r = y - fit.mu
-    saturated = h >= LEVERAGE_LIMIT
-    if np.any(saturated & (np.abs(r) > 1e-12 * (1.0 + np.abs(y)))):
-        raise LeverageError("leverage of 1 encountered (saturated observation)")
-    var = fit.family.response_variance(fit.eta)
-    values = np.zeros_like(r)
-    ok = ~saturated
-    values[ok] = r[ok] / np.sqrt(var[ok] * (1.0 - h[ok]))
-    return values
+    return compute(STUDENT, fit, y, design)
 
 
 def deviance_residual(fit: GlmFit, y) -> np.ndarray:
     """sign(y - mu) * sqrt(unit deviance), with sign(0) = 0."""
-    y = _check_aligned(fit, y)
-    d = fit.family.unit_deviance(y, fit.mu)
-    return np.sign(y - fit.mu) * np.sqrt(d)
+    return compute(DEVIANCE, fit, y, None)
 
 
-def compute(kind: str, fit: GlmFit, y, design: Design) -> np.ndarray:
-    """Dispatch on a residual kind name; ``design`` is the fit's, for studentized."""
-    if kind == RAW:
-        return raw(fit, y)
-    if kind == FISHER:
-        return fisher_scaled(fit, y)
-    if kind == DEVIANCE:
-        return deviance_residual(fit, y)
-    if kind == STUDENT:
-        return studentized(fit, design, y)
-    raise ValueError(f"unknown residual kind {kind!r}; expected one of {RESIDUAL_KINDS}")
+def chunks(k: int, m: int, p: int) -> list[range]:
+    """``range(k)`` cut into consecutive chunks of series within ``CHUNK_ENTRIES``
+    (series x m x p), or of one series."""
+    size = max(1, CHUNK_ENTRIES // (m * p))
+    return [range(start, min(start + size, k)) for start in range(0, k, size)]
 
 
 def columns(kind: str, fits: list[GlmFit], ys: np.ndarray, design: Design):
@@ -93,13 +138,20 @@ def columns(kind: str, fits: list[GlmFit], ys: np.ndarray, design: Design):
     up to the first that raises a ``ValueError``: the m x j matrix of the
     columns before it and that error, or all k columns and None.
 
-    Each column is its own ``compute`` call, so its temporaries stay one
-    series long and the first failing series stops it with its own error.
+    The fits go a chunk of series at a time (``chunks``), one ``compute``
+    call per chunk, which bounds the temporaries whatever the panel. A
+    chunk that raises is redone series by series, so the first failing
+    series stops it with its own error.
     """
     out = np.empty((ys.shape[0], min(len(fits), ys.shape[1])))
-    for j, (fit, y) in enumerate(zip(fits, ys.T)):
+    for chunk in chunks(out.shape[1], *design.x.shape):
+        part = slice(chunk.start, chunk.stop)
         try:
-            out[:, j] = compute(kind, fit, y, design=design)
-        except ValueError as exc:
-            return out[:, :j], exc
+            out[:, part] = compute(kind, fits[part], ys[:, part].T, design).T
+        except ValueError:
+            for j in chunk:
+                try:
+                    out[:, j] = compute(kind, fits[j], ys[:, j], design)
+                except ValueError as exc:
+                    return out[:, :j], exc
     return out, None

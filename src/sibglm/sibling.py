@@ -45,7 +45,7 @@ each request's output is bitwise its lone call's whatever the stack, and
 a failing request gets its own exception. A second ``_by_group`` call
 makes the ``sglm`` refits, one ``glm._fit_rows`` call per family and
 design shape. ``half_sibling`` and ``three_quarter_sibling`` are the
-stacks of one. Residuals are computed series by series
+stacks of one. Residuals are computed a chunk of series at a time
 (``residuals.columns``).
 """
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import GAMMA, Family
-from .glm import design_with_intercept
+from .glm import _rows_times, design_with_intercept
 from .sibling import Estimate, Panel
 
 W_X_LOW, W_X_HIGH = 0.5, 1.5
@@ -82,15 +82,25 @@ class SimTruth:
     theta_shift: float
 
 
-def correlation(a, b) -> float:
-    """Pearson correlation of ``a`` and ``b``, clipped to [-1, 1]; NaN when
-    either is constant."""
-    a = np.asarray(a, dtype=float) - np.mean(a)
+def correlations(a: np.ndarray, b) -> np.ndarray:
+    """Pearson correlation of each row of the k x m ``a`` with the m-vector
+    ``b``, clipped to [-1, 1]; NaN where the row or ``b`` is constant.
+
+    Row means and one dot product per row (``glm._rows_times``), so row j
+    is bitwise its stack of one's whatever the other rows are.
+    """
+    a = a - a.mean(axis=1, keepdims=True)
     b = np.asarray(b, dtype=float) - np.mean(b)
-    aa, bb = a @ a, b @ b
-    if aa > 0.0 and bb > 0.0:
-        return float(np.clip((a @ b) / np.sqrt(aa * bb), -1.0, 1.0))
-    return float("nan")
+    aa = _rows_times(a, a[:, :, None])[:, 0]
+    bb = b @ b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(_rows_times(a, b[:, None])[:, 0] / np.sqrt(aa * bb), -1.0, 1.0)
+    return np.where((aa > 0.0) & (bb > 0.0), r, np.nan)
+
+
+def correlation(a, b) -> float:
+    """Pearson correlation of ``a`` and ``b``: ``correlations``' stack of one."""
+    return float(correlations(np.asarray(a, dtype=float)[None], b)[0])
 
 
 @dataclass(frozen=True)
@@ -136,7 +146,12 @@ def replicate_seed(master_seed: int, index: int) -> int:
 def generate(config: SimConfig) -> SimTruth:
     """Draw one panel. Bit-identical for identical configs. A series that
     leaves the domain raises ``GenerationError`` with the series before it,
-    bitwise the panel at that q, since each series has its own streams."""
+    bitwise the panel at that q, since each series has its own streams.
+
+    Each series' stream draws its coefficients and noise first and its
+    response last; the natural parameters of all series, and their domain
+    check, are one m x q array in between.
+    """
     m, q = config.m, config.q
     family = config.family
 
@@ -144,11 +159,24 @@ def generate(config: SimConfig) -> SimTruth:
     noise = _stream(config.seed, 1).uniform(-1.0, 1.0, m)
     shift = GAMMA_THETA_SHIFT if family.kind == GAMMA else 0.0
 
+    streams = [_stream(config.seed, 2, j) for j in range(q)]
     x_coefs = np.empty(q)
     noise_coefs = np.empty(q)
     eps = np.empty((m, q))
-    theta = np.empty((m, q))
+    for j, rng in enumerate(streams):
+        x_coefs[j] = rng.uniform(W_X_LOW, W_X_HIGH)
+        noise_coefs[j] = rng.uniform(-1.0, 1.0)
+        eps[:, j] = rng.normal(0.0, config.sigma_eps, m)
+    if config.noise_coefficient_scheme == "zero":
+        noise_coefs[:] = 0.0
+    elif config.noise_coefficient_scheme == "one":
+        noise_coefs[:] = 1.0
+    theta = x[:, None] * x_coefs + noise[:, None] * noise_coefs + eps + shift
+    outside = np.flatnonzero(~family.domain_mask(theta).all(axis=0))
+    n = int(outside[0]) if outside.size else q
     y = np.empty((m, q))
+    for j in range(n):
+        y[:, j] = family._sample(theta[:, j], streams[j])
 
     def first(n: int) -> SimTruth:
         return SimTruth(
@@ -157,25 +185,13 @@ def generate(config: SimConfig) -> SimTruth:
             y=y[:, :n], theta_shift=shift,
         )
 
-    for j in range(q):
-        rng = _stream(config.seed, 2, j)
-        x_coefs[j] = rng.uniform(W_X_LOW, W_X_HIGH)
-        w_n = rng.uniform(-1.0, 1.0)
-        if config.noise_coefficient_scheme == "zero":
-            w_n = 0.0
-        elif config.noise_coefficient_scheme == "one":
-            w_n = 1.0
-        noise_coefs[j] = w_n
-        eps[:, j] = rng.normal(0.0, config.sigma_eps, m)
-        theta[:, j] = x_coefs[j] * x + w_n * noise + eps[:, j] + shift
-        if not family.in_domain(theta[:, j]):
-            bad = int(np.argmax(~(theta[:, j] < 0.0)))
-            raise GenerationError(
-                f"series {j}, row {bad}: natural parameter "
-                f"{theta[bad, j]:.4f} outside the {family.kind} domain",
-                first(j),
-            )
-        y[:, j] = family.sample(theta[:, j], rng)
+    if n < q:
+        bad = int(np.argmax(~(theta[:, n] < 0.0)))
+        raise GenerationError(
+            f"series {n}, row {bad}: natural parameter "
+            f"{theta[bad, n]:.4f} outside the {family.kind} domain",
+            first(n),
+        )
     return first(q)
 
 

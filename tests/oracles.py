@@ -7,6 +7,9 @@ from sibglm.families import Family
 from sibglm.glm import Design, GlmFit, fit_glm, ols
 from sibglm.inference import SandwichCovariance
 from sibglm.residuals import compute
+from sibglm.simulate import (
+    GAMMA_THETA_SHIFT, W_X_HIGH, W_X_LOW, GenerationError, SimConfig, SimTruth, _stream,
+)
 from sibglm.sibling import (
     Estimate,
     _base,
@@ -251,3 +254,48 @@ def write_table_per_row(path: str, meta: dict[str, str], columns: dict) -> None:
         fh.write(",".join(names) + "\n")
         for i in range(m):
             fh.write(",".join(_fmt(columns[n][i]) for n in names) + "\n")
+
+
+def lone_correlation(a, b) -> float:
+    """Pearson correlation of two vectors, with one-dimensional means and dot
+    products, clipped to [-1, 1]; NaN when either is constant."""
+    a = np.asarray(a, dtype=float) - np.mean(a)
+    b = np.asarray(b, dtype=float) - np.mean(b)
+    aa, bb = a @ a, b @ b
+    if aa > 0.0 and bb > 0.0:
+        return float(np.clip((a @ b) / np.sqrt(aa * bb), -1.0, 1.0))
+    return float("nan")
+
+
+def generate_series_by_series(config: SimConfig) -> SimTruth:
+    """``simulate.generate`` as a loop that draws, checks and samples one
+    series at a time, with the checked ``Family.sample``."""
+    m, q, family = config.m, config.q, config.family
+    x = _stream(config.seed, 0).uniform(-1.0, 1.0, m)
+    noise = _stream(config.seed, 1).uniform(-1.0, 1.0, m)
+    shift = GAMMA_THETA_SHIFT if family.kind == "gamma" else 0.0
+    x_coefs, noise_coefs = np.empty(q), np.empty(q)
+    eps, theta, y = np.empty((m, q)), np.empty((m, q)), np.empty((m, q))
+
+    def first(n: int) -> SimTruth:
+        return SimTruth(
+            x, noise, x_coefs[:n], noise_coefs[:n], eps[:, :n],
+            x_coefs[None, :n] * x[:, None], theta[:, :n], y[:, :n], shift,
+        )
+
+    for j in range(q):
+        rng = _stream(config.seed, 2, j)
+        x_coefs[j] = rng.uniform(W_X_LOW, W_X_HIGH)
+        w_n = rng.uniform(-1.0, 1.0)
+        noise_coefs[j] = {"zero": 0.0, "one": 1.0}.get(config.noise_coefficient_scheme, w_n)
+        eps[:, j] = rng.normal(0.0, config.sigma_eps, m)
+        theta[:, j] = x_coefs[j] * x + noise_coefs[j] * noise + eps[:, j] + shift
+        if not family.in_domain(theta[:, j]):
+            bad = int(np.argmax(~(theta[:, j] < 0.0)))
+            raise GenerationError(
+                f"series {j}, row {bad}: natural parameter "
+                f"{theta[bad, j]:.4f} outside the {family.kind} domain",
+                first(j),
+            )
+        y[:, j] = family.sample(theta[:, j], rng)
+    return first(q)

@@ -12,6 +12,7 @@ import pytest
 import sibglm.benchmark as bench
 from sibglm.benchmark import Study, run_study
 import sibglm.cli
+import sibglm.residuals as res
 from sibglm.cli import _BLOCK_ROWS, PanelFormatError, _fmt, _write_table, main, read_panel
 from sibglm.families import bernoulli, family_from_name, gamma, gaussian, poisson
 from sibglm.glm import design_with_intercept, fit_glm
@@ -536,6 +537,32 @@ class TestResidualsCommand:
         for kind in ("fisher", "raw", "student", "deviance"):
             assert f"# corr_{kind}_s00 = " in text
 
+    @pytest.mark.parametrize(
+        "failing,message",
+        [
+            ({"raw": 2, "deviance": 1}, "deviance fails at series 1"),
+            ({"deviance": 1, "raw": 1}, "raw fails at series 1"),
+            ({"fisher": 3, "student": 0}, "student fails at series 0"),
+        ],
+    )
+    def test_the_first_error_of_a_series_major_loop_is_reported(
+        self, tmp_path, capsys, monkeypatch, failing, message
+    ):
+        panel = _simulate(tmp_path, seed=8)
+        responses = read_panel(str(panel)).y
+        for kind, j in failing.items():
+            def failing_block(fits, ys, mu, design, block=res._KINDS[kind], kind=kind, j=j):
+                if any(np.array_equal(row, responses[:, j]) for row in ys):
+                    raise ValueError(f"{kind} fails at series {j}")
+                return block(fits, ys, mu, design)
+
+            monkeypatch.setitem(res._KINDS, kind, failing_block)
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        assert _run("residuals", "--input", panel, "--output", out) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
+
     def test_constant_proxy_gives_nan_without_warnings(self, tmp_path):
         x = np.linspace(-1, 1, 30)
         y = poisson().sample(0.5 + x, np.random.default_rng(2))
@@ -932,6 +959,17 @@ class TestParserContract:
         }
         assert options == PARSER_CONTRACT[command]
         assert all(len(a.option_strings) == 1 for a in sp._actions if a.dest != "help")
+
+    def test_the_parser_is_built_once(self):
+        assert sibglm.cli.build_parser() is sibglm.cli.build_parser()
+
+    def test_main_calls_the_command_found_by_name(self, tmp_path, monkeypatch):
+        panel = _simulate(tmp_path, m=30, q=3)
+        called = []
+        monkeypatch.setattr(sibglm.cli, "cmd_fit", lambda args: called.append(args) or 7)
+        assert _run("fit", "--input", panel, "--output", tmp_path / "fit.csv") == 7
+        assert [args.command for args in called] == ["fit"]
+        assert not (tmp_path / "fit.csv").exists()
 
     @pytest.mark.parametrize("command", ["denoise", "benchmark"])
     def test_step3_with_x_is_a_switch(self, command):

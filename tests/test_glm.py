@@ -375,6 +375,17 @@ class TestPerDesignBatch:
                 _assert_bitwise_equal(fit, want)
         assert failed == (2 if family.kind == "bernoulli" else 1)
 
+    @pytest.mark.parametrize("family", [poisson(), gamma(2.0)], ids=lambda f: f.kind)
+    def test_an_f_ordered_stack_is_bitwise_its_lone_fits(self, family):
+        rng = np.random.default_rng(3)
+        m = 60
+        xs = np.stack([np.column_stack([np.ones(m), rng.uniform(-1, 1, (m, 2))]) for _ in range(3)])
+        shift = -2.0 if family.kind == "gamma" else 0.3
+        ys = np.stack([family.sample(shift + 0.5 * x[:, 1], rng) for x in xs])
+        got = sibglm.glm._fit_rows(np.asfortranarray(xs), ys, family)
+        for fit, x, y in zip(got, xs, ys):
+            _assert_bitwise_equal(fit, fit_glm(Design(x, ("a", "b", "c")), y, family))
+
     def test_every_design_failing_its_check(self):
         x = np.column_stack([np.ones(6), np.ones(6)])
         got = sibglm.glm._fit_rows(np.stack([x, x]), np.ones((2, 6)), poisson())

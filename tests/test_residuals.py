@@ -1,18 +1,24 @@
 """Residual kinds: pinned values, cross-kind identities, first-order behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sibglm.families import bernoulli, gamma, gaussian, poisson
-from sibglm.glm import Design, design_with_intercept, fit_glm
+import sibglm.residuals
+from sibglm.families import DomainError, bernoulli, gamma, gaussian, poisson
+from sibglm.glm import Design, SingularDesignError, design_with_intercept, fit_glm, fit_glms
 from sibglm.residuals import (
+    RESIDUAL_KINDS,
     LeverageError,
+    columns,
     compute,
     deviance_residual,
     fisher_scaled,
     raw,
     studentized,
 )
+from sibglm.simulate import SimConfig, generate, to_panel
 
 from oracles import evaluate_at
 
@@ -185,3 +191,116 @@ class TestFirstOrderApproximation:
         values = fisher_scaled(fit, y)
         se = values.std(ddof=1) / np.sqrt(n)
         assert abs(values.mean() - delta) <= 2 * delta**2 + 3 * se
+
+
+def _series_by_series(kind, fits, ys, design):
+    """``columns`` as a loop of lone ``compute`` calls: the columns before
+    the first failing series and its error."""
+    done = []
+    for j, fit in enumerate(fits):
+        try:
+            done.append(compute(kind, fit, ys[:, j], design))
+        except ValueError as exc:
+            return np.column_stack(done) if done else np.empty((len(ys), 0)), exc
+    return np.column_stack(done), None
+
+
+def _cap_series(monkeypatch, series, design):
+    """Cap the chunks of ``columns`` at ``series`` series of this design."""
+    monkeypatch.setattr(sibglm.residuals, "CHUNK_ENTRIES", series * design.m * design.p)
+
+
+def _assert_same_outcome(got, want):
+    (values, error), (want_values, want_error) = got, want
+    assert values.shape == want_values.shape
+    assert values.tobytes() == np.ascontiguousarray(want_values).tobytes()
+    assert type(error) is type(want_error) and str(error) == str(want_error)
+
+
+class TestColumns:
+    FAMILIES = [poisson(), gaussian(0.5), bernoulli(), gamma(2.0)]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("kind", RESIDUAL_KINDS)
+    @pytest.mark.parametrize("series", [1, 2, 5])
+    def test_each_column_is_bitwise_its_lone_compute(self, monkeypatch, family, kind, series):
+        panel = to_panel(generate(SimConfig(family, m=60, q=5, sigma_eps=0.3, seed=4)), family)
+        fits = fit_glms(panel.design, panel.responses, family)
+        _cap_series(monkeypatch, series, panel.design)
+        got = columns(kind, fits, panel.responses, panel.design)
+        _assert_same_outcome(got, _series_by_series(kind, fits, panel.responses, panel.design))
+        assert got[1] is None
+
+    def test_the_default_cap_bounds_a_chunk_by_its_entries(self):
+        assert [len(c) for c in sibglm.residuals.chunks(21, 120, 2)] == [21]
+        assert [len(c) for c in sibglm.residuals.chunks(21, 400, 2)] == [20, 1]
+        assert [len(c) for c in sibglm.residuals.chunks(3, 10_000, 2)] == [1, 1, 1]
+
+    @staticmethod
+    def _fits_with_a_bad_one(bad_at=2, k=5):
+        """A Gaussian panel's fits on a design whose last column marks one
+        row, so that row's leverage is 1, with series ``bad_at`` evaluated
+        off its fit: its residual at that row is not zero."""
+        rng = np.random.default_rng(9)
+        m = 12
+        marker = np.zeros(m)
+        marker[3] = 1.0
+        x = np.column_stack([np.ones(m), rng.uniform(-1, 1, m), marker])
+        design = Design(x, ("intercept", "x", "marker"))
+        ys = rng.normal(size=(m, k))
+        fits = fit_glms(design, ys, gaussian())
+        fits[bad_at] = evaluate_at(design, gaussian(), [0.1, 0.2, 0.3])
+        return fits, ys, design
+
+    @pytest.mark.parametrize("series", [1, 2, 5])
+    def test_a_saturated_series_mid_chunk_stops_it_with_its_error(self, monkeypatch, series):
+        fits, ys, design = self._fits_with_a_bad_one()
+        _cap_series(monkeypatch, series, design)
+        got = columns("student", fits, ys, design)
+        want = _series_by_series("student", fits, ys, design)
+        _assert_same_outcome(got, want)
+        assert isinstance(got[1], LeverageError) and got[0].shape == (12, 2)
+
+    @pytest.mark.parametrize("series", [1, 2, 5])
+    def test_a_mean_outside_the_domain_mid_chunk_stops_it(self, monkeypatch, series):
+        panel = to_panel(generate(SimConfig(poisson(), m=30, q=5, seed=2)), poisson())
+        fits = fit_glms(panel.design, panel.responses, poisson())
+        mu = fits[2].mu.copy()
+        mu[7] = -1.0
+        fits[2] = dataclasses.replace(fits[2], mu=mu)
+        _cap_series(monkeypatch, series, panel.design)
+        got = columns("deviance", fits, panel.responses, panel.design)
+        _assert_same_outcome(got, _series_by_series("deviance", fits, panel.responses, panel.design))
+        assert isinstance(got[1], DomainError) and got[0].shape == (30, 2)
+        assert str(got[1]) == "poisson mean must be strictly positive"
+
+    @pytest.mark.parametrize("series", [1, 2, 5])
+    def test_a_singular_weighted_design_mid_chunk_stops_it(self, monkeypatch, series):
+        panel = to_panel(generate(SimConfig(poisson(), m=30, q=5, seed=2)), poisson())
+        fits = fit_glms(panel.design, panel.responses, poisson())
+        # information on one row only: the weighted design has rank 1
+        info = np.zeros(30)
+        info[4] = 1.0
+        fits[2] = dataclasses.replace(fits[2], fisher_diag=info)
+        _cap_series(monkeypatch, series, panel.design)
+        got = columns("student", fits, panel.responses, panel.design)
+        _assert_same_outcome(got, _series_by_series("student", fits, panel.responses, panel.design))
+        assert isinstance(got[1], SingularDesignError) and got[0].shape == (30, 2)
+
+    def test_a_block_is_its_rows_alone(self):
+        panel = to_panel(generate(SimConfig(gamma(2.0), m=40, q=4, seed=5)), gamma(2.0))
+        fits = fit_glms(panel.design, panel.responses, gamma(2.0))
+        ys = panel.responses.T
+        for kind in RESIDUAL_KINDS:
+            block = compute(kind, fits, ys, panel.design)
+            for j, fit in enumerate(fits):
+                assert block[j].tobytes() == compute(kind, fit, ys[j], panel.design).tobytes()
+
+    def test_a_block_must_match_its_fits(self):
+        panel = to_panel(generate(SimConfig(poisson(), m=20, q=3, seed=5)), poisson())
+        fits = fit_glms(panel.design, panel.responses, poisson())
+        with pytest.raises(ValueError, match="do not match the fits"):
+            compute("raw", fits, panel.responses, panel.design)
+        mixed = [fits[0], dataclasses.replace(fits[1], family=gamma(2.0))]
+        with pytest.raises(ValueError, match="^the fits of a block must share one family$"):
+            compute("raw", mixed, panel.responses.T[:2], panel.design)

@@ -1133,9 +1133,11 @@ class TestBatchedStudy:
         # the gamma study of the benchmark runs in 3 blocks (1, 2 and 2
         # replicates). Each block makes one proxy call per q and one linear
         # call per q and linear estimator. The QR factorisations: 5 design
-        # checks of the first fits, 3 of the refit stacks, 105 for the
-        # leverages (21 series x 5 replicates), 12 for the proxies and 48 for
-        # the linear calls (a base and one full stack each)
+        # checks of the first fits, 3 of the refit stacks, 10 for the
+        # leverages (per replicate, one stacked QR for each chunk of series
+        # that residuals.columns makes: 20 and 1 series at m=400), 12 for
+        # the proxies and 48 for the linear calls (a base and one full
+        # stack each)
         calls = collections.Counter()
 
         def counting(name, fn):
@@ -1158,7 +1160,7 @@ class TestBatchedStudy:
         assert [len(block) for block in sibglm.benchmark._blocks(study, cells, 1)] == [1, 2, 2]
         results, _ = run_study(study, cells)
         assert all(r.error is None for r in results)
-        assert calls == {"_proxies": 3 * 4, "_linear": 3 * 4 * 2, "qr": 5 + 3 + 105 + 12 + 48}
+        assert calls == {"_proxies": 3 * 4, "_linear": 3 * 4 * 2, "qr": 5 + 3 + 10 + 12 + 48}
 
 
 class TestPanel:

@@ -14,13 +14,14 @@ from sibglm.simulate import (
     MetricsRecord,
     SimConfig,
     correlation,
+    correlations,
     generate,
     metrics,
     replicate_seed,
     to_panel,
 )
 
-from oracles import evaluate_at
+from oracles import evaluate_at, generate_series_by_series, lone_correlation
 
 
 class TestGenerate:
@@ -77,6 +78,26 @@ class TestGenerate:
             + truth.theta_shift
         )
         assert np.array_equal(truth.theta, rebuilt)
+
+    @pytest.mark.parametrize(
+        "family", [poisson(), gaussian(0.5), bernoulli(), gamma(2.0)], ids=lambda f: f.kind
+    )
+    @pytest.mark.parametrize("scheme", ["uniform", "zero", "one"])
+    def test_bitwise_the_series_by_series_draws(self, family, scheme):
+        for m, q, sigma in ((2, 2, 0.1), (60, 5, 0.3), (40, 21, 1.5), (300, 3, 1.5)):
+            config = SimConfig(family, m, q, sigma, seed=3, noise_coefficient_scheme=scheme)
+            outcomes = []
+            for draw in (generate, generate_series_by_series):
+                try:
+                    outcomes.append((draw(config), None))
+                except GenerationError as exc:
+                    outcomes.append((exc.truth, str(exc)))
+            (got, got_error), (want, want_error) = outcomes
+            assert got_error == want_error
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert np.shape(a) == np.shape(b), field.name
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
     def test_gamma_thetas_inside_domain(self):
         truth = generate(SimConfig(gamma(2.0), m=500, q=6, seed=8))
@@ -210,6 +231,21 @@ class TestMetrics:
         # seven 0.1s is not 0.1, so that input is not
         for c in (np.zeros(7), np.full(7, 0.5), np.full(7, 0.1)):
             assert np.isnan(correlation(a, c)) == np.isnan(correlation(c, a)) == (np.std(c) == 0.0)
+
+    def test_stacked_correlations_are_bitwise_the_lone_ones(self):
+        rng = np.random.default_rng(13)
+        for m in (2, 7, 120, 1000, 9000):
+            a = rng.normal(size=(6, m)) * rng.uniform(0.1, 10.0, (6, 1)) + rng.normal(size=(6, 1))
+            a[2] = 3.0
+            # a strided proxy, as a panel's column is
+            b = rng.uniform(-1.0, 1.0, (m, 3))[:, 1]
+            got = correlations(a, b)
+            assert np.isnan(got[2]) and not np.isnan(np.delete(got, 2)).any()
+            for j in range(6):
+                want = np.float64(lone_correlation(a[j], b))
+                for value in (got[j], correlations(a[j : j + 1], b)[0], correlation(a[j], b)):
+                    assert np.float64(value).tobytes() == want.tobytes()
+            assert np.isnan(correlations(a, np.full(m, 0.5))).all()
 
     def test_record_fields(self):
         rec = MetricsRecord(mse=1.0, bias=0.5, noise_corr=float("nan"))
